@@ -11,11 +11,14 @@ which is what :func:`check_commuting_diagram` verifies degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .ohf import OhfFactorization
+
+if TYPE_CHECKING:  # ohf builds its replay operator from CirculantElement
+    from .ohf import OhfFactorization
 
 MANIFOLD_TAGS = ("circle", "cyclic_group")
 
@@ -161,8 +164,10 @@ def check_commuting_diagram(
     lift of the compression of X, and the compression of X against C_m^d.
     A seeded random polynomial of the same degree is pushed through both
     routes as well, exercising linear combinations rather than bare powers.
+    The shift factor is formed densely (:meth:`OhfFactorization.to_dense`),
+    so the check costs O(n^2) memory and O(n^3) time per degree.
     """
-    U = ohf.U_csf
+    U = ohf.to_dense().U
     m, n = ohf.m, ohf.n
     Cm = cyclic_shift_matrix(m)
     rng = np.random.default_rng(seed)

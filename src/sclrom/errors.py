@@ -25,6 +25,10 @@ class DimensionMismatch(SclRomError):
     """Shapes of the supplied operands are inconsistent."""
 
 
+class NonFiniteData(SclRomError):
+    """Input data holds NaN or infinite entries."""
+
+
 class NumericalFailure(SclRomError):
     """A numerical routine failed to converge or lost internal consistency."""
 

@@ -5,7 +5,9 @@ coefficient vector per step; step t's transition matrix is the lift of
 that circulant through the frame, and predictions chain it between the
 input and output projectors:
 
-    x_t = K ( Vhat circ(c_{t mod T}) Vhat* ) (rho vhat_1)
+    x_t = K ( Vhat circ(c_{t mod T}) Vhat* ) (rho vhat_1) = R c_{t mod T}
+
+with R the factorization's n x m replay operator, so a step costs O(n m).
 
 Two coefficient modes exist: the closed-form monomial (kappa/rho) z^t,
 which reproduces exactly periodic training data to rounding, and a
@@ -95,7 +97,11 @@ class PeriodReport:
 
 
 def transition_matrix(model: SclRomModel, t: int) -> np.ndarray:
-    """Step-t transition matrix Vhat circ(c_{t mod T}) Vhat*; rank <= m."""
+    """Step-t transition matrix Vhat circ(c_{t mod T}) Vhat*; rank <= m.
+
+    Dense n x n, for callers that want the matrix itself; :func:`predict`
+    applies the same operator without forming it.
+    """
     if t < 0:
         raise ValueError("step index must be nonnegative")
     element = CirculantElement(model.coeffs[:, t % model.period])
@@ -104,17 +110,19 @@ def transition_matrix(model: SclRomModel, t: int) -> np.ndarray:
 
 
 def predict(model: SclRomModel, t: int) -> np.ndarray:
-    """Model state at step t: K H_{t mod T} (rho vhat_1).
+    """Model state at step t: K H_{t mod T} (rho vhat_1), evaluated as R c_{t mod T}.
 
-    rho vhat_1 equals T v_1 by the factorization identities; using the
-    stored scalar keeps predictions bit-identical after a save/load round
-    trip, where the training snapshots are no longer available.
+    rho vhat_1 equals T v_1 by the factorization identities; the replay
+    operator R folds the stored scalar rho together with K and the frame
+    (see :func:`sclrom.ohf.replay_operator`). The loader rebuilds R from
+    bit-identical inputs, so predictions stay bit-identical after a
+    save/load round trip, where the training snapshots are no longer
+    available. Every replay (fit residuals, verification, the CLI) calls
+    this function one step at a time, so they all agree bitwise.
     """
     if t < 0:
         raise ValueError("step index must be nonnegative")
-    ohf = model.ohf
-    start = ohf.rho * ohf.Vhat[:, 0]
-    return ohf.K @ (transition_matrix(model, t) @ start)
+    return model.ohf.R @ model.coeffs[:, t % model.period]
 
 
 def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport]:
@@ -179,7 +187,7 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
 def verify_mimetic(model: SclRomModel, history: SnapshotHistory, eps: float) -> MimeticReport:
     """Replay the model against training snapshots and compare step by step.
 
-    max_residual = max over 1 <= k < min(T, columns) of
+    max_residual = max over 0 <= k < min(T, columns) of
     ||predict(model, k) - v_{k+1}||_2, the quantity printed by the
     verification log of the command-line front end.
     """
@@ -190,7 +198,7 @@ def verify_mimetic(model: SclRomModel, history: SnapshotHistory, eps: float) -> 
     steps = min(model.period, history.m)
     per_step = [
         (k, float(np.linalg.norm(predict(model, k) - history.data[:, k])))
-        for k in range(1, steps)
+        for k in range(steps)
     ]
     max_residual = max((r for _, r in per_step), default=0.0)
     return MimeticReport(

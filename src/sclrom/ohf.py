@@ -4,22 +4,30 @@ A snapshot history H = [v_1 .. v_m] in C^{n x m} with 2m <= n is split via
 its thin SVD V diag(s) W into a span part V diag(s_j/s_1) W and a complement
 part U diag(t_j) W with t_j = sqrt(1 - (s_j/s_1)^2), whose sum Vhat has
 orthonormal columns. The factorization carries the scalars kappa = s_1 and
-rho = v_1* v_1 / s_1, the projectors K = V V* and T = vhat_1 vhat_1*, and the
-unitary circular shift factor advancing the Vhat columns cyclically, so that
+rho = v_1* v_1 / s_1 and the frames V and Vhat, which define the projectors
+K = V V* and T = vhat_1 vhat_1* and the unitary circular shift factor U
+advancing the Vhat columns cyclically, so that
 
     T v_1 = rho vhat_1,   U vhat_j = vhat_{j+1 mod m},   K kappa vhat_j = v_j.
+
+Every one of these operators has rank m (U is the identity plus a rank-m
+term), so they are held through the n x m frames and never formed as
+n x n matrices; :meth:`OhfFactorization.to_dense` builds them on request.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .circulant import CirculantElement
 from .cyclic import VectorSystem, cyclic_operator
 from .errors import (
     DegenerateHistory,
     DimensionMismatch,
     DimensionTooSmall,
+    NonFiniteData,
     NumericalFailure,
 )
 
@@ -36,7 +44,7 @@ class SnapshotHistory:
 
     Zero columns are accepted at construction (a simulator may legitimately
     produce them); operations that require nonzero snapshots reject them
-    when reached.
+    when reached. NaN and infinite entries are rejected at construction.
     """
 
     data: np.ndarray
@@ -48,6 +56,10 @@ class SnapshotHistory:
             raise DimensionMismatch(f"snapshot matrix must be 2-D, got ndim={data.ndim}")
         if data.shape[1] < 1:
             raise DimensionMismatch("snapshot history needs at least one column")
+        finite = np.isfinite(data)
+        if not finite.all():
+            row, col = (int(i) for i in np.argwhere(~finite)[0])
+            raise NonFiniteData(f"snapshot entry at (row {row}, column {col}) is non-finite")
         self.data = data
 
     @property
@@ -78,23 +90,30 @@ class SvdTriple:
         return (self.V * self.S) @ self.W
 
 
+class DenseFactors(NamedTuple):
+    """The factorization's operators as dense n x n matrices."""
+
+    K: np.ndarray
+    T: np.ndarray
+    U: np.ndarray
+
+
 @dataclass(eq=False)
 class OhfFactorization:
-    """Orthonormal history factor with its scalars, projectors, and shift.
+    """Orthonormal history factor: frames, scalars, and the replay operator.
 
-    ``singular_values``/``t_values`` are None on instances rebuilt from a
-    model file (the file stores only V, Vhat, and coefficients). ``W`` is
-    the retained right SVD factor used by least-squares fitting; it is not
-    persisted.
+    ``R`` is the n x m replay operator of :func:`replay_operator`, derived
+    from V, Vhat, and rho. ``singular_values``/``t_values`` are None on
+    instances rebuilt from a model file (the file stores only V, Vhat, and
+    coefficients). ``W`` is the retained right SVD factor used by
+    least-squares fitting; it is not persisted.
     """
 
     Vhat: np.ndarray
     V: np.ndarray
     kappa: complex
     rho: complex
-    K: np.ndarray
-    T: np.ndarray
-    U_csf: np.ndarray
+    R: np.ndarray
     singular_values: np.ndarray | None
     t_values: np.ndarray | None
     W: np.ndarray | None = None
@@ -106,6 +125,21 @@ class OhfFactorization:
     @property
     def m(self) -> int:
         return self.Vhat.shape[1]
+
+    def to_dense(self, tol: float = 1e-8) -> DenseFactors:
+        """Dense K = V V*, T = vhat_1 vhat_1*, and shift factor U (n x n each).
+
+        O(n^2) memory, so fitting, loading, verification, and prediction
+        never call it; :func:`sclrom.circulant.check_commuting_diagram`
+        does. Raises NotOrthogonal when Vhat fails the orthogonality check
+        at ``tol``.
+        """
+        vhat1 = self.Vhat[:, 0:1]
+        return DenseFactors(
+            K=self.V @ self.V.conj().T,
+            T=vhat1 @ vhat1.conj().T,
+            U=cyclic_operator(VectorSystem(self.Vhat), tol=tol).C,
+        )
 
 
 @dataclass
@@ -172,17 +206,66 @@ def complement_basis(V: np.ndarray) -> np.ndarray:
     return np.column_stack(accepted)
 
 
-def derived_factors(V: np.ndarray, Vhat: np.ndarray, tol: float = 1e-8):
-    """Recompute (K, T, U_csf) from the stored frames.
+def replay_operator(V: np.ndarray, Vhat: np.ndarray, rho: complex) -> np.ndarray:
+    """R = V (V* Vhat) circ(g) with g = rho Vhat* vhat_1 (n x m).
 
-    Shared by the builder and the model loader so both produce bit-identical
-    projectors and shift factors from bit-identical inputs.
+    K H_t (rho vhat_1) = V (V* Vhat) circ(c_t) g = R c_t for the step-t
+    transition H_t = Vhat circ(c_t) Vhat*, because circulants commute
+    (circ(c) g = circ(g) c). Shared by the builder and the model loader so
+    both produce bit-identical replay operators, and hence predictions,
+    from bit-identical inputs.
     """
-    K = V @ V.conj().T
-    vhat1 = Vhat[:, 0:1]
-    T = vhat1 @ vhat1.conj().T
-    U_csf = cyclic_operator(VectorSystem(Vhat), tol=tol).C
-    return K, T, U_csf
+    g = rho * (Vhat.conj().T @ Vhat[:, 0])
+    return V @ ((V.conj().T @ Vhat) @ CirculantElement(g).to_matrix())
+
+
+def _shift_parts(Vhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E, F with shift factor U = 1 + E F*.
+
+    E = roll(Vhat, -1) - Vhat and F = Vhat D, D = diag(1/||vhat_j||^2): the
+    cyclic operator of the Vhat columns with its rank-m part kept thin.
+    """
+    E = np.roll(Vhat, -1, axis=1) - Vhat
+    F = Vhat / np.sum(np.abs(Vhat) ** 2, axis=0)
+    return E, F
+
+
+def _unitarity_residual(E: np.ndarray, F: np.ndarray) -> float:
+    """||U* U - 1||_F for U = 1 + E F*, in O(n m^2).
+
+    U* U - 1 = Z M Z* with Z = [E F] and M = [[0, 1], [1, E* E]]; with the
+    thin QR Z = Q R_Z the norm is ||R_Z M R_Z*||_F.
+    """
+    m = E.shape[1]
+    M = np.zeros((2 * m, 2 * m), dtype=np.complex128)
+    M[:m, m:] = M[m:, :m] = np.eye(m)
+    M[m:, m:] = E.conj().T @ E
+    R_Z = np.linalg.qr(np.hstack([E, F]), mode="r")
+    return float(np.linalg.norm(R_Z @ M @ R_Z.conj().T))
+
+
+def frame_residuals(V: np.ndarray, Vhat: np.ndarray) -> dict[str, float]:
+    """Frobenius residuals of the factorization invariants, from the frames.
+
+    Each value equals its dense n x n counterpart up to rounding, computed
+    in O(n m^2) time and O(n m) memory:
+
+    - ||Vhat* Vhat - 1|| and ||V* V - 1||;
+    - ||U* U - 1|| for the shift factor U of Vhat;
+    - ||K^2 - K|| = ||R_V (V* V - 1) R_V*|| with the thin QR V = Q R_V;
+    - ||T^2 - T|| = |(||vhat_1||^2 - 1)| ||vhat_1||^2.
+    """
+    eye = np.eye(V.shape[1])
+    V_gap = V.conj().T @ V - eye
+    R_V = np.linalg.qr(V, mode="r")
+    vhat1_sq = float(np.vdot(Vhat[:, 0], Vhat[:, 0]).real)
+    return {
+        "Vhat columns orthonormal": float(np.linalg.norm(Vhat.conj().T @ Vhat - eye)),
+        "V columns orthonormal": float(np.linalg.norm(V_gap)),
+        "shift factor unitary": _unitarity_residual(*_shift_parts(Vhat)),
+        "K idempotent": float(np.linalg.norm(R_V @ V_gap @ R_V.conj().T)),
+        "T idempotent": abs(vhat1_sq - 1.0) * vhat1_sq,
+    }
 
 
 def build_ohf(
@@ -254,15 +337,12 @@ def build_ohf(
             f"first-column product {direct:.6e} deviates from rho {rho:.6e}"
         )
 
-    K, T, U_csf = derived_factors(V, Vhat)
     return OhfFactorization(
         Vhat=Vhat,
         V=V,
         kappa=kappa,
         rho=rho,
-        K=K,
-        T=T,
-        U_csf=U_csf,
+        R=replay_operator(V, Vhat, rho),
         singular_values=s.copy(),
         t_values=t_vals,
         W=W,
@@ -276,20 +356,26 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     shift_residual = max_j ||U vhat_j - vhat_{j+1 mod m}||
     k_residual   = max_j ||K kappa vhat_j - v_j|| / ||v_j||
     unitary_residual = ||U* U - 1||_F
+
+    Each residual is evaluated through the frames in O(n m^2), with no
+    n x n matrix formed.
     """
     if ohf.n != history.n or ohf.m != history.m:
         raise DimensionMismatch(
             f"factorization is (n={ohf.n}, m={ohf.m}) but history is (n={history.n}, m={history.m})"
         )
-    Vhat, U, K = ohf.Vhat, ohf.U_csf, ohf.K
-    v1 = history.data[:, 0]
-    t_residual = float(np.linalg.norm(ohf.T @ v1 - ohf.rho * Vhat[:, 0]))
-    advanced = np.roll(Vhat, -1, axis=1)
-    shift_residual = float(np.max(np.linalg.norm(U @ Vhat - advanced, axis=0)))
-    recon = ohf.kappa * (K @ Vhat)
+    Vhat, V = ohf.Vhat, ohf.V
+    vhat1 = Vhat[:, 0]
+    # T v_1 - rho vhat_1 = (vhat_1* v_1 - rho) vhat_1
+    t_gap = np.vdot(vhat1, history.data[:, 0]) - ohf.rho
+    t_residual = float(np.linalg.norm(t_gap * vhat1))
+    # U Vhat - roll(Vhat) = Vhat + E F* Vhat - roll(Vhat) = E (F* Vhat - 1)
+    E, F = _shift_parts(Vhat)
+    shift_gap = E @ (F.conj().T @ Vhat - np.eye(ohf.m))
+    shift_residual = float(np.max(np.linalg.norm(shift_gap, axis=0)))
+    recon = ohf.kappa * (V @ (V.conj().T @ Vhat))
     col_norms = np.linalg.norm(history.data, axis=0)
     k_residual = float(np.max(np.linalg.norm(recon - history.data, axis=0) / col_norms))
-    eye = np.eye(ohf.n, dtype=np.complex128)
-    unitary_residual = float(np.linalg.norm(U.conj().T @ U - eye))
+    unitary_residual = _unitarity_residual(E, F)
     passed = max(t_residual, shift_residual, k_residual, unitary_residual) <= tol
     return OhfReport(t_residual, shift_residual, k_residual, unitary_residual, passed)

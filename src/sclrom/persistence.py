@@ -12,10 +12,11 @@ round-trip decimals; only the ``i`` suffix is accepted when reading.
 
 Model files: a fixed-order UTF-8 manifest, a blank line, then three
 snapshot-encoded binary blocks holding V (n x m), Vhat (n x m), and the
-coefficients (m x T). Projectors and the shift factor are recomputed on
-load from V and Vhat — storing them would permit inconsistent files —
-and every rebuilt-factorization invariant is re-validated before the
-model is returned.
+coefficients (m x T). The replay operator is rebuilt on load from V,
+Vhat, and rho — storing it would permit inconsistent files — after every
+factorization invariant (orthonormal frames, unitary shift factor,
+idempotent projectors) is re-validated from the thin frames and every
+stored number is checked to be finite.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import struct
 
 import numpy as np
 
+from .cyclic import VectorSystem, check_orthogonal_system
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -34,12 +36,13 @@ from .errors import (
     VersionUnsupported,
 )
 from .model import SclRomModel
-from .ohf import OhfFactorization, SnapshotHistory, derived_factors
+from .ohf import OhfFactorization, SnapshotHistory, frame_residuals, replay_operator
 
 SNAPSHOT_MAGIC = b"SCLROM01"
 MODEL_FORMAT_VERSION = 1
 _MODEL_HEADER_PREFIX = "SCLROM-MODEL v"
 _LOAD_TOL = 1e-8
+_HEADER_BYTES = 32
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _ENTRY_RE = re.compile(rf"^({_FLOAT})(?:([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$")
@@ -90,8 +93,14 @@ def _encode_array(data: np.ndarray) -> bytes:
 def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     if buf[offset : offset + 8] != SNAPSHOT_MAGIC:
         raise BadMagic(f"expected {SNAPSHOT_MAGIC!r} at byte {offset}")
+    available = len(buf) - offset
+    if available < _HEADER_BYTES:
+        raise DimensionMismatch(
+            f"header truncated: expected {_HEADER_BYTES} bytes at byte {offset}, "
+            f"found {available}"
+        )
     n, m, flags = struct.unpack_from("<QQQ", buf, offset + 8)
-    start = offset + 32
+    start = offset + _HEADER_BYTES
     real = bool(flags & 1)
     expected = n * m * (8 if real else 16)
     available = len(buf) - start
@@ -211,11 +220,12 @@ def _manifest_value(lines: list[str], index: int, key: str) -> str:
 
 
 def read_model(path) -> SclRomModel:
-    """Read a model file, recomputing and re-validating derived factors.
+    """Read a model file, re-validating it and rebuilding the replay operator.
 
     Raises VersionUnsupported for unknown format versions and
     InvariantViolation when the stored arrays are inconsistent with the
-    manifest or fail the factorization invariants.
+    manifest, hold non-finite numbers, or fail the factorization
+    invariants. No n x n matrix is formed.
     """
     try:
         with open(path, "rb") as fh:
@@ -265,23 +275,24 @@ def read_model(path) -> SclRomModel:
 
     kappa = complex(kappa_re, kappa_im)
     rho = complex(rho_re, rho_im)
+    stored = {"V": V, "Vhat": Vhat, "coeffs": coeffs, "kappa": kappa, "rho": rho,
+              "epsilon_achieved": epsilon}
+    for name, value in stored.items():
+        if not np.all(np.isfinite(value)):
+            raise InvariantViolation(f"{name} holds non-finite values")
     if not (rho.real > 0.0 and abs(rho.imag) <= 1e-10 * abs(rho)):
         raise InvariantViolation(f"rho {rho} is not real and positive")
 
     try:
-        K, T, U_csf = derived_factors(V, Vhat, tol=_LOAD_TOL)
+        orth = check_orthogonal_system(VectorSystem(Vhat), _LOAD_TOL)
     except SclRomError as exc:
         raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
-    eye_m = np.eye(m, dtype=np.complex128)
-    eye_n = np.eye(n, dtype=np.complex128)
-    checks = {
-        "Vhat columns orthonormal": float(np.linalg.norm(Vhat.conj().T @ Vhat - eye_m)),
-        "V columns orthonormal": float(np.linalg.norm(V.conj().T @ V - eye_m)),
-        "shift factor unitary": float(np.linalg.norm(U_csf.conj().T @ U_csf - eye_n)),
-        "K idempotent": float(np.linalg.norm(K @ K - K)),
-        "T idempotent": float(np.linalg.norm(T @ T - T)),
-    }
-    for name, residual in checks.items():
+    if not orth.is_orthogonal:
+        raise InvariantViolation(
+            f"stored frames are inconsistent: max relative cross product "
+            f"{orth.max_cross:.3e} exceeds tol {_LOAD_TOL:.3e}"
+        )
+    for name, residual in frame_residuals(V, Vhat).items():
         # "not <=" so NaN residuals from corrupt payloads also fail
         if not (residual <= _LOAD_TOL * max(1.0, float(m))):
             raise InvariantViolation(f"{name}: residual {residual:.3e}")
@@ -291,9 +302,7 @@ def read_model(path) -> SclRomModel:
         V=V,
         kappa=kappa,
         rho=rho,
-        K=K,
-        T=T,
-        U_csf=U_csf,
+        R=replay_operator(V, Vhat, rho),
         singular_values=None,
         t_values=None,
         W=None,

@@ -149,3 +149,18 @@ class TestErrorPaths:
                            "--seed", "0", "--out", out)
         assert code == 2
         assert "n >= 2" in err
+
+    def test_truncated_binary_header_exits_two(self, capsys, tmp_path):
+        snap = tmp_path / "h.bin"
+        snap.write_bytes(b"SCLROM01abc")
+        code, _, err = run(capsys, "fit", str(snap), "--out", str(tmp_path / "m.bin"))
+        assert code == 2
+        assert "header truncated" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_csv_exits_two(self, capsys, tmp_path):
+        snap = tmp_path / "h.csv"
+        snap.write_text("2,1\n1\n1e999\n")
+        code, _, err = run(capsys, "fit", str(snap), "--out", str(tmp_path / "m.bin"))
+        assert code == 2
+        assert "non-finite" in err

@@ -19,11 +19,11 @@ from sclrom import (
 
 def full_matrix_residuals(model, history):
     """Oracle: residuals through the explicit K H_t T v_1 product chain."""
-    ohf = model.ohf
+    K, T, _ = model.ohf.to_dense()
     v1 = history.data[:, 0]
     out = []
     for t in range(model.period):
-        xt = ohf.K @ transition_matrix(model, t) @ (ohf.T @ v1)
+        xt = K @ transition_matrix(model, t) @ (T @ v1)
         out.append(np.linalg.norm(xt - history.data[:, t]))
     return out
 
@@ -183,7 +183,7 @@ class TestVerifyMimetic:
         assert report.max_residual <= 1e-10
         assert report.m == 8
         assert report.n == 64
-        assert len(report.per_step) == 7
+        assert len(report.per_step) == 8
 
     def test_residual_matches_predict(self):
         h = periodic_history(32, 4, seed=2)
@@ -192,6 +192,16 @@ class TestVerifyMimetic:
         for k, residual in report.per_step:
             direct = np.linalg.norm(predict(model, k) - h.data[:, k])
             assert residual == direct
+
+    def test_corrupted_step_zero_fails(self):
+        h = periodic_history(64, 8, seed=1)
+        model, _ = fit(h)
+        model.coeffs[:, 0] = model.coeffs[:, 1]
+        report = verify_mimetic(model, h, 1e-10)
+        assert not report.passed
+        worst_step, worst = max(report.per_step, key=lambda item: item[1])
+        assert worst_step == 0 and worst > 0.1
+        assert all(r <= 1e-10 for k, r in report.per_step if k > 0)
 
     def test_failing_threshold(self):
         pair = almost_periodic_history(32, 4, 1e-2, 4, seed=1)

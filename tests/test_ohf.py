@@ -6,6 +6,7 @@ from sclrom import (
     DegenerateHistory,
     DimensionMismatch,
     DimensionTooSmall,
+    NonFiniteData,
     SnapshotHistory,
     build_ohf,
     complement_basis,
@@ -14,6 +15,18 @@ from sclrom import (
     thin_svd,
     verify_ohf,
 )
+
+
+class TestSnapshotHistory:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected_with_position(self, bad):
+        data = np.ones((6, 3), dtype=complex)
+        data[4, 1] = bad
+        data[5, 2] = bad
+        with pytest.raises(NonFiniteData) as exc:
+            SnapshotHistory(data)
+        assert "non-finite" in str(exc.value)
+        assert "(row 4, column 1)" in str(exc.value)
 
 
 class TestThinSvd:
@@ -109,8 +122,9 @@ class TestBuildOhf:
         ohf = build_ohf(SnapshotHistory(data))
         assert ohf.kappa == pytest.approx(2.0)
         assert ohf.rho == pytest.approx(2.0)
-        np.testing.assert_allclose(ohf.T @ data[:, 0], ohf.rho * ohf.Vhat[:, 0], atol=1e-14)
-        np.testing.assert_allclose(ohf.T @ data[:, 0], [2, 0, 0, 0], atol=1e-14)
+        T = ohf.to_dense().T
+        np.testing.assert_allclose(T @ data[:, 0], ohf.rho * ohf.Vhat[:, 0], atol=1e-14)
+        np.testing.assert_allclose(T @ data[:, 0], [2, 0, 0, 0], atol=1e-14)
 
     def test_periodic_history_verifies(self):
         h = periodic_history(16, 4, seed=7)
@@ -118,10 +132,11 @@ class TestBuildOhf:
         report = verify_ohf(ohf, h, tol=1e-12)
         assert report.passed
         # oracle: substitute the factors into the identities directly
-        recon = ohf.kappa * (ohf.K @ ohf.Vhat)
+        dense = ohf.to_dense()
+        recon = ohf.kappa * (dense.K @ ohf.Vhat)
         np.testing.assert_allclose(recon, h.data, atol=1e-12)
         np.testing.assert_allclose(
-            ohf.U_csf @ ohf.Vhat, np.roll(ohf.Vhat, -1, axis=1), atol=1e-12
+            dense.U @ ohf.Vhat, np.roll(ohf.Vhat, -1, axis=1), atol=1e-12
         )
 
     def test_vhat_columns_orthonormal(self):
@@ -133,7 +148,7 @@ class TestBuildOhf:
     def test_span_and_complement_parts_orthogonal(self):
         h = periodic_history(24, 5, seed=11)
         ohf = build_ohf(h)
-        span_part = ohf.K @ ohf.Vhat
+        span_part = ohf.to_dense().K @ ohf.Vhat
         complement_part = ohf.Vhat - span_part
         assert np.linalg.norm(complement_part.conj().T @ span_part) <= 1e-12
 
@@ -157,8 +172,8 @@ class TestBuildOhf:
         ohf1 = build_ohf(SnapshotHistory(data))
         ohf3 = build_ohf(SnapshotHistory(3.0 * data))
         assert ohf3.kappa == pytest.approx(3.0 * ohf1.kappa, rel=1e-12)
-        recon1 = ohf1.kappa * (ohf1.K @ ohf1.Vhat)
-        recon3 = ohf3.kappa * (ohf3.K @ ohf3.Vhat)
+        recon1 = ohf1.kappa * (ohf1.to_dense().K @ ohf1.Vhat)
+        recon3 = ohf3.kappa * (ohf3.to_dense().K @ ohf3.Vhat)
         np.testing.assert_allclose(recon3, 3.0 * recon1, rtol=1e-10, atol=1e-12)
 
     def test_dimension_too_small(self):
@@ -197,13 +212,17 @@ class TestVerifyOhf:
             assert report.passed
 
     def test_corrupted_shift_factor_fails(self):
+        # the shift factor is derived from the frame: mixing one frame column
+        # into another breaks its cycle relations and its unitarity
         h = periodic_history(16, 4, seed=1)
         ohf = build_ohf(h)
-        ohf.U_csf = np.eye(16, dtype=complex)
+        Vhat = ohf.Vhat.copy()
+        Vhat[:, 2] += 0.5 * Vhat[:, 0]
+        ohf.Vhat = Vhat
         report = verify_ohf(ohf, h, tol=1e-10)
         assert not report.passed
-        gaps = np.linalg.norm(np.roll(ohf.Vhat, -1, axis=1) - ohf.Vhat, axis=0)
-        assert report.shift_residual >= gaps.min() > 0.0
+        assert report.shift_residual > 0.1
+        assert report.unitary_residual > 0.1
 
     def test_single_snapshot_shift_residual_zero(self):
         h = SnapshotHistory(np.array([[2.0], [0.0], [0.0], [0.0]], dtype=complex))

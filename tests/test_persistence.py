@@ -110,6 +110,13 @@ class TestBinaryFormat:
             read_snapshots(path)
         assert "expected" in str(exc.value) and "found" in str(exc.value)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "h.bin"
+        path.write_bytes(b"SCLROM01abc")
+        with pytest.raises(DimensionMismatch) as exc:
+            read_snapshots(path)
+        assert "header truncated" in str(exc.value)
+
     def test_explicit_binary_requires_magic(self, tmp_path):
         path = tmp_path / "h.csv"
         write_snapshots(SnapshotHistory(np.eye(2, dtype=complex)), path, format="csv")
@@ -188,6 +195,43 @@ class TestModelFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(InvariantViolation):
             read_model(path)
+
+    def test_non_orthogonal_frame_fails_orthogonality_gate(self, fitted, tmp_path):
+        fitted.ohf.Vhat[:, 1] += 1e-6 * fitted.ohf.Vhat[:, 0]
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        with pytest.raises(InvariantViolation) as exc:
+            read_model(path)
+        assert "stored frames are inconsistent" in str(exc.value)
+
+    def test_truncated_array_header_rejected(self, fitted, tmp_path):
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        blob = path.read_bytes()
+        first_block = blob.find(b"\n\n") + 2
+        path.write_bytes(blob[: first_block + 11])
+        with pytest.raises(InvariantViolation) as exc:
+            read_model(path)
+        assert "header truncated" in str(exc.value)
+
+    @pytest.mark.parametrize("field", ["coeffs", "V", "Vhat", "kappa", "epsilon_achieved"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, fitted, tmp_path, field, bad):
+        if field == "coeffs":
+            fitted.coeffs[1, 2] = bad
+        elif field == "V":
+            fitted.ohf.V[3, 0] = bad
+        elif field == "Vhat":
+            fitted.ohf.Vhat[3, 0] = bad
+        elif field == "kappa":
+            fitted.ohf.kappa = complex(bad, 0.0)
+        else:
+            fitted.epsilon_achieved = bad
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        with pytest.raises(InvariantViolation) as exc:
+            read_model(path)
+        assert str(exc.value) == f"{field} holds non-finite values"
 
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(IoFailure):
