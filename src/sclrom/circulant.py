@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .cyclic import VectorSystem, cyclic_operator
 from .errors import DimensionMismatch
 
 if TYPE_CHECKING:  # ohf builds its replay operator from CirculantElement
@@ -164,10 +165,10 @@ def check_commuting_diagram(
     lift of the compression of X, and the compression of X against C_m^d.
     A seeded random polynomial of the same degree is pushed through both
     routes as well, exercising linear combinations rather than bare powers.
-    The shift factor is formed densely (:meth:`OhfFactorization.to_dense`),
+    The shift factor is formed densely (:func:`sclrom.cyclic.cyclic_operator`),
     so the check costs O(n^2) memory and O(n^3) time per degree.
     """
-    U = ohf.to_dense().U
+    U = cyclic_operator(VectorSystem(ohf.Vhat)).C
     m, n = ohf.m, ohf.n
     Cm = cyclic_shift_matrix(m)
     rng = np.random.default_rng(seed)

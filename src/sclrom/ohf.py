@@ -12,27 +12,28 @@ advancing the Vhat columns cyclically, so that
 
 Every one of these operators has rank m (U is the identity plus a rank-m
 term), so they are held through the n x m frames and never formed as
-n x n matrices; :meth:`OhfFactorization.to_dense` builds them on request.
+n x n matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .circulant import CirculantElement
-from .cyclic import VectorSystem, cyclic_operator
+from .cyclic import VectorSystem, check_orthogonal_system
 from .errors import (
     DegenerateHistory,
     DimensionMismatch,
     DimensionTooSmall,
     NonFiniteData,
+    NotOrthogonal,
     NumericalFailure,
 )
 
 DEFAULT_RANK_TOL = 1e-12
 _COMPLEMENT_DROP_TOL = 1e-8
+_ORTHOGONALITY_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -90,14 +91,6 @@ class SvdTriple:
         return (self.V * self.S) @ self.W
 
 
-class DenseFactors(NamedTuple):
-    """The factorization's operators as dense n x n matrices."""
-
-    K: np.ndarray
-    T: np.ndarray
-    U: np.ndarray
-
-
 @dataclass(eq=False)
 class OhfFactorization:
     """Orthonormal history factor: frames, scalars, and the replay operator.
@@ -125,21 +118,6 @@ class OhfFactorization:
     @property
     def m(self) -> int:
         return self.Vhat.shape[1]
-
-    def to_dense(self, tol: float = 1e-8) -> DenseFactors:
-        """Dense K = V V*, T = vhat_1 vhat_1*, and shift factor U (n x n each).
-
-        O(n^2) memory, so fitting, loading, verification, and prediction
-        never call it; :func:`sclrom.circulant.check_commuting_diagram`
-        does. Raises NotOrthogonal when Vhat fails the orthogonality check
-        at ``tol``.
-        """
-        vhat1 = self.Vhat[:, 0:1]
-        return DenseFactors(
-            K=self.V @ self.V.conj().T,
-            T=vhat1 @ vhat1.conj().T,
-            U=cyclic_operator(VectorSystem(self.Vhat), tol=tol).C,
-        )
 
 
 @dataclass
@@ -296,6 +274,9 @@ def build_ohf(
     DegenerateHistory
         If the numerical rank is below m and ``truncate`` is not set, or
         the history is numerically zero.
+    NotOrthogonal
+        If the Vhat columns fail :func:`sclrom.cyclic.check_orthogonal_system`
+        at 1e-8, the tolerance the model loader applies.
     """
     n, m = history.n, history.m
     if not truncate and n < 2 * m:
@@ -335,6 +316,11 @@ def build_ohf(
     if abs(direct - rho) > 1e-10 * abs(rho):
         raise NumericalFailure(
             f"first-column product {direct:.6e} deviates from rho {rho:.6e}"
+        )
+    orth = check_orthogonal_system(VectorSystem(Vhat), _ORTHOGONALITY_TOL)
+    if not orth.is_orthogonal:
+        raise NotOrthogonal(
+            f"Vhat max relative cross product {orth.max_cross:.3e} exceeds tol {_ORTHOGONALITY_TOL:.1e}"
         )
 
     return OhfFactorization(

@@ -1,6 +1,7 @@
 """Tests for circulant elements and the compression / lift maps."""
 import numpy as np
 import pytest
+from dense_oracle import dense_factors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,12 +113,12 @@ class TestCompressionMaps:
         )
 
     def test_compress_shift_factor_gives_generator(self, seeded_ohf):
-        U = seeded_ohf.to_dense().U
+        U = dense_factors(seeded_ohf.V, seeded_ohf.Vhat)[2]
         np.testing.assert_allclose(compress(seeded_ohf, U), cyclic_shift_matrix(4), atol=1e-12)
 
     def test_compress_squared_shift(self, seeded_ohf):
         # oracle: brute-force power, then compress
-        U = seeded_ohf.to_dense().U
+        U = dense_factors(seeded_ohf.V, seeded_ohf.Vhat)[2]
         U2 = U @ U
         C2 = cyclic_shift_matrix(4) @ cyclic_shift_matrix(4)
         np.testing.assert_allclose(compress(seeded_ohf, U2), C2, atol=1e-12)
@@ -128,7 +129,7 @@ class TestCompressionMaps:
 
     def test_lift_generator_matches_projected_shift(self, seeded_ohf):
         lhs = lift(seeded_ohf, cyclic_shift_matrix(4))
-        rhs = project_span(seeded_ohf, seeded_ohf.to_dense().U)
+        rhs = project_span(seeded_ohf, dense_factors(seeded_ohf.V, seeded_ohf.Vhat)[2])
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_lift_preserves_products(self, seeded_ohf):
@@ -159,7 +160,7 @@ class TestCompressionMaps:
     def test_projected_shift_commutation(self, seeded_ohf):
         # P U P equals U P because the shift commutes with the projector
         P = seeded_ohf.Vhat @ seeded_ohf.Vhat.conj().T
-        U = seeded_ohf.to_dense().U
+        U = dense_factors(seeded_ohf.V, seeded_ohf.Vhat)[2]
         lhs = project_span(seeded_ohf, U)
         np.testing.assert_allclose(lhs, U @ P, atol=1e-12)
 
@@ -187,7 +188,7 @@ class TestCommutingDiagram:
     def test_degree_m_wraps_to_identity(self, seeded_ohf):
         report = check_commuting_diagram(seeded_ohf, [4], tol=1e-10)
         assert report.passed
-        Um = np.linalg.matrix_power(seeded_ohf.to_dense().U, 4)
+        Um = np.linalg.matrix_power(dense_factors(seeded_ohf.V, seeded_ohf.Vhat)[2], 4)
         np.testing.assert_allclose(compress(seeded_ohf, Um), np.eye(4), atol=1e-12)
 
     def test_degree_range(self):
@@ -197,7 +198,7 @@ class TestCommutingDiagram:
         assert len(report.per_degree) == 10
 
     def test_power_compression_multiplicativity(self, seeded_ohf):
-        U = seeded_ohf.to_dense().U
+        U = dense_factors(seeded_ohf.V, seeded_ohf.Vhat)[2]
         for j in range(4):
             for k in range(4):
                 lhs = compress(seeded_ohf, np.linalg.matrix_power(U, j + k))

@@ -1,6 +1,7 @@
 """Tests for model fitting, prediction, and the replay verification."""
 import numpy as np
 import pytest
+from dense_oracle import dense_factors
 
 from sclrom import (
     DegenerateHistory,
@@ -19,7 +20,7 @@ from sclrom import (
 
 def full_matrix_residuals(model, history):
     """Oracle: residuals through the explicit K H_t T v_1 product chain."""
-    K, T, _ = model.ohf.to_dense()
+    K, T, _ = dense_factors(model.ohf.V, model.ohf.Vhat)
     v1 = history.data[:, 0]
     out = []
     for t in range(model.period):

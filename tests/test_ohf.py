@@ -1,12 +1,15 @@
 """Tests for the orthonormal history factor construction."""
 import numpy as np
 import pytest
+from dense_oracle import dense_factors
 
+import sclrom.ohf
 from sclrom import (
     DegenerateHistory,
     DimensionMismatch,
     DimensionTooSmall,
     NonFiniteData,
+    NotOrthogonal,
     SnapshotHistory,
     build_ohf,
     complement_basis,
@@ -122,7 +125,7 @@ class TestBuildOhf:
         ohf = build_ohf(SnapshotHistory(data))
         assert ohf.kappa == pytest.approx(2.0)
         assert ohf.rho == pytest.approx(2.0)
-        T = ohf.to_dense().T
+        _, T, _ = dense_factors(ohf.V, ohf.Vhat)
         np.testing.assert_allclose(T @ data[:, 0], ohf.rho * ohf.Vhat[:, 0], atol=1e-14)
         np.testing.assert_allclose(T @ data[:, 0], [2, 0, 0, 0], atol=1e-14)
 
@@ -132,11 +135,11 @@ class TestBuildOhf:
         report = verify_ohf(ohf, h, tol=1e-12)
         assert report.passed
         # oracle: substitute the factors into the identities directly
-        dense = ohf.to_dense()
-        recon = ohf.kappa * (dense.K @ ohf.Vhat)
+        K, _, U = dense_factors(ohf.V, ohf.Vhat)
+        recon = ohf.kappa * (K @ ohf.Vhat)
         np.testing.assert_allclose(recon, h.data, atol=1e-12)
         np.testing.assert_allclose(
-            dense.U @ ohf.Vhat, np.roll(ohf.Vhat, -1, axis=1), atol=1e-12
+            U @ ohf.Vhat, np.roll(ohf.Vhat, -1, axis=1), atol=1e-12
         )
 
     def test_vhat_columns_orthonormal(self):
@@ -148,7 +151,7 @@ class TestBuildOhf:
     def test_span_and_complement_parts_orthogonal(self):
         h = periodic_history(24, 5, seed=11)
         ohf = build_ohf(h)
-        span_part = ohf.to_dense().K @ ohf.Vhat
+        span_part = dense_factors(ohf.V, ohf.Vhat)[0] @ ohf.Vhat
         complement_part = ohf.Vhat - span_part
         assert np.linalg.norm(complement_part.conj().T @ span_part) <= 1e-12
 
@@ -172,13 +175,25 @@ class TestBuildOhf:
         ohf1 = build_ohf(SnapshotHistory(data))
         ohf3 = build_ohf(SnapshotHistory(3.0 * data))
         assert ohf3.kappa == pytest.approx(3.0 * ohf1.kappa, rel=1e-12)
-        recon1 = ohf1.kappa * (ohf1.to_dense().K @ ohf1.Vhat)
-        recon3 = ohf3.kappa * (ohf3.to_dense().K @ ohf3.Vhat)
+        recon1 = ohf1.kappa * (dense_factors(ohf1.V, ohf1.Vhat)[0] @ ohf1.Vhat)
+        recon3 = ohf3.kappa * (dense_factors(ohf3.V, ohf3.Vhat)[0] @ ohf3.Vhat)
         np.testing.assert_allclose(recon3, 3.0 * recon1, rtol=1e-10, atol=1e-12)
 
     def test_dimension_too_small(self):
         with pytest.raises(DimensionTooSmall):
             build_ohf(SnapshotHistory(np.eye(5, 3, dtype=complex)))
+
+    def test_non_orthogonal_vhat_rejected_at_fit(self, monkeypatch):
+        # complement columns still orthogonal to range(V) (so rho checks
+        # out) but not to each other, so the Vhat columns drift
+        def skewed_complement(V):
+            cols = complement_basis(V)
+            cols[:, 1] += cols[:, 0]
+            return cols
+
+        monkeypatch.setattr(sclrom.ohf, "complement_basis", skewed_complement)
+        with pytest.raises(NotOrthogonal):
+            build_ohf(periodic_history(16, 4, seed=7))
 
     def test_degenerate_history_reports_rank(self):
         col = np.arange(1.0, 9.0)
