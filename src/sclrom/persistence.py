@@ -2,24 +2,30 @@
 
 Snapshot binary layout: 8 magic bytes ``SCLROM01``, then n, m, flags as
 unsigned 64-bit little-endian integers (flag bit 0 marks purely real
-payloads), then the matrix entries in column-major order, each entry two
-IEEE-754 binary64 little-endian values (real then imaginary; real-flagged
-files store only the real part).
+payloads; n and m are at least 1), then the matrix entries in
+column-major order, each entry two IEEE-754 binary64 little-endian values
+(real then imaginary; real-flagged files store only the real part).
 
-Snapshot CSV layout: first line ``n,m``, then one line per state row with
-entries rendered as ``a``, ``a+bi``, or ``a-bi`` using shortest
-round-trip decimals; only the ``i`` suffix is accepted when reading.
+Snapshot CSV layout: first line ``n,m`` (both at least 1), then one line
+per state row with entries rendered as ``a``, ``a+bi``, or ``a-bi`` using
+shortest round-trip decimals; only the ``i`` suffix is accepted when
+reading. The reader accepts whitespace around entries and skips blank
+lines; its errors name the physical line (as ``str.splitlines`` counts
+them, header = line 1) and the 1-based column. Each row is formatted,
+validated and converted as a whole, so the temporaries stay one row in
+size.
 
 Model files: a fixed-order UTF-8 manifest, a blank line, then three
 snapshot-encoded binary blocks holding V (n x m), Vhat (n x m), and the
 coefficients (m x T). The replay operator is rebuilt on load from V,
 Vhat, and rho — storing it would permit inconsistent files — after every
 factorization invariant (orthonormal frames, unitary shift factor,
-idempotent projectors) is re-validated from the thin frames and every
-stored number is checked to be finite.
+idempotent projectors) is re-validated through residuals computed from
+the thin frames, and every stored number is checked to be finite.
 """
 from __future__ import annotations
 
+import math
 import re
 import struct
 
@@ -46,6 +52,14 @@ _HEADER_BYTES = 32
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _ENTRY_RE = re.compile(rf"^({_FLOAT})(?:([+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$")
+# The same entry grammar for a whole row, with the whitespace that
+# str.strip() removes (re's \s is the same set) allowed around each entry.
+# Possessive quantifiers keep a failed match linear in the row length;
+# they leave the language unchanged, since nothing that may follow a
+# piece can extend it.
+_UFLOAT = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?\d++)?+"
+_PADDED_ENTRY = rf"\s*+[+-]?{_UFLOAT}(?:[+-]{_UFLOAT}i)?+\s*+"
+_ROW_RE = re.compile(rf"{_PADDED_ENTRY}(?:,{_PADDED_ENTRY})*+")
 
 
 def format_float(x: float) -> str:
@@ -57,12 +71,12 @@ def format_float(x: float) -> str:
 
 
 def format_complex_entry(z: complex) -> str:
+    z = complex(z)
     re_part = format_float(z.real)
-    if z.imag == 0.0 and not np.signbit(z.imag):
+    negative = math.copysign(1.0, z.imag) < 0.0
+    if z.imag == 0.0 and not negative:
         return re_part
-    im = format_float(abs(z.imag))
-    sign = "-" if (z.imag < 0.0 or np.signbit(z.imag)) else "+"
-    return f"{re_part}{sign}{im}i"
+    return f"{re_part}{'-' if negative else '+'}{format_float(abs(z.imag))}i"
 
 
 def parse_complex_entry(text: str, line: int, column: int) -> complex:
@@ -100,6 +114,8 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
             f"found {available}"
         )
     n, m, flags = struct.unpack_from("<QQQ", buf, offset + 8)
+    if n < 1 or m < 1:
+        raise DimensionMismatch(f"header at byte {offset} declares {n}x{m}; both must be >= 1")
     start = offset + _HEADER_BYTES
     real = bool(flags & 1)
     expected = n * m * (8 if real else 16)
@@ -125,11 +141,17 @@ def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> N
             with open(path, "wb") as fh:
                 fh.write(_encode_array(history.data))
         else:
-            lines = [f"{history.n},{history.m}"]
-            for i in range(history.n):
-                lines.append(",".join(format_complex_entry(z) for z in history.data[i, :]))
+            data = history.data
+            # a real payload has no imaginary part to print, so its rows
+            # format as floats; format_complex_entry would give the same text
+            if _payload_is_real(data):
+                rows, fmt = data.real, format_float
+            else:
+                rows, fmt = data, format_complex_entry
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(f"{history.n},{history.m}\n")
+                for row in rows:
+                    fh.write(",".join(map(fmt, row.tolist())) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -145,16 +167,27 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise ParseError(f"header must be 'n,m', got {lines[0]!r}", 1, 1) from None
-    rows = [line for line in lines[1:] if line.strip() != ""]
+    if n < 1 or m < 1:
+        raise ParseError(f"header must declare n >= 1 and m >= 1, got {lines[0]!r}", 1, 1)
+    rows = [(number, line) for number, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(rows) != n:
         raise DimensionMismatch(f"declared {n} rows, found {len(rows)}")
-    data = np.zeros((n, m), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        fields = row.split(",")
-        if len(fields) != m:
-            raise DimensionMismatch(f"row {i + 1} has {len(fields)} entries, declared m={m}")
-        for j, fieldtext in enumerate(fields):
-            data[i, j] = parse_complex_entry(fieldtext, line=i + 2, column=j + 1)
+    # every count is checked before the array is allocated, so a header
+    # cannot ask for more memory than the rows it is followed by
+    for number, row in rows:
+        if row.count(",") + 1 != m:
+            raise DimensionMismatch(
+                f"line {number} has {row.count(',') + 1} entries, declared m={m}"
+            )
+    data = np.empty((n, m), dtype=np.complex128)
+    for i, (number, row) in enumerate(rows):
+        if _ROW_RE.fullmatch(row) is None:
+            # the per-entry grammar names the bad field
+            for column, field in enumerate(row.split(","), start=1):
+                parse_complex_entry(field, number, column)
+        # complex() strips less whitespace than the grammar allows, so
+        # each field is stripped first
+        data[i] = list(map(complex, map(str.strip, row.replace("i", "j").split(","))))
     return SnapshotHistory(data)
 
 

@@ -164,3 +164,11 @@ class TestErrorPaths:
         code, _, err = run(capsys, "fit", str(snap), "--out", str(tmp_path / "m.bin"))
         assert code == 2
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("text", ["1,-3\n1\n", "1,99999999999\n1\n"])
+    def test_bad_csv_header_exits_two(self, capsys, tmp_path, text):
+        snap = tmp_path / "h.csv"
+        snap.write_text(text)
+        code, _, err = run(capsys, "fit", str(snap), "--out", str(tmp_path / "m.bin"))
+        assert code == 2
+        assert "Traceback" not in err

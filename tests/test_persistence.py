@@ -1,4 +1,6 @@
 """Tests for the snapshot and model file formats."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,28 @@ class TestCsvFormat:
         with pytest.raises(DimensionMismatch):
             read_snapshots(path)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [("1,-3\n1\n", ParseError), ("0,1\n", ParseError),
+         ("1,99999999999\n1\n", DimensionMismatch)],
+    )
+    def test_bad_header_dimensions_rejected_before_allocating(self, tmp_path, text, error):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(error):
+            read_snapshots(path)
+
+    def test_errors_name_physical_line_after_blank_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("2,1\n\n1\nx\n")
+        with pytest.raises(ParseError) as exc:
+            read_snapshots(path)
+        assert (exc.value.line, exc.value.column) == (4, 1)
+        path.write_text("2,2\n1,2\n\n3\n")
+        with pytest.raises(DimensionMismatch) as exc:
+            read_snapshots(path)
+        assert "line 4 has 1 entries" in str(exc.value)
+
     def test_csv_roundtrip_value_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-12, 12, (5, 3))
@@ -116,6 +140,14 @@ class TestBinaryFormat:
         with pytest.raises(DimensionMismatch) as exc:
             read_snapshots(path)
         assert "header truncated" in str(exc.value)
+
+    @pytest.mark.parametrize("n, m", [(0, 2**64 - 1), (2**64 - 1, 0), (0, 4)])
+    def test_zero_dimension_header_rejected(self, tmp_path, n, m):
+        path = tmp_path / "h.bin"
+        path.write_bytes(b"SCLROM01" + struct.pack("<QQQ", n, m, 1))
+        with pytest.raises(DimensionMismatch) as exc:
+            read_snapshots(path)
+        assert "both must be >= 1" in str(exc.value)
 
     def test_explicit_binary_requires_magic(self, tmp_path):
         path = tmp_path / "h.csv"
