@@ -1,11 +1,14 @@
 """The row-at-a-time CSV snapshot codec against a per-entry oracle, and its memory.
 
 The oracle formats one entry at a time (sign of a zero imaginary part
-read with ``np.signbit``) and parses one field at a time with
-``parse_complex_entry``, the per-entry grammar. The codec must write the
-same bytes, read the same bits (signs of zero included) and raise the
-same errors at the same physical line and column.
+read with ``np.signbit``) and parses one field at a time with its own
+copy of the entry grammar, converting the real and imaginary groups with
+``float``. The codec must write the same bytes, read the same bits (signs
+of zero included) and raise the same errors at the same physical line
+and column.
 """
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +26,7 @@ from sclrom import (
 )
 from sclrom.datagen import WaveConfig, simulate_wave_1d
 from sclrom.persistence import (
+    _ENTRY_RE,
     _ROW_RE,
     format_complex_entry,
     format_float,
@@ -52,6 +56,18 @@ def oracle_text(data: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+ORACLE_FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+ORACLE_ENTRY = re.compile(rf"^([+-]?{ORACLE_FLOAT})(?:([+-]{ORACLE_FLOAT})i)?$")
+
+
+def oracle_entry_value(text: str, line: int, column: int) -> complex:
+    match = ORACLE_ENTRY.match(text.strip())
+    if match is None:
+        raise ParseError(f"malformed entry {text.strip()!r}", line, column)
+    im_part = float(match.group(2)) if match.group(2) is not None else 0.0
+    return complex(float(match.group(1)), im_part)
+
+
 def oracle_read(text: str) -> np.ndarray:
     """Header, blank-line and count rules of the reader, then one field at a time."""
     lines = text.splitlines()
@@ -68,7 +84,7 @@ def oracle_read(text: str) -> np.ndarray:
     data = np.zeros((n, m), dtype=np.complex128)
     for i, (number, row) in enumerate(rows):
         for j, field in enumerate(row.split(",")):
-            data[i, j] = parse_complex_entry(field, number, j + 1)
+            data[i, j] = oracle_entry_value(field, number, j + 1)
     return data
 
 
@@ -168,6 +184,37 @@ def test_malformed_field_reports_oracle_line_and_column(tmp_path_factory, bad_fi
     assert expected[0] is ParseError
     assert outcome(lambda: read_snapshots(path).data) == expected
     assert rows_matching_row_pattern(text).count(False) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.builds(lambda z, pad: pad + oracle_entry(z) + pad,
+              st.builds(complex, floats, floats), st.sampled_from(INLINE_SPACE + [""])),
+    st.sampled_from(MALFORMED),
+    st.text(st.sampled_from("0123456789+-.eEi \xa0\x1f\u0660"), max_size=8),
+))
+def test_parse_complex_entry_matches_oracle(field):
+    assert outcome(lambda: np.array(parse_complex_entry(field, 3, 2))) == outcome(
+        lambda: np.array(oracle_entry_value(field, 3, 2))
+    )
+
+
+def test_patterns_avoid_syntax_newer_than_python_3_10():
+    """Possessive quantifiers and atomic groups need Python 3.11; the package supports 3.10."""
+    for pattern in (_ENTRY_RE.pattern, _ROW_RE.pattern):
+        assert re.search(r"[*+?}]\+|\(\?>", pattern) is None, pattern
+
+
+def test_long_bad_row_fails_in_linear_time(tmp_path):
+    """50000 entries and a bad last one: a row pattern with ambiguous fields backtracks exponentially."""
+    path = tmp_path / "long.csv"
+    path.write_text("1,50001\n" + "11," * 50000 + "x\n", encoding="utf-8")
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        read_snapshots(path)
+    elapsed = time.perf_counter() - start
+    assert (info.value.line, info.value.column) == (2, 50001)
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_wave_history_codec_memory_stays_within_five_file_sizes(tmp_path):
