@@ -10,7 +10,7 @@ which is what :func:`check_commuting_diagram` verifies degree by degree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,8 +20,6 @@ from .errors import DimensionMismatch
 
 if TYPE_CHECKING:  # ohf builds its replay operator from CirculantElement
     from .ohf import OhfFactorization
-
-MANIFOLD_TAGS = ("circle", "cyclic_group")
 
 
 def cyclic_shift_matrix(m: int) -> np.ndarray:
@@ -47,12 +45,6 @@ class CirculantElement:
     def m(self) -> int:
         return self.coeffs.shape[0]
 
-    @classmethod
-    def identity(cls, m: int) -> "CirculantElement":
-        c = np.zeros(m, dtype=np.complex128)
-        c[0] = 1.0
-        return cls(c)
-
     def to_matrix(self) -> np.ndarray:
         # column k of sum_j c_j C^j is the coefficient vector shifted down k
         return np.column_stack([np.roll(self.coeffs, k) for k in range(self.m)])
@@ -66,18 +58,6 @@ class CirculantElement:
         diff = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
         return CirculantElement(self.coeffs @ other.coeffs[diff])
 
-    def __add__(self, other: "CirculantElement") -> "CirculantElement":
-        if not isinstance(other, CirculantElement):
-            return NotImplemented
-        if self.m != other.m:
-            raise DimensionMismatch(f"orders differ: {self.m} vs {other.m}")
-        return CirculantElement(self.coeffs + other.coeffs)
-
-
-def circulant_to_matrix(element: CirculantElement) -> np.ndarray:
-    """Dense matrix of a circulant element; first column is its coefficients."""
-    return element.to_matrix()
-
 
 def monomial_element(m: int, t: int, scale: complex) -> CirculantElement:
     """scale * C_m^t as a circulant element; the exponent reduces mod m."""
@@ -88,28 +68,6 @@ def monomial_element(m: int, t: int, scale: complex) -> CirculantElement:
     c = np.zeros(m, dtype=np.complex128)
     c[t % m] = scale
     return CirculantElement(c)
-
-
-@dataclass(eq=False)
-class ControlTuple:
-    """A factorization plus the algebra elements steering each step.
-
-    ``manifold_tag`` records whether the elements are read as a circle
-    control (polynomials in the unitary shift) or as a cyclic-group
-    control (coefficient vectors on the group generator); the stored data
-    is identical either way.
-    """
-
-    ohf: OhfFactorization
-    elements: list[CirculantElement] = field(default_factory=list)
-    manifold_tag: str = "circle"
-
-    def __post_init__(self):
-        if self.manifold_tag not in MANIFOLD_TAGS:
-            raise DimensionMismatch(f"manifold_tag must be one of {MANIFOLD_TAGS}")
-        for e in self.elements:
-            if e.m != self.ohf.m:
-                raise DimensionMismatch(f"element order {e.m} differs from factor order {self.ohf.m}")
 
 
 def compress(ohf: OhfFactorization, X: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .datagen import (
     periodic_history,
     simulate_wave_1d,
 )
-from .errors import SclRomError
+from .errors import ConfigInvalid, SclRomError
 from .model import FitOptions, SclRomModel, fit, predict, verify_mimetic
 from .ohf import SnapshotHistory
 from .persistence import (
@@ -31,26 +31,30 @@ from .persistence import (
 )
 
 _BANNER = "-" * 61
-DEFAULT_VERIFY_EPS = 1e-10
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["binary", "csv"], default="binary")
+    log = argparse.ArgumentParser(add_help=False)
+    log.add_argument("--log-style", choices=["plain", "paper"], default="plain")
+
     parser = argparse.ArgumentParser(prog="sclrom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a snapshot file")
     sim_sub = sim.add_subparsers(dest="generator", required=True)
 
-    periodic = sim_sub.add_parser("periodic", help="exactly periodic seeded trajectory")
+    periodic = sim_sub.add_parser("periodic", parents=[fmt, log],
+                                  help="exactly periodic seeded trajectory")
     periodic.add_argument("--n", type=int, required=True)
     periodic.add_argument("--T", type=int, required=True, dest="period")
     periodic.add_argument("--seed", type=int, required=True)
     periodic.add_argument("--horizon", type=int, default=None)
     periodic.add_argument("--out", required=True)
-    periodic.add_argument("--format", choices=["binary", "csv"], default="binary")
-    periodic.add_argument("--log-style", choices=["plain", "paper"], default="plain")
 
-    almost = sim_sub.add_parser("almost-periodic", help="periodic trajectory plus noise")
+    almost = sim_sub.add_parser("almost-periodic", parents=[fmt, log],
+                                help="periodic trajectory plus noise")
     almost.add_argument("--n", type=int, required=True)
     almost.add_argument("--T", type=int, required=True, dest="period")
     almost.add_argument("--eps-pert", type=float, required=True)
@@ -58,10 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     almost.add_argument("--seed", type=int, required=True)
     almost.add_argument("--out", required=True)
     almost.add_argument("--clean-out", default=None)
-    almost.add_argument("--format", choices=["binary", "csv"], default="binary")
-    almost.add_argument("--log-style", choices=["plain", "paper"], default="plain")
 
-    wave = sim_sub.add_parser("wave", help="1-D fixed-end wave simulation")
+    wave = sim_sub.add_parser("wave", parents=[fmt, log], help="1-D fixed-end wave simulation")
     wave.add_argument("--nx", type=int, default=100)
     wave.add_argument("--nt", type=int, default=40)
     wave.add_argument("--L", type=float, default=1.0)
@@ -73,10 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     wave.add_argument("--center", type=float, default=0.5)
     wave.add_argument("--width", type=float, default=0.1)
     wave.add_argument("--out", required=True)
-    wave.add_argument("--format", choices=["binary", "csv"], default="binary")
-    wave.add_argument("--log-style", choices=["plain", "paper"], default="plain")
 
-    fit_p = sub.add_parser("fit", help="fit a reduced model to a snapshot file")
+    fit_p = sub.add_parser("fit", parents=[log], help="fit a reduced model to a snapshot file")
     fit_p.add_argument("snapshots")
     fit_p.add_argument("--mode", choices=["monomial", "lsq"], default="monomial")
     fit_p.add_argument("--eps", type=float, default=1e-10)
@@ -84,20 +84,18 @@ def _build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--truncate-rank", action="store_true")
     fit_p.add_argument("--period", type=int, default=None)
     fit_p.add_argument("--out", required=True)
-    fit_p.add_argument("--log-style", choices=["plain", "paper"], default="plain")
 
-    verify = sub.add_parser("verify", help="replay a model against snapshots")
+    verify = sub.add_parser("verify", parents=[log], help="replay a model against snapshots")
     verify.add_argument("model")
     verify.add_argument("snapshots")
-    verify.add_argument("--eps", type=float, default=DEFAULT_VERIFY_EPS)
-    verify.add_argument("--log-style", choices=["plain", "paper"], default="plain")
+    verify.add_argument("--eps", type=float, default=1e-10)
 
-    predict_p = sub.add_parser("predict", help="write model predictions as snapshots")
+    predict_p = sub.add_parser("predict", parents=[fmt],
+                               help="write model predictions as snapshots")
     predict_p.add_argument("model")
     predict_p.add_argument("--t0", type=int, default=0)
     predict_p.add_argument("--t1", type=int, required=True)
     predict_p.add_argument("--out", required=True)
-    predict_p.add_argument("--format", choices=["binary", "csv"], default="binary")
 
     export = sub.add_parser("export-plot", help="per-step residuals and components as CSV")
     export.add_argument("snapshots")
@@ -124,6 +122,8 @@ def _cmd_simulate(args) -> int:
             write_snapshots(pair.clean, args.clean_out, format=args.format)
         history = pair.perturbed
     else:
+        if args.dt is None and args.c * args.nt == 0:
+            raise ConfigInvalid("the default --dt, 2L/(c nt), needs nonzero --c and --nt")
         dt = args.dt if args.dt is not None else 2.0 * args.L / (args.c * args.nt)
         if args.profile == "sine":
             w0 = SineMode(args.mode_k)
@@ -235,6 +235,15 @@ def _cmd_export_plot(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "fit": _cmd_fit,
+    "verify": _cmd_verify,
+    "predict": _cmd_predict,
+    "export-plot": _cmd_export_plot,
+}
+
+
 def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -242,21 +251,10 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "predict":
-            return _cmd_predict(args)
-        if args.command == "export-plot":
-            return _cmd_export_plot(args)
+        return _COMMANDS[args.command](args)
     except SclRomError as exc:
         print(f"sclrom {args.command}: {exc}", file=sys.stderr)
         return 2
-    print(f"sclrom: unknown command {args.command!r}", file=sys.stderr)
-    return 2
 
 
 def main() -> None:

@@ -46,13 +46,6 @@ class VectorSystem:
                 raise ZeroVector(j)
         self.columns = cols
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "VectorSystem":
-        vectors = list(vectors)
-        if not vectors:
-            raise EmptySystem("vector system has no vectors")
-        return cls(np.column_stack([np.asarray(v, dtype=np.complex128) for v in vectors]))
-
     @property
     def n(self) -> int:
         return self.columns.shape[0]
@@ -60,9 +53,6 @@ class VectorSystem:
     @property
     def m(self) -> int:
         return self.columns.shape[1]
-
-    def vector(self, j: int) -> np.ndarray:
-        return self.columns[:, j]
 
 
 @dataclass(eq=False)

@@ -11,16 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, DimensionTooSmall, InsufficientData
-from .ohf import SnapshotHistory
+from .errors import ConfigInvalid, DimensionTooSmall, InsufficientData, NumericalFailure
+from .ohf import SnapshotHistory, pin_column_phases
 
 
 def random_orthonormal_columns(n: int, m: int, seed) -> np.ndarray:
     """Seeded random orthonormal m-frame in C^n.
 
-    Gram-Schmidt over a complex Gaussian draw, followed by the same phase
-    convention used for SVD factors: the largest-magnitude entry of each
-    column is made real and positive.
+    Gram-Schmidt over a complex Gaussian draw, followed by the phase
+    convention of the SVD factors (:func:`sclrom.ohf.pin_column_phases`).
     """
     if m > n:
         raise DimensionTooSmall(f"cannot fit {m} orthonormal columns in dimension {n}")
@@ -33,10 +32,7 @@ def random_orthonormal_columns(n: int, m: int, seed) -> np.ndarray:
             for k in range(j):
                 v = v - Q[:, k] * np.vdot(Q[:, k], v)
         Q[:, j] = v / np.linalg.norm(v)
-    for j in range(m):
-        idx = int(np.argmax(np.abs(Q[:, j])))
-        pivot = Q[idx, j]
-        Q[:, j] *= pivot.conjugate() / abs(pivot)
+    pin_column_phases(Q)
     return Q
 
 
@@ -51,6 +47,8 @@ def periodic_history(n: int, period: int, seed: int, horizon: int | None = None)
     """
     if period < 1:
         raise InsufficientData(f"period must be positive, got {period}")
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be nonnegative, got {seed}")
     if n < 2 * period:
         raise DimensionTooSmall(f"need n >= 2*period, got n={n}, period={period}")
     horizon = period if horizon is None else horizon
@@ -174,7 +172,10 @@ def simulate_wave_1d(cfg: WaveConfig, return_velocity: bool = False):
     A[:nx, nx:] = np.eye(nx)
     A[nx:, :nx] = c**2 * D2
     eye = np.eye(2 * nx)
-    stepper = np.linalg.solve(eye - 0.5 * dt * A, eye + 0.5 * dt * A)
+    try:  # a grid or speed beyond float range makes the system singular
+        stepper = np.linalg.solve(eye - 0.5 * dt * A, eye + 0.5 * dt * A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"wave time stepper: {exc}") from exc
 
     y = np.concatenate([cfg.w0.evaluate(x, cfg.L), np.zeros(nx)])
     w_hist = np.zeros((nx, nt + 1))
@@ -186,7 +187,7 @@ def simulate_wave_1d(cfg: WaveConfig, return_velocity: bool = False):
         w_hist[:, k] = y[:nx]
         u_hist[:, k] = y[nx:]
 
-    history = SnapshotHistory(w_hist.astype(np.complex128), dt_meta=dt)
+    history = SnapshotHistory(w_hist.astype(np.complex128))
     if return_velocity:
         return history, u_hist
     return history

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import CirculantElement, ControlTuple, monomial_element
-from .errors import DimensionMismatch, InsufficientData
+from .circulant import monomial_element
+from .errors import ConfigInvalid, DimensionMismatch, InsufficientData
 from .ohf import OhfFactorization, SnapshotHistory, build_ohf
 
 MODE_MONOMIAL = "monomial"
@@ -48,9 +48,9 @@ class FitOptions:
 
     def __post_init__(self):
         if self.mode not in (MODE_MONOMIAL, MODE_LEAST_SQUARES):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ConfigInvalid(f"unknown mode {self.mode!r}")
         if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+            raise ConfigInvalid(f"epsilon must be nonnegative, got {self.epsilon}")
 
 
 @dataclass(eq=False)
@@ -63,13 +63,6 @@ class SclRomModel:
     epsilon_achieved: float
     n: int
     m: int
-
-    def element(self, t: int) -> CirculantElement:
-        return CirculantElement(self.coeffs[:, t % self.period].copy())
-
-    def to_control_tuple(self, manifold_tag: str = "circle") -> ControlTuple:
-        elements = [self.element(t) for t in range(self.period)]
-        return ControlTuple(ohf=self.ohf, elements=elements, manifold_tag=manifold_tag)
 
 
 @dataclass
@@ -94,19 +87,6 @@ class PeriodReport:
     best_T: int
     scores: dict[int, float]
     within_tol: bool
-
-
-def transition_matrix(model: SclRomModel, t: int) -> np.ndarray:
-    """Step-t transition matrix Vhat circ(c_{t mod T}) Vhat*; rank <= m.
-
-    Dense n x n, for callers that want the matrix itself; :func:`predict`
-    applies the same operator without forming it.
-    """
-    if t < 0:
-        raise ValueError("step index must be nonnegative")
-    element = CirculantElement(model.coeffs[:, t % model.period])
-    Vhat = model.ohf.Vhat
-    return Vhat @ element.to_matrix() @ Vhat.conj().T
 
 
 def predict(model: SclRomModel, t: int) -> np.ndarray:
@@ -151,7 +131,7 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
         raise InsufficientData(f"period {m_sys} exceeds the {T} available snapshots")
     frame_source = history
     if m_sys < T:
-        frame_source = SnapshotHistory(history.data[:, :m_sys].copy(), dt_meta=history.dt_meta)
+        frame_source = SnapshotHistory(history.data[:, :m_sys].copy())
     ohf = build_ohf(frame_source, rank_tol=opts.rank_tol, truncate=opts.truncate_rank)
     m = ohf.m
 

@@ -40,16 +40,12 @@ _ORTHOGONALITY_TOL = 1e-8
 class SnapshotHistory:
     """State snapshots of a discrete-time system, one per column.
 
-    ``dt_meta`` is an optional sampling step annotation in seconds; it is
-    informational only and never enters any computation.
-
     Zero columns are accepted at construction (a simulator may legitimately
     produce them); operations that require nonzero snapshots reject them
     when reached. NaN and infinite entries are rejected at construction.
     """
 
     data: np.ndarray
-    dt_meta: float | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.complex128)
@@ -71,35 +67,16 @@ class SnapshotHistory:
     def m(self) -> int:
         return self.data.shape[1]
 
-    def column(self, t: int) -> np.ndarray:
-        return self.data[:, t]
-
-
-@dataclass(eq=False)
-class SvdTriple:
-    """Thin SVD factors with V diag(S) W reproducing the input.
-
-    W is whatever right factor makes the product close (numpy's row
-    convention); no conjugation is implied by the name.
-    """
-
-    V: np.ndarray
-    S: np.ndarray
-    W: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.V * self.S) @ self.W
-
 
 @dataclass(eq=False)
 class OhfFactorization:
     """Orthonormal history factor: frames, scalars, and the replay operator.
 
     ``R`` is the n x m replay operator of :func:`replay_operator`, derived
-    from V, Vhat, and rho. ``singular_values``/``t_values`` are None on
-    instances rebuilt from a model file (the file stores only V, Vhat, and
-    coefficients). ``W`` is the retained right SVD factor used by
-    least-squares fitting; it is not persisted.
+    from V, Vhat, and rho. ``singular_values`` is None on instances rebuilt
+    from a model file (the file stores only V, Vhat, and coefficients).
+    ``W`` is the retained right SVD factor used by least-squares fitting;
+    it is not persisted.
     """
 
     Vhat: np.ndarray
@@ -108,7 +85,6 @@ class OhfFactorization:
     rho: complex
     R: np.ndarray
     singular_values: np.ndarray | None
-    t_values: np.ndarray | None
     W: np.ndarray | None = None
 
     @property
@@ -129,13 +105,23 @@ class OhfReport:
     passed: bool
 
 
-def thin_svd(history: SnapshotHistory) -> SvdTriple:
-    """Thin SVD of the snapshot matrix with a deterministic phase convention.
+def pin_column_phases(Q: np.ndarray, W: np.ndarray | None = None) -> None:
+    """Make the largest-magnitude entry of each nonzero column of Q real and
+    positive, in place; the matching row of W, if given, absorbs the phase.
+    """
+    for j in range(Q.shape[1]):
+        idx = int(np.argmax(np.abs(Q[:, j])))
+        pivot = Q[idx, j]
+        mag = abs(pivot)
+        if mag > 0.0:
+            Q[:, j] *= pivot.conjugate() / mag
+            if W is not None:
+                W[j, :] *= pivot / mag
 
-    The largest-magnitude entry of each left singular vector is made real
-    and positive (the compensating phase is pushed into the matching row of
-    W), which pins down the otherwise arbitrary per-triplet phases so that
-    repeated runs produce identical factors.
+
+def thin_svd(history: SnapshotHistory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (V, S, W) with V diag(S) W = data (numpy's W, not conjugated);
+    pinned phases make repeated runs produce identical factors.
     """
     try:
         V, S, W = np.linalg.svd(history.data, full_matrices=False)
@@ -143,14 +129,8 @@ def thin_svd(history: SnapshotHistory) -> SvdTriple:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     V = np.ascontiguousarray(V)
     W = np.ascontiguousarray(W)
-    for j in range(S.shape[0]):
-        idx = int(np.argmax(np.abs(V[:, j])))
-        pivot = V[idx, j]
-        mag = abs(pivot)
-        if mag > 0.0:
-            V[:, j] *= pivot.conjugate() / mag
-            W[j, :] *= pivot / mag
-    return SvdTriple(V=V, S=S, W=W)
+    pin_column_phases(V, W)
+    return V, S, W
 
 
 def complement_basis(V: np.ndarray) -> np.ndarray:
@@ -222,6 +202,7 @@ def _unitarity_residual(E: np.ndarray, F: np.ndarray) -> float:
     return float(np.linalg.norm(R_Z @ M @ R_Z.conj().T))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # callers reject inf and NaN residuals
 def frame_residuals(V: np.ndarray, Vhat: np.ndarray) -> dict[str, float]:
     """Frobenius residuals of the factorization invariants, from the frames.
 
@@ -281,8 +262,7 @@ def build_ohf(
     n, m = history.n, history.m
     if not truncate and n < 2 * m:
         raise DimensionTooSmall(f"need n >= 2m, got n={n}, m={m}")
-    triple = thin_svd(history)
-    s = triple.S
+    V, s, W = thin_svd(history)
     rank = int(np.count_nonzero(s > rank_tol * s[0])) if s[0] > 0.0 else 0
     if rank < m:
         if not truncate:
@@ -291,13 +271,12 @@ def build_ohf(
             )
         if rank == 0:
             raise DegenerateHistory("history is numerically zero", rank=0)
-        V = np.ascontiguousarray(triple.V[:, :rank])
+        V = np.ascontiguousarray(V[:, :rank])
         s = s[:rank]
         W = np.eye(rank, dtype=np.complex128)
         first_col = V[:, 0] * s[0]  # first column of the rank-r core history
         m = rank
     else:
-        V, W = triple.V, triple.W
         first_col = history.data[:, 0]
     if n < 2 * m:
         raise DimensionTooSmall(f"need n >= 2m, got n={n}, m={m}")
@@ -330,7 +309,6 @@ def build_ohf(
         rho=rho,
         R=replay_operator(V, Vhat, rho),
         singular_values=s.copy(),
-        t_values=t_vals,
         W=W,
     )
 

@@ -189,23 +189,14 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
     return SnapshotHistory(data)
 
 
-def read_snapshots(path, format: str = "auto") -> SnapshotHistory:
-    """Read a snapshot file; the format is sniffed from the magic bytes.
-
-    ``format='binary'`` insists on the binary layout and raises BadMagic
-    when the magic bytes are absent; ``'auto'`` falls back to CSV instead.
-    """
-    if format not in ("auto", "binary", "csv"):
-        raise ValueError(f"unknown format {format!r}")
+def read_snapshots(path) -> SnapshotHistory:
+    """Read a snapshot file: binary if it starts with the magic bytes, else CSV."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    is_binary = blob[:8] == SNAPSHOT_MAGIC
-    if format == "binary" and not is_binary:
-        raise BadMagic(f"{path} does not start with {SNAPSHOT_MAGIC!r}")
-    if format in ("auto", "binary") and is_binary:
+    if blob[:8] == SNAPSHOT_MAGIC:
         data, end = _decode_array(blob, 0)
         if end != len(blob):
             raise DimensionMismatch(
@@ -216,6 +207,7 @@ def read_snapshots(path, format: str = "auto") -> SnapshotHistory:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}", 1, 1) from None
+    del blob  # the parser needs only the text; free one file size first
     return _read_csv_snapshots(text)
 
 
@@ -335,7 +327,6 @@ def read_model(path) -> SclRomModel:
         rho=rho,
         R=replay_operator(V, Vhat, rho),
         singular_values=None,
-        t_values=None,
         W=None,
     )
     return SclRomModel(

@@ -7,7 +7,7 @@ computation at small n.
 """
 import numpy as np
 
-from sclrom import VectorSystem, cyclic_operator, transition_matrix
+from sclrom import CirculantElement, VectorSystem, cyclic_operator
 
 
 def dense_factors(V, Vhat, tol=1e-8):
@@ -17,6 +17,13 @@ def dense_factors(V, Vhat, tol=1e-8):
     T = vhat1 @ vhat1.conj().T
     U = cyclic_operator(VectorSystem(Vhat), tol=tol).C
     return K, T, U
+
+
+def transition_matrix(model, t):
+    """Step-t transition matrix Vhat circ(c_{t mod T}) Vhat*, dense n x n; rank <= m."""
+    element = CirculantElement(model.coeffs[:, t % model.period])
+    Vhat = model.ohf.Vhat
+    return Vhat @ element.to_matrix() @ Vhat.conj().T
 
 
 def dense_predict(model, t):

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from sclrom import (
     CirculantElement,
-    ControlTuple,
     DimensionMismatch,
     build_ohf,
     check_commuting_diagram,
-    circulant_to_matrix,
     compress,
     cyclic_shift_matrix,
     lift,
@@ -51,7 +49,7 @@ class TestCyclicShiftMatrix:
 
 class TestCirculantElement:
     def test_identity_element(self):
-        e = CirculantElement.identity(4)
+        e = monomial_element(4, 0, 1.0)
         np.testing.assert_array_equal(e.to_matrix(), np.eye(4))
 
     def test_generator_element(self):
@@ -60,7 +58,7 @@ class TestCirculantElement:
 
     def test_first_column_is_coefficients(self):
         e = CirculantElement([1.0, 2.0, 3.0, 4.0])
-        M = circulant_to_matrix(e)
+        M = e.to_matrix()
         np.testing.assert_array_equal(M[:, 0], [1, 2, 3, 4])
         np.testing.assert_array_equal(M, brute_force_matrix(e.coeffs))
         C4 = cyclic_shift_matrix(4)
@@ -206,18 +204,3 @@ class TestCommutingDiagram:
                     seeded_ohf, np.linalg.matrix_power(U, k)
                 )
                 assert np.linalg.norm(lhs - rhs) <= 1e-12
-
-
-class TestControlTuple:
-    def test_consistent_orders_accepted(self, seeded_ohf):
-        elems = [monomial_element(4, t, 1.0) for t in range(4)]
-        tup = ControlTuple(ohf=seeded_ohf, elements=elems, manifold_tag="cyclic_group")
-        assert tup.manifold_tag == "cyclic_group"
-
-    def test_order_mismatch_rejected(self, seeded_ohf):
-        with pytest.raises(DimensionMismatch):
-            ControlTuple(ohf=seeded_ohf, elements=[monomial_element(3, 0, 1.0)])
-
-    def test_unknown_tag_rejected(self, seeded_ohf):
-        with pytest.raises(DimensionMismatch):
-            ControlTuple(ohf=seeded_ohf, elements=[], manifold_tag="torus")

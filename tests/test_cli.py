@@ -1,8 +1,10 @@
 """Tests for the command-line front end."""
+import warnings
+
 import numpy as np
 import pytest
 
-from sclrom import read_snapshots
+from sclrom import FitOptions, fit, periodic_history, read_snapshots, write_model, write_snapshots
 from sclrom.cli import run_cli
 
 
@@ -172,3 +174,34 @@ class TestErrorPaths:
         code, _, err = run(capsys, "fit", str(snap), "--out", str(tmp_path / "m.bin"))
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, argv", [
+        ("fit", ["fit", "{h}", "--eps", "-1"]),
+        ("simulate", ["simulate", "wave", "--nt", "0"]),
+        ("simulate", ["simulate", "wave", "--c", "0"]),
+        ("simulate", ["simulate", "periodic", "--n", "8", "--T", "2", "--seed", "-1"]),
+        ("simulate", ["simulate", "almost-periodic", "--n", "8", "--T", "2", "--seed", "-1",
+                      "--eps-pert", "0.1", "--horizon", "4"]),
+    ], ids=["fit-eps", "wave-nt", "wave-c", "periodic-seed", "almost-periodic-seed"])
+    def test_bad_argv_value_exits_two_with_one_line(self, capsys, tmp_path, command, argv):
+        h = tmp_path / "h.bin"
+        write_snapshots(periodic_history(16, 4, seed=1), h)
+        argv = [a.replace("{h}", str(h)) for a in argv] + ["--out", str(tmp_path / "out.bin")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"sclrom {command}: "), err
+
+    def test_overflowing_model_frame_fails_verify_quietly(self, capsys, tmp_path):
+        """Frame residuals overflow on a V entry of 1e300; no numpy warning precedes the error."""
+        history = periodic_history(16, 4, seed=1)
+        model, _ = fit(history, FitOptions(mode="monomial"))
+        model.ohf.V[0, 0] = 1e300
+        m, h = tmp_path / "m.bin", tmp_path / "h.bin"
+        write_model(model, m)
+        write_snapshots(history, h)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "verify", str(m), str(h))
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert err.count("\n") == 1 and err.startswith("sclrom verify: "), err

@@ -234,3 +234,5 @@ def test_wave_history_codec_memory_stays_within_five_file_sizes(tmp_path):
     assert back.data.tobytes() == history.data.tobytes()
     assert write_peak < 5 * size, f"write peak {write_peak} B for a {size} B file"
     assert read_peak < 5 * size, f"read peak {read_peak} B for a {size} B file"
+    # the file bytes are released before parsing: 2.9x measured, 3.9x while held
+    assert read_peak < 3.5 * size, f"read peak {read_peak} B for a {size} B file"

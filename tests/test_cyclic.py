@@ -17,6 +17,10 @@ from sclrom import (
 )
 
 
+def system(*vectors):
+    return VectorSystem(np.column_stack(vectors))
+
+
 def basis_system(indices, n):
     cols = np.zeros((n, len(indices)), dtype=complex)
     for j, i in enumerate(indices):
@@ -31,7 +35,7 @@ class TestCheckOrthogonalSystem:
         assert report.max_cross == 0.0
 
     def test_scaled_basis_is_orthogonal_not_orthonormal(self):
-        vs = VectorSystem.from_vectors([[1, 0, 0, 0], [0, 2, 0, 0]])
+        vs = system([1, 0, 0, 0], [0, 2, 0, 0])
         report = check_orthogonal_system(vs)
         assert report.is_orthogonal
         assert not report.is_orthonormal
@@ -43,25 +47,25 @@ class TestCheckOrthogonalSystem:
         v2 = np.array([1.0, 1.0]) / np.sqrt(2.0)
         expected = abs(np.vdot(v1, v2)) / (np.linalg.norm(v1) * np.linalg.norm(v2))
         assert expected == pytest.approx(0.7071067811865475)
-        report = check_orthogonal_system(VectorSystem.from_vectors([v1, v2]))
+        report = check_orthogonal_system(system(v1, v2))
         assert not report.is_orthogonal
         assert report.max_cross == pytest.approx(expected, rel=1e-14)
 
     def test_zero_vector_rejected_with_index(self):
         with pytest.raises(ZeroVector) as exc:
-            VectorSystem.from_vectors([[1, 0, 0], [0, 0, 0]])
+            system([1, 0, 0], [0, 0, 0])
         assert exc.value.index == 1
 
     def test_empty_system_rejected(self):
         with pytest.raises(EmptySystem):
-            VectorSystem.from_vectors([])
+            VectorSystem(np.zeros((3, 0)))
 
     def test_more_vectors_than_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             VectorSystem(np.ones((2, 3), dtype=complex))
 
     def test_single_vector_has_zero_cross(self):
-        report = check_orthogonal_system(VectorSystem.from_vectors([[3.0, 4.0]]))
+        report = check_orthogonal_system(system([3.0, 4.0]))
         assert report.is_orthogonal
         assert report.max_cross == 0.0
         assert report.min_norm == pytest.approx(5.0)
@@ -73,18 +77,18 @@ class TestProjector:
         np.testing.assert_allclose(P, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15)
 
     def test_scaling_cancels(self):
-        vs = VectorSystem.from_vectors([[1, 0, 0, 0], [0, 2, 0, 0]])
+        vs = system([1, 0, 0, 0], [0, 2, 0, 0])
         np.testing.assert_allclose(
             orthogonal_projector(vs), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15
         )
 
     def test_rank_one_formula(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        P = orthogonal_projector(VectorSystem.from_vectors([v]))
+        P = orthogonal_projector(system(v))
         np.testing.assert_allclose(P, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_non_orthogonal_rejected(self):
-        vs = VectorSystem.from_vectors([[1.0, 0.0], [1.0, 1.0]])
+        vs = system([1.0, 0.0], [1.0, 1.0])
         with pytest.raises(NotOrthogonal):
             orthogonal_projector(vs)
 
@@ -101,11 +105,11 @@ class TestProjector:
 
 class TestCyclicOperator:
     def test_single_vector_gives_identity(self):
-        pair = cyclic_operator(VectorSystem.from_vectors([[3.0, 0.0]]))
+        pair = cyclic_operator(system([3.0, 0.0]))
         np.testing.assert_allclose(pair.C, np.eye(2), atol=1e-15)
 
     def test_two_vector_closed_form(self):
-        vs = VectorSystem.from_vectors([[1, 0, 0, 0], [0, 2, 0, 0]])
+        vs = system([1, 0, 0, 0], [0, 2, 0, 0])
         pair = cyclic_operator(vs)
         expected = np.array(
             [
@@ -116,7 +120,7 @@ class TestCyclicOperator:
             ]
         )
         np.testing.assert_allclose(pair.C, expected, atol=1e-15)
-        v1, v2 = vs.vector(0), vs.vector(1)
+        v1, v2 = vs.columns.T
         np.testing.assert_allclose(pair.C @ v1, v2, atol=1e-15)
         np.testing.assert_allclose(pair.C @ v2, v1, atol=1e-15)
         np.testing.assert_allclose(pair.C @ pair.C, np.eye(4), atol=1e-15)
@@ -137,7 +141,7 @@ class TestVerifyCyclicIdentities:
         assert report.min_power_gap > 1.0
 
     def test_scaled_system_skips_unitarity(self):
-        vs = VectorSystem.from_vectors([[1, 0, 0, 0], [0, 2, 0, 0]])
+        vs = system([1, 0, 0, 0], [0, 2, 0, 0])
         report = verify_cyclic_identities(cyclic_operator(vs), vs, tol=1e-12)
         assert report.unitarity_residual is None
         assert report.minpoly_residual <= 1e-15
@@ -163,7 +167,7 @@ class TestVerifyCyclicIdentities:
             verify_cyclic_identities(pair, other)
 
     def test_single_vector_gap_is_infinite(self):
-        vs = VectorSystem.from_vectors([[1.0, 0.0]])
+        vs = system([1.0, 0.0])
         report = verify_cyclic_identities(cyclic_operator(vs), vs)
         assert report.min_power_gap == float("inf")
         assert report.passed
@@ -179,6 +183,6 @@ class TestVerifyCyclicIdentities:
         assert np.max(np.abs(eigs**m - 1.0)) <= 1e-9
 
     def test_default_tolerance_scales_with_operator(self):
-        vs = VectorSystem.from_vectors([[1e6, 0, 0, 0], [0, 1e6, 0, 0]])
+        vs = system([1e6, 0, 0, 0], [0, 1e6, 0, 0])
         report = verify_cyclic_identities(cyclic_operator(vs), vs)
         assert report.passed

@@ -8,6 +8,7 @@ from sclrom import (
     DimensionTooSmall,
     GaussianBump,
     InsufficientData,
+    SclRomError,
     SineMode,
     SnapshotHistory,
     WaveConfig,
@@ -98,7 +99,13 @@ class TestWaveSimulator:
     def test_output_shape(self):
         h = simulate_wave_1d(WaveConfig())
         assert h.data.shape == (100, 41)
-        assert h.dt_meta == pytest.approx(0.05)
+
+    def test_grid_beyond_float_range_raises_library_error(self):
+        # c**2 underflows and 1/dx**2 overflows, so the stepper's system is singular
+        L, c, nt = 5.8e-158, 1.4e-178, 7
+        cfg = WaveConfig(L=L, c=c, nx=8, nt=nt, dt=2.0 * L / (c * nt))
+        with np.errstate(all="ignore"), pytest.raises(SclRomError):
+            simulate_wave_1d(cfg)
 
     def test_matches_separated_solution(self):
         # oracle: w(x, t) = cos(pi c t / L) sin(pi x / L) for the fundamental

@@ -3,7 +3,8 @@ and ``fit`` and ``verify`` exit 0, 1 or 2 without a traceback.
 
 Mutations are truncation, byte flips and header rewrites (the binary
 ``n``, ``m`` and flags words, the CSV ``n,m`` line, and the model
-manifest values and array headers).
+manifest values and array headers). The numeric flags of ``simulate``
+and ``fit`` are drawn the same way, from small ranges around zero.
 """
 import contextlib
 import io
@@ -129,3 +130,40 @@ def test_mutated_models(valid, tmp_path_factory, data):
     except SclRomError:
         pass
     check_cli(["verify", str(d / "m.bin"), str(d / "h.bin")])
+
+
+SMALL_FLOATS = st.floats(-2.0, 2.0)
+
+
+def flags(**strategies):
+    """One ``--name=value`` per keyword (underscores become dashes); None leaves it out."""
+    return st.fixed_dictionaries(strategies).map(lambda drawn: [
+        f"--{name.replace('_', '-')}={value}" for name, value in drawn.items() if value is not None
+    ])
+
+
+ARGV = {
+    "simulate periodic": (["simulate", "periodic"], flags(
+        n=st.integers(-2, 64), T=st.integers(-2, 16), seed=st.integers(-3, 3),
+        horizon=st.none() | st.integers(-2, 40))),
+    "simulate almost-periodic": (["simulate", "almost-periodic"], flags(
+        n=st.integers(-2, 64), T=st.integers(-2, 16), seed=st.integers(-3, 3),
+        horizon=st.integers(-2, 40), eps_pert=SMALL_FLOATS)),
+    "simulate wave": (["simulate", "wave"], flags(
+        nx=st.integers(-2, 64), nt=st.integers(-2, 40), L=SMALL_FLOATS, c=SMALL_FLOATS,
+        dt=st.none() | SMALL_FLOATS, mode_k=st.integers(-3, 3),
+        profile=st.sampled_from(["sine", "gaussian"]), center=SMALL_FLOATS, width=SMALL_FLOATS)),
+    "fit": (["fit", "{h}"], flags(
+        eps=SMALL_FLOATS, rank_tol=SMALL_FLOATS, period=st.none() | st.integers(-2, 8))),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+@FUZZ
+@given(data=st.data())
+def test_numeric_flags(valid, tmp_path_factory, command, data):
+    d = tmp_path_factory.mktemp("argv")
+    (d / "h.bin").write_bytes(valid["h.bin"])
+    prefix, drawn_flags = ARGV[command]
+    argv = [word.replace("{h}", str(d / "h.bin")) for word in prefix]
+    check_cli(argv + data.draw(drawn_flags) + ["--out", str(d / "out.bin")])

@@ -1,7 +1,7 @@
 """Tests for model fitting, prediction, and the replay verification."""
 import numpy as np
 import pytest
-from dense_oracle import dense_factors
+from dense_oracle import dense_factors, transition_matrix
 
 from sclrom import (
     DegenerateHistory,
@@ -13,7 +13,6 @@ from sclrom import (
     fit,
     periodic_history,
     predict,
-    transition_matrix,
     verify_mimetic,
 )
 

@@ -37,18 +37,18 @@ class TestThinSvd:
         data = np.zeros((4, 2), dtype=complex)
         data[0, 0] = 1.0
         data[1, 1] = 1.0
-        triple = thin_svd(SnapshotHistory(data))
-        np.testing.assert_allclose(triple.S, [1.0, 1.0], atol=1e-15)
+        V, S, _ = thin_svd(SnapshotHistory(data))
+        np.testing.assert_allclose(S, [1.0, 1.0], atol=1e-15)
         # left factor spans the same plane
-        proj = triple.V @ triple.V.conj().T
+        proj = V @ V.conj().T
         np.testing.assert_allclose(proj @ data, data, atol=1e-14)
 
     def test_single_column(self):
         data = np.array([[2.0], [0.0], [0.0], [0.0]], dtype=complex)
-        triple = thin_svd(SnapshotHistory(data))
-        np.testing.assert_allclose(triple.S, [2.0], atol=1e-15)
-        np.testing.assert_allclose(triple.V[:, 0], [1, 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(triple.W, [[1.0]], atol=1e-15)
+        V, S, W = thin_svd(SnapshotHistory(data))
+        np.testing.assert_allclose(S, [2.0], atol=1e-15)
+        np.testing.assert_allclose(V[:, 0], [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(W, [[1.0]], atol=1e-15)
 
     def test_singular_values_against_gram_eigenvalues(self):
         # oracle: eigenvalues of H* H, computed independently of the SVD
@@ -56,26 +56,26 @@ class TestThinSvd:
         gram_eigs = np.linalg.eigvalsh(data.conj().T @ data)
         expected = np.sqrt(gram_eigs[::-1])
         np.testing.assert_allclose(expected, [1.618033988749895, 0.618033988749895], rtol=1e-14)
-        triple = thin_svd(SnapshotHistory(data))
-        np.testing.assert_allclose(triple.S, expected, rtol=1e-13)
+        _, S, _ = thin_svd(SnapshotHistory(data))
+        np.testing.assert_allclose(S, expected, rtol=1e-13)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reconstruction_residual(self, seed):
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6))
-        triple = thin_svd(SnapshotHistory(data))
-        residual = np.linalg.norm(triple.reconstruct() - data)
-        assert residual <= 1e-12 * triple.S[0] * 20
+        V, S, W = thin_svd(SnapshotHistory(data))
+        residual = np.linalg.norm((V * S) @ W - data)
+        assert residual <= 1e-12 * S[0] * 20
 
     def test_phase_convention_is_deterministic(self):
         rng = np.random.default_rng(7)
         data = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
-        t1 = thin_svd(SnapshotHistory(data))
-        t2 = thin_svd(SnapshotHistory(data.copy()))
-        assert np.array_equal(t1.V, t2.V)
-        assert np.array_equal(t1.W, t2.W)
+        V1, _, W1 = thin_svd(SnapshotHistory(data))
+        V2, _, W2 = thin_svd(SnapshotHistory(data.copy()))
+        assert np.array_equal(V1, V2)
+        assert np.array_equal(W1, W2)
         for j in range(4):
-            pivot = t1.V[np.argmax(np.abs(t1.V[:, j])), j]
+            pivot = V1[np.argmax(np.abs(V1[:, j])), j]
             assert pivot.imag == pytest.approx(0.0, abs=1e-15)
             assert pivot.real > 0
 
@@ -115,7 +115,8 @@ class TestBuildOhf:
         ohf = build_ohf(SnapshotHistory(data))
         assert ohf.kappa == pytest.approx(1.0)
         assert ohf.rho == pytest.approx(1.0)
-        np.testing.assert_allclose(ohf.t_values, [0.0, 0.0], atol=1e-7)
+        # t_j = 0: Vhat is its span part V W alone
+        np.testing.assert_allclose(ohf.Vhat, ohf.V @ ohf.W, atol=1e-7)
         # Vhat spans the same plane as the input
         P = ohf.Vhat @ ohf.Vhat.conj().T
         np.testing.assert_allclose(P @ data, data, atol=1e-12)
@@ -167,7 +168,10 @@ class TestBuildOhf:
         h = periodic_history(24, 5, seed=4)
         ohf = build_ohf(h)
         ratios = ohf.singular_values / ohf.singular_values[0]
-        np.testing.assert_allclose(ratios**2 + ohf.t_values**2, np.ones(5), atol=1e-14)
+        # the complement part (1 - V V*) Vhat = U diag(t) W has column norms t_j after W*
+        complement = (ohf.Vhat - ohf.V @ (ohf.V.conj().T @ ohf.Vhat)) @ ohf.W.conj().T
+        t_values = np.linalg.norm(complement, axis=0)
+        np.testing.assert_allclose(ratios**2 + t_values**2, np.ones(5), atol=1e-14)
 
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(5)
