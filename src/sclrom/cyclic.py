@@ -111,17 +111,13 @@ def check_orthogonal_system(vs: VectorSystem, tol: float = DEFAULT_TOL) -> OrthR
     return OrthReport(is_orthogonal, is_orthonormal, max_cross, min_norm)
 
 
-def orthogonal_projector(vs: VectorSystem, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto span{v_1..v_m}: sum of v_j v_j* / (v_j* v_j).
-
-    Raises NotOrthogonal if the system fails :func:`check_orthogonal_system`.
+def shift_factors(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = roll(cols, -1) - cols and F = cols diag(1/||v_j||^2): the cyclic
+    operator of the columns is C = 1 + E F* and their span projector P = cols F*.
     """
-    report = check_orthogonal_system(vs, tol)
-    if not report.is_orthogonal:
-        raise NotOrthogonal(f"max relative cross product {report.max_cross:.3e} exceeds tol {tol:.3e}")
-    cols = vs.columns
-    ns2 = np.sum(np.abs(cols) ** 2, axis=0)
-    return (cols / ns2) @ cols.conj().T
+    E = np.roll(cols, -1, axis=1) - cols
+    F = cols / np.sum(np.abs(cols) ** 2, axis=0)
+    return E, F
 
 
 def cyclic_operator(vs: VectorSystem, tol: float = DEFAULT_TOL) -> CyclicPair:
@@ -134,13 +130,12 @@ def cyclic_operator(vs: VectorSystem, tol: float = DEFAULT_TOL) -> CyclicPair:
 
     Raises NotOrthogonal when the input is not an orthogonal system.
     """
-    P = orthogonal_projector(vs, tol)
-    cols = vs.columns
-    n, m = cols.shape
-    ns2 = np.sum(np.abs(cols) ** 2, axis=0)
-    advanced = np.roll(cols, -1, axis=1)  # column j holds the successor of v_{j+1}, wrapping
-    C = advanced @ (cols / ns2).conj().T + np.eye(n, dtype=np.complex128) - P
-    return CyclicPair(C=C, P=P, m=m, n=n)
+    report = check_orthogonal_system(vs, tol)
+    if not report.is_orthogonal:
+        raise NotOrthogonal(f"max relative cross product {report.max_cross:.3e} exceeds tol {tol:.3e}")
+    E, F = shift_factors(vs.columns)
+    C = np.eye(vs.n, dtype=np.complex128) + E @ F.conj().T
+    return CyclicPair(C=C, P=vs.columns @ F.conj().T, m=vs.m, n=vs.n)
 
 
 def verify_cyclic_identities(

@@ -110,6 +110,10 @@ class GaussianBump:
     center: float
     width: float
 
+    def __post_init__(self):
+        if not 0.0 < self.width < np.inf:
+            raise ConfigInvalid(f"Gaussian width must be positive and finite, got {self.width}")
+
     def evaluate(self, x: np.ndarray, L: float) -> np.ndarray:
         return np.exp(-(((x - self.center) / self.width) ** 2))
 
@@ -140,6 +144,10 @@ class WaveConfig:
             raise ConfigInvalid(f"need at least 1 time step, got {self.nt}")
         if self.dt <= 0:
             raise ConfigInvalid("time step must be positive")
+        with np.errstate(all="ignore"):  # the stencil scales must be positive finite floats
+            inv_dx2 = 1.0 / np.float64(self.dx) ** 2
+            if not 0.0 < inv_dx2 < np.inf or not 0.0 < np.float64(self.c) ** 2 * inv_dx2 < np.inf:
+                raise ConfigInvalid(f"1/dx^2 or c^2/dx^2 beyond float range (dx={self.dx:.3e})")
         if np.pi * self.c * self.dt / self.L > 1.0:
             raise ConfigInvalid(
                 f"dt={self.dt} does not resolve the fundamental mode "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import CirculantElement
-from .cyclic import VectorSystem, check_orthogonal_system
+from .cyclic import VectorSystem, check_orthogonal_system, shift_factors
 from .errors import (
     DegenerateHistory,
     DimensionMismatch,
@@ -177,17 +177,6 @@ def replay_operator(V: np.ndarray, Vhat: np.ndarray, rho: complex) -> np.ndarray
     return V @ ((V.conj().T @ Vhat) @ CirculantElement(g).to_matrix())
 
 
-def _shift_parts(Vhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E, F with shift factor U = 1 + E F*.
-
-    E = roll(Vhat, -1) - Vhat and F = Vhat D, D = diag(1/||vhat_j||^2): the
-    cyclic operator of the Vhat columns with its rank-m part kept thin.
-    """
-    E = np.roll(Vhat, -1, axis=1) - Vhat
-    F = Vhat / np.sum(np.abs(Vhat) ** 2, axis=0)
-    return E, F
-
-
 def _unitarity_residual(E: np.ndarray, F: np.ndarray) -> float:
     """||U* U - 1||_F for U = 1 + E F*, in O(n m^2).
 
@@ -221,7 +210,7 @@ def frame_residuals(V: np.ndarray, Vhat: np.ndarray) -> dict[str, float]:
     return {
         "Vhat columns orthonormal": float(np.linalg.norm(Vhat.conj().T @ Vhat - eye)),
         "V columns orthonormal": float(np.linalg.norm(V_gap)),
-        "shift factor unitary": _unitarity_residual(*_shift_parts(Vhat)),
+        "shift factor unitary": _unitarity_residual(*shift_factors(Vhat)),
         "K idempotent": float(np.linalg.norm(R_V @ V_gap @ R_V.conj().T)),
         "T idempotent": abs(vhat1_sq - 1.0) * vhat1_sq,
     }
@@ -290,11 +279,11 @@ def build_ohf(
 
     kappa = complex(s[0])
     rho = complex(np.vdot(first_col, first_col).real / s[0])
-    # internal consistency: vhat_1* v_1 must reproduce v_1* v_1 / s_1
+    # vhat_1* v_1 must reproduce v_1* v_1 / s_1, which fails if v_1* v_1 overflows
     direct = np.vdot(Vhat[:, 0], first_col)
-    if abs(direct - rho) > 1e-10 * abs(rho):
+    if not (np.isfinite(rho) and abs(direct - rho) <= 1e-10 * abs(rho)):
         raise NumericalFailure(
-            f"first-column product {direct:.6e} deviates from rho {rho:.6e}"
+            f"first-column product {direct:.6e} does not reproduce rho = {rho:.6e}"
         )
     orth = check_orthogonal_system(VectorSystem(Vhat), _ORTHOGONALITY_TOL)
     if not orth.is_orthogonal:
@@ -334,7 +323,7 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     t_gap = np.vdot(vhat1, history.data[:, 0]) - ohf.rho
     t_residual = float(np.linalg.norm(t_gap * vhat1))
     # U Vhat - roll(Vhat) = Vhat + E F* Vhat - roll(Vhat) = E (F* Vhat - 1)
-    E, F = _shift_parts(Vhat)
+    E, F = shift_factors(Vhat)
     shift_gap = E @ (F.conj().T @ Vhat - np.eye(ohf.m))
     shift_residual = float(np.max(np.linalg.norm(shift_gap, axis=0)))
     recon = ohf.kappa * (V @ (V.conj().T @ Vhat))

@@ -7,16 +7,65 @@ computation at small n.
 """
 import numpy as np
 
-from sclrom import CirculantElement, VectorSystem, cyclic_operator
+from sclrom import CirculantElement, cyclic_shift_matrix
 
 
-def dense_factors(V, Vhat, tol=1e-8):
+def orthogonal_projector(cols):
+    """P = sum_j v_j v_j* / (v_j* v_j) over the columns v_j."""
+    return sum(np.outer(v, v.conj()) / np.vdot(v, v).real for v in cols.T)
+
+
+def shift_operator(cols):
+    """U = sum_j v_{j+1} v_j* / (v_j* v_j) + 1 - P, indices mod m."""
+    n, m = cols.shape
+    advance = sum(
+        np.outer(cols[:, (j + 1) % m], cols[:, j].conj()) / np.vdot(cols[:, j], cols[:, j]).real
+        for j in range(m)
+    )
+    return advance + np.eye(n) - orthogonal_projector(cols)
+
+
+def dense_factors(V, Vhat):
     """K = V V*, T = vhat_1 vhat_1*, and the cyclic shift operator U of Vhat."""
     vhat1 = Vhat[:, 0:1]
     K = V @ V.conj().T
     T = vhat1 @ vhat1.conj().T
-    U = cyclic_operator(VectorSystem(Vhat), tol=tol).C
-    return K, T, U
+    return K, T, shift_operator(Vhat)
+
+
+def project_span(ohf, X):
+    """P X P with P = Vhat Vhat*."""
+    P = ohf.Vhat @ ohf.Vhat.conj().T
+    return P @ X @ P
+
+
+def dense_diagram_residuals(ohf, degrees, seed=0):
+    """Per-degree residuals of check_commuting_diagram through dense n x n powers.
+
+    For each degree d: the larger of ||Vhat* U^d Vhat - C_m^d|| and
+    ||Vhat* p(U) Vhat - p(C_m)|| for the random polynomial p the check draws.
+    """
+    U = shift_operator(ohf.Vhat)
+    n, m = ohf.n, ohf.m
+    Cm = cyclic_shift_matrix(m)
+    rng = np.random.default_rng(seed)
+    residuals = {}
+    for d in degrees:
+        down = ohf.Vhat.conj().T @ np.linalg.matrix_power(U, d) @ ohf.Vhat
+        r_generator = float(np.linalg.norm(down - np.linalg.matrix_power(Cm, d)))
+        a = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        pU = np.zeros((n, n), dtype=np.complex128)
+        pC = np.zeros((m, m), dtype=np.complex128)
+        term_U = np.eye(n, dtype=np.complex128)
+        term_C = np.eye(m, dtype=np.complex128)
+        for k in range(d + 1):
+            pU += a[k] * term_U
+            pC += a[k] * term_C
+            term_U = term_U @ U
+            term_C = term_C @ Cm
+        r_poly = float(np.linalg.norm(ohf.Vhat.conj().T @ pU @ ohf.Vhat - pC))
+        residuals[d] = max(r_generator, r_poly)
+    return residuals
 
 
 def transition_matrix(model, t):

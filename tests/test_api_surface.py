@@ -6,12 +6,14 @@ import sclrom
 from sclrom import circulant, cyclic, model, ohf, persistence
 
 REMOVED = {
-    sclrom: ["ControlTuple", "SvdTriple", "circulant_to_matrix", "transition_matrix"],
-    circulant: ["ControlTuple", "MANIFOLD_TAGS", "circulant_to_matrix"],
+    sclrom: ["ControlTuple", "SvdTriple", "circulant_to_matrix", "orthogonal_projector",
+             "project_span", "transition_matrix"],
+    circulant: ["ControlTuple", "MANIFOLD_TAGS", "circulant_to_matrix", "project_span"],
     circulant.CirculantElement: ["identity", "__add__"],
+    cyclic: ["orthogonal_projector"],
     model: ["transition_matrix"],
     model.SclRomModel: ["to_control_tuple", "element"],
-    ohf: ["SvdTriple"],
+    ohf: ["SvdTriple", "_shift_parts"],
     ohf.SnapshotHistory: ["column", "dt_meta"],
     cyclic.VectorSystem: ["from_vectors", "vector"],
 }

@@ -1,7 +1,7 @@
 """Tests for circulant elements and the compression / lift maps."""
 import numpy as np
 import pytest
-from dense_oracle import dense_factors
+from dense_oracle import dense_factors, project_span
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from sclrom import (
     lift,
     monomial_element,
     periodic_history,
-    project_span,
 )
 
 
@@ -188,6 +187,10 @@ class TestCommutingDiagram:
         assert report.passed
         Um = np.linalg.matrix_power(dense_factors(seeded_ohf.V, seeded_ohf.Vhat)[2], 4)
         np.testing.assert_allclose(compress(seeded_ohf, Um), np.eye(4), atol=1e-12)
+
+    def test_negative_degree_rejected(self, seeded_ohf):
+        with pytest.raises(DimensionMismatch):
+            check_commuting_diagram(seeded_ohf, [0, -1])
 
     def test_degree_range(self):
         ohf = build_ohf(periodic_history(16, 5, seed=13))

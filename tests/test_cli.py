@@ -4,7 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from sclrom import FitOptions, fit, periodic_history, read_snapshots, write_model, write_snapshots
+from sclrom import (
+    FitOptions,
+    SnapshotHistory,
+    fit,
+    periodic_history,
+    read_snapshots,
+    write_model,
+    write_snapshots,
+)
 from sclrom.cli import run_cli
 
 
@@ -130,6 +138,7 @@ class TestLogStyleBanner:
         assert out.splitlines()[1] == "                     Running simulation:"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestErrorPaths:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "no.bin"), str(tmp_path / "no2.bin"))
@@ -182,7 +191,15 @@ class TestErrorPaths:
         ("simulate", ["simulate", "periodic", "--n", "8", "--T", "2", "--seed", "-1"]),
         ("simulate", ["simulate", "almost-periodic", "--n", "8", "--T", "2", "--seed", "-1",
                       "--eps-pert", "0.1", "--horizon", "4"]),
-    ], ids=["fit-eps", "wave-nt", "wave-c", "periodic-seed", "almost-periodic-seed"])
+        ("simulate", ["simulate", "wave", "--profile", "gaussian", "--width", "0"]),
+        ("simulate", ["simulate", "wave", "--profile", "gaussian", "--width", "-0.1"]),
+        ("simulate", ["simulate", "wave", "--profile", "gaussian", "--width", "inf"]),
+        ("simulate", ["simulate", "wave", "--L", "1e-195", "--nt", "7", "--nx", "8"]),
+        ("simulate", ["simulate", "wave", "--L", "1e200"]),
+        ("simulate", ["simulate", "wave", "--c", "1e200"]),
+    ], ids=["fit-eps", "wave-nt", "wave-c", "periodic-seed", "almost-periodic-seed",
+            "wave-width-zero", "wave-width-negative", "wave-width-inf", "wave-tiny-L",
+            "wave-huge-L", "wave-huge-c"])
     def test_bad_argv_value_exits_two_with_one_line(self, capsys, tmp_path, command, argv):
         h = tmp_path / "h.bin"
         write_snapshots(periodic_history(16, 4, seed=1), h)
@@ -205,3 +222,25 @@ class TestErrorPaths:
         assert code == 2
         assert [str(w.message) for w in caught] == []
         assert err.count("\n") == 1 and err.startswith("sclrom verify: "), err
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_overflowing_snapshots_fail_fit(self, capsys, tmp_path, scale):
+        """v_1* v_1 overflows, so rho is not finite: fit writes no model."""
+        h, m = tmp_path / "h.bin", tmp_path / "m.bin"
+        write_snapshots(SnapshotHistory(periodic_history(16, 4, seed=1).data * scale), h)
+        code, out, err = run(capsys, "fit", str(h), "--out", str(m))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("sclrom fit: ") and "rho" in err, err
+        assert not m.exists()
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_overflowing_snapshots_fail_verify_quietly(self, capsys, tmp_path, scale):
+        """The replay residuals overflow to inf, which fails verification, warning-free."""
+        history = periodic_history(16, 4, seed=1)
+        model, _ = fit(history, FitOptions(mode="monomial"))
+        m, h = tmp_path / "m.bin", tmp_path / "h.bin"
+        write_model(model, m)
+        write_snapshots(SnapshotHistory(history.data * scale), h)
+        code, out, err = run(capsys, "verify", str(m), str(h))
+        assert code == 1 and err == ""
+        assert " = inf > eps" in out.splitlines()[0]

@@ -11,7 +11,6 @@ from sclrom import (
     check_orthogonal_system,
     cyclic_operator,
     cyclic_shift_matrix,
-    orthogonal_projector,
     random_orthonormal_columns,
     verify_cyclic_identities,
 )
@@ -73,29 +72,29 @@ class TestCheckOrthogonalSystem:
 
 class TestProjector:
     def test_coordinate_projection(self):
-        P = orthogonal_projector(basis_system([0, 1], 4))
+        P = cyclic_operator(basis_system([0, 1], 4)).P
         np.testing.assert_allclose(P, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15)
 
     def test_scaling_cancels(self):
         vs = system([1, 0, 0, 0], [0, 2, 0, 0])
         np.testing.assert_allclose(
-            orthogonal_projector(vs), np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15
+            cyclic_operator(vs).P, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15
         )
 
     def test_rank_one_formula(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        P = orthogonal_projector(system(v))
+        P = cyclic_operator(system(v)).P
         np.testing.assert_allclose(P, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_non_orthogonal_rejected(self):
         vs = system([1.0, 0.0], [1.0, 1.0])
         with pytest.raises(NotOrthogonal):
-            orthogonal_projector(vs)
+            cyclic_operator(vs)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_projector_identities(self, seed):
         cols = random_orthonormal_columns(10, 4, seed)
-        P = orthogonal_projector(VectorSystem(cols))
+        P = cyclic_operator(VectorSystem(cols)).P
         eye = np.eye(10)
         assert np.linalg.norm(P @ P - P) <= 1e-12
         assert np.linalg.norm(P - P.conj().T) <= 1e-12

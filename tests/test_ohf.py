@@ -10,6 +10,7 @@ from sclrom import (
     DimensionTooSmall,
     NonFiniteData,
     NotOrthogonal,
+    NumericalFailure,
     SnapshotHistory,
     build_ohf,
     complement_basis,
@@ -217,6 +218,15 @@ class TestBuildOhf:
     def test_zero_history_degenerate(self):
         with pytest.raises(DegenerateHistory):
             build_ohf(SnapshotHistory(np.zeros((8, 2), dtype=complex)))
+
+    @pytest.mark.parametrize("part", ["complex", "real"])
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_overflowing_rho_rejected(self, scale, part):
+        # v_1* v_1 overflows: rho is NaN for complex entries, inf for real ones
+        data = periodic_history(16, 4, seed=1).data
+        data = data.real.astype(complex) if part == "real" else data
+        with pytest.raises(NumericalFailure, match="rho"):
+            build_ohf(SnapshotHistory(data * scale))
 
 
 class TestVerifyOhf:

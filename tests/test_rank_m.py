@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_oracle import (
+    dense_diagram_residuals,
     dense_load_residuals,
     dense_predict,
     dense_verify_residuals,
@@ -15,6 +16,7 @@ from sclrom import (
     FitOptions,
     SnapshotHistory,
     build_ohf,
+    check_commuting_diagram,
     fit,
     periodic_history,
     predict,
@@ -94,6 +96,39 @@ def test_verify_residuals_match_dense(case, delta):
         thin = {name: getattr(report, name) for name in
                 ("t_residual", "shift_residual", "k_residual", "unitary_residual")}
         _assert_matches_dense(thin, dense_verify_residuals(ohf, history))
+
+
+@settings(max_examples=60, deadline=None)
+@given(histories(), st.floats(1e-9, 0.5), st.integers(0, 2**32 - 1))
+def test_diagram_residuals_match_dense(case, delta, seed):
+    history, deficient = case
+    ohf = build_ohf(history, truncate=deficient)
+    degrees = list(range(2 * ohf.m + 1))
+    for Vhat in (ohf.Vhat, _scaled(ohf.Vhat, delta)):
+        ohf.Vhat = Vhat
+        thin = dict(check_commuting_diagram(ohf, degrees, seed=seed).per_degree)
+        _assert_matches_dense(thin, dense_diagram_residuals(ohf, degrees, seed=seed))
+
+
+def test_skewed_frame_fails_the_diagram_check():
+    ohf = build_ohf(periodic_history(32, 6, seed=2))
+    ohf.Vhat = ohf.Vhat * (1.0 + 1e-3 * (-1.0) ** np.arange(6))
+    report = check_commuting_diagram(ohf, list(range(13)), tol=1e-10)
+    assert not report.passed
+    assert report.max_residual > 1e-4
+
+
+def test_diagram_check_memory_stays_thin():
+    """n = 2048, m = 8: one dense n x n complex matrix alone would be 64 MiB."""
+    ohf = build_ohf(periodic_history(2048, 8, seed=3))
+    tracemalloc.start()
+    try:
+        report = check_commuting_diagram(ohf, [0, 1, 16], tol=1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
 
 
 def test_scaled_frame_fails_only_the_unitary_checks():
