@@ -19,8 +19,8 @@ from .datagen import (
     periodic_history,
     simulate_wave_1d,
 )
-from .errors import ConfigInvalid, SclRomError
-from .model import FitOptions, SclRomModel, fit, predict, verify_mimetic
+from .errors import ConfigInvalid, DimensionMismatch, SclRomError
+from .model import FitOptions, SclRomModel, fit, replay, verify_mimetic
 from .ohf import SnapshotHistory
 from .persistence import (
     format_complex_entry,
@@ -130,6 +130,11 @@ def _cmd_simulate(args) -> int:
         else:
             w0 = GaussianBump(args.center, args.width)
         cfg = WaveConfig(L=args.L, c=args.c, nx=args.nx, nt=args.nt, dt=dt, w0=w0)
+        if args.profile == "gaussian" and not np.any(w0.evaluate(cfg.grid(), cfg.L)):
+            raise ConfigInvalid(
+                f"--center {args.center!r} and --width {args.width!r} make the Gaussian "
+                "profile zero at every grid point"
+            )
         if args.log_style == "paper":
             print(_banner_block("                     Running simulation:"))
         history = simulate_wave_1d(cfg)
@@ -190,8 +195,7 @@ def _cmd_predict(args) -> int:
     if args.t1 <= args.t0 or args.t0 < 0:
         print("predict: need 0 <= t0 < t1", file=sys.stderr)
         return 2
-    columns = [predict(model, t) for t in range(args.t0, args.t1)]
-    out_history = SnapshotHistory(np.column_stack(columns))
+    out_history = SnapshotHistory(replay(model, args.t0, args.t1))
     write_snapshots(out_history, args.out, format=args.format)
     print(f"predict: wrote {args.out} (n = {out_history.n}, steps = {out_history.m})")
     return 0
@@ -200,6 +204,10 @@ def _cmd_predict(args) -> int:
 def _cmd_export_plot(args) -> int:
     history = read_snapshots(args.snapshots)
     model: SclRomModel | None = read_model(args.model) if args.model else None
+    if model is not None and model.n != history.n:
+        raise DimensionMismatch(
+            f"model has state dimension {model.n} but history has {history.n}"
+        )
     try:
         components = [int(p) for p in args.components.split(",") if p.strip() != ""]
     except ValueError:
@@ -213,11 +221,12 @@ def _cmd_export_plot(args) -> int:
     if model is not None:
         header += [f"model{idx}" for idx in components]
     rows = [",".join(header)]
+    states = replay(model, 0, history.m) if model is not None else None
     for k in range(history.m):
         fields = [str(k)]
         xk = history.data[:, k]
         if model is not None:
-            pk = predict(model, k)
+            pk = states[:, k]
             fields.append(format_complex_entry(complex(np.linalg.norm(pk - xk))))
         else:
             fields.append("")

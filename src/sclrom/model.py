@@ -7,11 +7,12 @@ input and output projectors:
 
     x_t = K ( Vhat circ(c_{t mod T}) Vhat* ) (rho vhat_1) = R c_{t mod T}
 
-with R the factorization's n x m replay operator, so a step costs O(n m).
+with R the factorization's n x m replay operator, so one period of states
+is the single rank-m product of R and the m x T coefficient matrix.
 
 Two coefficient modes exist: the closed-form monomial (kappa/rho) z^t,
 which reproduces exactly periodic training data to rounding, and a
-per-step least-squares solve through the retained SVD factors.
+least-squares solve through the retained SVD factors.
 """
 from __future__ import annotations
 
@@ -89,20 +90,52 @@ class PeriodReport:
     within_tol: bool
 
 
+def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
+    """Model states for steps t0 <= t < t1, one per column, shape (n, t1 - t0).
+
+    Step t's state is R c_{t mod T}, so one period of states is the single
+    GEMM ``coeffs.T @ R.T``, a (T, n) array with one state per contiguous
+    row. Every replay computes that whole period and then slices its rows,
+    or gathers rows t mod T when the window wraps past the period. A
+    state's bits therefore come from one product of one fixed shape and do
+    not depend on the window: ``replay``, :func:`predict`, fit residuals,
+    verification and the command-line front end agree bitwise, and the
+    loader rebuilds R from bit-identical inputs, so they also agree after
+    a save/load round trip.
+    """
+    if t0 < 0 or t1 < t0:
+        raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
+    rows = model.coeffs.T @ model.ohf.R.T
+    start = t0 % model.period
+    if start + (t1 - t0) <= model.period:
+        return rows[start : start + (t1 - t0)].T
+    return rows[np.arange(t0, t1) % model.period].T
+
+
 def predict(model: SclRomModel, t: int) -> np.ndarray:
     """Model state at step t: K H_{t mod T} (rho vhat_1), evaluated as R c_{t mod T}.
 
     rho vhat_1 equals T v_1 by the factorization identities; the replay
     operator R folds the stored scalar rho together with K and the frame
-    (see :func:`sclrom.ohf.replay_operator`). The loader rebuilds R from
-    bit-identical inputs, so predictions stay bit-identical after a
-    save/load round trip, where the training snapshots are no longer
-    available. Every replay (fit residuals, verification, the CLI) calls
-    this function one step at a time, so they all agree bitwise.
+    (see :func:`sclrom.ohf.replay_operator`). The state is an owned copy
+    of one column of :func:`replay`, so it is bitwise equal to the same
+    step of any replay window, before and after a save/load round trip.
+    Each call computes a whole period; use :func:`replay` for many steps.
+    A negative step raises ValueError.
     """
-    if t < 0:
-        raise ValueError("step index must be nonnegative")
-    return model.ohf.R @ model.coeffs[:, t % model.period]
+    return replay(model, t, t + 1)[:, 0].copy()
+
+
+def _gap_norms(model: SclRomModel, data: np.ndarray) -> list[float]:
+    """||x_t - data[:, t]||_2 for every column t of data.
+
+    One norm per contiguous row of the (steps, n) gap matrix, so each value
+    is bitwise equal to ``norm(predict(model, t) - data[:, t])``. Runs
+    under ``np.errstate(over="ignore")``: an overflowing residual reads inf.
+    """
+    with np.errstate(over="ignore"):
+        gaps = np.subtract(replay(model, 0, data.shape[1]).T, data.T, order="C")
+        return [float(np.linalg.norm(gap)) for gap in gaps]
 
 
 def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport]:
@@ -115,8 +148,11 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
     * monomial mode stores (kappa/rho) on the power t mod m — exact for
       periodic data;
     * least_squares mode solves min_c || rho (K Vhat) c - v_{t+1} ||_2
-      through the retained SVD factors (each step's solve is independent
-      of every other, so evaluation order cannot change the result).
+      for every step at once through the retained SVD factors, as the one
+      product W* diag(kappa / (rho s)) (V* data).
+
+    The per-step training residuals come from one :func:`replay` of the
+    whole period.
 
     Returns the model and a report; a missed epsilon target is flagged in
     the report rather than raised.
@@ -135,8 +171,8 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
     ohf = build_ohf(frame_source, rank_tol=opts.rank_tol, truncate=opts.truncate_rank)
     m = ohf.m
 
-    coeffs = np.zeros((m, T), dtype=np.complex128)
     if opts.mode == MODE_MONOMIAL:
+        coeffs = np.zeros((m, T), dtype=np.complex128)
         scale = ohf.kappa / ohf.rho
         for t in range(T):
             coeffs[:, t] = monomial_element(m, t, scale).coeffs
@@ -145,16 +181,12 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
         # through the pseudo-inverse assembled from the stored SVD factors
         V, W, s = ohf.V, ohf.W, ohf.singular_values
         inv_scale = ohf.kappa / (ohf.rho * s)
-        for t in range(T):
-            target = history.data[:, t]
-            coeffs[:, t] = W.conj().T @ (inv_scale * (V.conj().T @ target))
+        coeffs = W.conj().T @ (inv_scale[:, None] * (V.conj().T @ history.data))
 
     model = SclRomModel(
         ohf=ohf, coeffs=coeffs, period=T, epsilon_achieved=0.0, n=history.n, m=m
     )
-    per_step = [
-        float(np.linalg.norm(predict(model, t) - history.data[:, t])) for t in range(T)
-    ]
+    per_step = _gap_norms(model, history.data)
     model.epsilon_achieved = max(per_step) if per_step else 0.0
     report = FitReport(
         target_met=model.epsilon_achieved <= opts.epsilon,
@@ -169,18 +201,16 @@ def verify_mimetic(model: SclRomModel, history: SnapshotHistory, eps: float) -> 
 
     max_residual = max over 0 <= k < min(T, columns) of
     ||predict(model, k) - v_{k+1}||_2, the quantity printed by the
-    verification log of the command-line front end.
+    verification log of the command-line front end. The states come from
+    one :func:`replay` of the checked range, bitwise equal to ``predict``;
+    an overflowing residual reads inf and fails.
     """
     if history.n != model.n:
         raise DimensionMismatch(
             f"model has state dimension {model.n} but history has {history.n}"
         )
     steps = min(model.period, history.m)
-    with np.errstate(over="ignore"):  # an overflowing residual reads inf and fails
-        per_step = [
-            (k, float(np.linalg.norm(predict(model, k) - history.data[:, k])))
-            for k in range(steps)
-        ]
+    per_step = list(enumerate(_gap_norms(model, history.data[:, :steps])))
     max_residual = max((r for _, r in per_step), default=0.0)
     return MimeticReport(
         max_residual=max_residual,

@@ -307,7 +307,9 @@ def read_model(path) -> SclRomModel:
         raise InvariantViolation(f"rho {rho} is not real and positive")
 
     try:
-        orth = check_orthogonal_system(VectorSystem(Vhat), _LOAD_TOL)
+        # huge entries read inf or NaN, which this gate or the frame residuals reject
+        with np.errstate(all="ignore"):
+            orth = check_orthogonal_system(VectorSystem(Vhat), _LOAD_TOL)
     except SclRomError as exc:
         raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
     if not orth.is_orthogonal:

@@ -9,6 +9,8 @@ from sclrom import (
     SnapshotHistory,
     fit,
     periodic_history,
+    predict,
+    read_model,
     read_snapshots,
     write_model,
     write_snapshots,
@@ -96,6 +98,21 @@ class TestPipeline:
         predictions = read_snapshots(p)
         training = read_snapshots(h)
         np.testing.assert_allclose(predictions.data, training.data, atol=1e-10)
+
+    def test_predict_window_past_the_period_is_bitwise(self, capsys, tmp_path):
+        """Steps 3 .. 3T wrap past the period T = 12 of a least-squares model; every
+        column read back equals predict on the loaded model bitwise."""
+        h, m, p = (str(tmp_path / name) for name in ("h.bin", "m.bin", "p.bin"))
+        run(capsys, "simulate", "almost-periodic", "--n", "32", "--T", "4", "--eps-pert",
+            "1e-3", "--horizon", "12", "--seed", "2", "--out", h)
+        run(capsys, "fit", h, "--mode", "lsq", "--period", "4", "--out", m)
+        code, _, _ = run(capsys, "predict", m, "--t0", "3", "--t1", "37", "--out", p)
+        assert code == 0
+        written = read_snapshots(p).data
+        model = read_model(m)
+        assert model.period == 12 and written.shape == (32, 34)
+        for j, t in enumerate(range(3, 37)):
+            assert written[:, j].tobytes() == predict(model, t).tobytes(), t
 
     def test_export_plot(self, capsys, tmp_path):
         h = str(tmp_path / "h.bin")
@@ -197,9 +214,16 @@ class TestErrorPaths:
         ("simulate", ["simulate", "wave", "--L", "1e-195", "--nt", "7", "--nx", "8"]),
         ("simulate", ["simulate", "wave", "--L", "1e200"]),
         ("simulate", ["simulate", "wave", "--c", "1e200"]),
+        ("simulate", ["simulate", "wave", "--profile", "gaussian", "--width", "5e-227"]),
+        ("simulate", ["simulate", "wave", "--profile", "gaussian", "--center", "1e300"]),
+        ("simulate", ["simulate", "wave", "--profile", "gaussian", "--center", "inf"]),
+        ("simulate", ["simulate", "wave", "--dt", "nan"]),
+        ("simulate", ["simulate", "wave", "--c", "nan"]),
+        ("simulate", ["simulate", "wave", "--L", "nan"]),
     ], ids=["fit-eps", "wave-nt", "wave-c", "periodic-seed", "almost-periodic-seed",
             "wave-width-zero", "wave-width-negative", "wave-width-inf", "wave-tiny-L",
-            "wave-huge-L", "wave-huge-c"])
+            "wave-huge-L", "wave-huge-c", "wave-width-tiny", "wave-center-far",
+            "wave-center-inf", "wave-dt-nan", "wave-c-nan", "wave-L-nan"])
     def test_bad_argv_value_exits_two_with_one_line(self, capsys, tmp_path, command, argv):
         h = tmp_path / "h.bin"
         write_snapshots(periodic_history(16, 4, seed=1), h)
@@ -208,11 +232,13 @@ class TestErrorPaths:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"sclrom {command}: "), err
 
-    def test_overflowing_model_frame_fails_verify_quietly(self, capsys, tmp_path):
-        """Frame residuals overflow on a V entry of 1e300; no numpy warning precedes the error."""
+    @pytest.mark.parametrize("frame", ["V", "Vhat"])
+    def test_overflowing_model_frame_fails_verify_quietly(self, capsys, tmp_path, frame):
+        """The load checks overflow on a frame entry of 1e300; no numpy warning precedes
+        the error."""
         history = periodic_history(16, 4, seed=1)
         model, _ = fit(history, FitOptions(mode="monomial"))
-        model.ohf.V[0, 0] = 1e300
+        getattr(model.ohf, frame)[0, 0] = 1e300
         m, h = tmp_path / "m.bin", tmp_path / "h.bin"
         write_model(model, m)
         write_snapshots(history, h)
@@ -222,6 +248,15 @@ class TestErrorPaths:
         assert code == 2
         assert [str(w.message) for w in caught] == []
         assert err.count("\n") == 1 and err.startswith("sclrom verify: "), err
+
+    def test_export_plot_model_of_other_dimension_exits_two(self, capsys, tmp_path):
+        m, h = tmp_path / "m.bin", tmp_path / "h.bin"
+        write_model(fit(periodic_history(16, 4, seed=1))[0], m)
+        write_snapshots(periodic_history(32, 4, seed=1), h)
+        code, _, err = run(capsys, "export-plot", str(h), "--model", str(m),
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("sclrom export-plot: "), err
 
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     def test_overflowing_snapshots_fail_fit(self, capsys, tmp_path, scale):

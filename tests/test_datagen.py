@@ -72,6 +72,21 @@ class TestPeriodicHistory:
         with pytest.raises(DimensionTooSmall):
             periodic_history(15, 8, seed=0)
 
+    @pytest.mark.parametrize("horizon", [3, 8, 40, 43])
+    def test_matches_per_step_generator_bitwise(self, horizon):
+        """Below, equal to, a multiple of and not a multiple of the period 8."""
+        n, period, seed = 24, 8, 5
+        rng = np.random.default_rng(seed)
+        frame = random_orthonormal_columns(n, period, rng)
+        magnitudes = 0.5 + rng.random(period)
+        phases = np.exp(2j * np.pi * rng.random(period))
+        weights = np.fft.ifft(magnitudes * phases)
+        per_step = np.column_stack(
+            [frame @ np.roll(weights, t % period) for t in range(horizon)]
+        )
+        h = periodic_history(n, period, seed, horizon)
+        assert h.data.tobytes() == per_step.tobytes()
+
 
 class TestAlmostPeriodicHistory:
     def test_zero_perturbation_is_bitwise_copy(self):

@@ -1,5 +1,7 @@
 """Mutated snapshot and model files: the readers raise only SclRomError subclasses,
 and ``fit`` and ``verify`` exit 0, 1 or 2 without a traceback.
+Mutated model files and fuzzed numeric flags must also raise no numpy
+``RuntimeWarning`` (the two tests turn it into an error).
 
 Mutations are truncation, byte flips and header rewrites (the binary
 ``n``, ``m`` and flags words, the CSV ``n,m`` line, and the model
@@ -118,6 +120,7 @@ def test_mutated_snapshots(valid, tmp_path_factory, name, data):
     check_cli(["verify", str(d / "m.bin"), str(d / name)])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(data=st.data())
 def test_mutated_models(valid, tmp_path_factory, data):
@@ -158,6 +161,7 @@ ARGV = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", sorted(ARGV))
 @FUZZ
 @given(data=st.data())

@@ -13,6 +13,7 @@ from sclrom import (
     fit,
     periodic_history,
     predict,
+    replay,
     verify_mimetic,
 )
 
@@ -81,6 +82,17 @@ class TestFitLeastSquares:
             target = h.data[:, t]
             oracle = np.linalg.solve(gram, A.conj().T @ target)
             np.testing.assert_allclose(model.coeffs[:, t], oracle, rtol=1e-8, atol=1e-12)
+
+    def test_coefficients_match_per_step_solve(self):
+        """The one-product coefficients equal W* diag(kappa/(rho s)) V* v_t per step."""
+        pair = almost_periodic_history(48, 6, 1e-3, 20, seed=3)
+        model, _ = fit(pair.perturbed, FitOptions(mode="least_squares", period=6))
+        ohf = model.ohf
+        inv_scale = ohf.kappa / (ohf.rho * ohf.singular_values)
+        for t in range(model.period):
+            target = pair.perturbed.data[:, t]
+            step = ohf.W.conj().T @ (inv_scale * (ohf.V.conj().T @ target))
+            assert np.linalg.norm(model.coeffs[:, t] - step) <= 1e-12 * np.linalg.norm(step)
 
     def test_dominates_monomial(self):
         for seed in range(5):
@@ -172,6 +184,27 @@ class TestPredict:
         model, _ = fit(h)
         with pytest.raises(ValueError):
             predict(model, -1)
+
+
+class TestReplay:
+    def test_window_shape_and_period_wrap(self):
+        h = periodic_history(32, 4, seed=8)
+        model, _ = fit(h)
+        window = replay(model, 2, 11)
+        assert window.shape == (32, 9)
+        assert np.array_equal(window[:, 0], window[:, 4])
+        assert replay(model, 5, 5).shape == (32, 0)
+
+    def test_predict_returns_an_owned_vector(self):
+        model, _ = fit(periodic_history(32, 4, seed=8))
+        state = predict(model, 1)
+        assert state.flags.owndata and state.flags.c_contiguous
+
+    @pytest.mark.parametrize("t0, t1", [(-1, 2), (3, 2)])
+    def test_bad_window_rejected(self, t0, t1):
+        model, _ = fit(periodic_history(32, 4, seed=8))
+        with pytest.raises(ValueError):
+            replay(model, t0, t1)
 
 
 class TestVerifyMimetic:

@@ -21,6 +21,7 @@ from sclrom import (
     periodic_history,
     predict,
     read_model,
+    replay,
     verify_mimetic,
     verify_ohf,
     write_model,
@@ -68,6 +69,25 @@ def test_predict_matches_dense_oracle(case, mode):
     for t in range(2 * model.period):
         gap = np.linalg.norm(predict(model, t) - dense_predict(model, t))
         assert gap <= 1e-12 * scale, (t, gap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(histories(), st.sampled_from(["monomial", "least_squares"]), st.data())
+def test_replay_columns_equal_predict_bitwise(tmp_path_factory, case, mode, data):
+    """Windows of width 1..4, T and T + 3 from any start, before and after save/load."""
+    history, deficient = case
+    model, _ = fit(history, FitOptions(mode=mode, truncate_rank=deficient))
+    path = tmp_path_factory.mktemp("replay") / "m.bin"
+    write_model(model, path)
+    loaded = read_model(path)
+    T = model.period
+    t0 = data.draw(st.integers(0, 3 * T))
+    for width in (1, 2, 3, 4, T, T + 3):
+        for replayed in (replay(model, t0, t0 + width), replay(loaded, t0, t0 + width)):
+            assert replayed.shape == (model.n, width)
+            for j in range(width):
+                assert replayed[:, j].tobytes() == predict(model, t0 + j).tobytes()
+                assert replayed[:, j].tobytes() == predict(loaded, t0 + j).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
