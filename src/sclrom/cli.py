@@ -130,11 +130,12 @@ def _cmd_simulate(args) -> int:
         else:
             w0 = GaussianBump(args.center, args.width)
         cfg = WaveConfig(L=args.L, c=args.c, nx=args.nx, nt=args.nt, dt=dt, w0=w0)
-        if args.profile == "gaussian" and not np.any(w0.evaluate(cfg.grid(), cfg.L)):
-            raise ConfigInvalid(
-                f"--center {args.center!r} and --width {args.width!r} make the Gaussian "
-                "profile zero at every grid point"
+        if not np.any(w0.evaluate(cfg.grid(), cfg.L)):
+            flags = (
+                f"--mode-k {args.mode_k!r} makes the sine" if args.profile == "sine"
+                else f"--center {args.center!r} and --width {args.width!r} make the Gaussian"
             )
+            raise ConfigInvalid(f"{flags} profile zero at every grid point")
         if args.log_style == "paper":
             print(_banner_block("                     Running simulation:"))
         history = simulate_wave_1d(cfg)

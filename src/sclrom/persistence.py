@@ -120,12 +120,10 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
         raise DimensionMismatch(
             f"payload truncated: expected {expected} bytes for {n}x{m}, found {available}"
         )
-    raw = buf[start : start + expected]
-    if real:
-        arr = np.frombuffer(raw, dtype="<f8").reshape((n, m), order="F").astype(np.complex128)
-    else:
-        arr = np.frombuffer(raw, dtype="<c16").reshape((n, m), order="F").astype(np.complex128)
-    return np.ascontiguousarray(arr), start + expected
+    # a view on the payload, F-ordered as stored; one copy converts and reorders it
+    view = np.frombuffer(buf, dtype="<f8" if real else "<c16", count=n * m, offset=start)
+    arr = np.array(view.reshape((n, m), order="F"), dtype=np.complex128, order="C")
+    return arr, start + expected
 
 
 def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> None:

@@ -220,10 +220,13 @@ class TestErrorPaths:
         ("simulate", ["simulate", "wave", "--dt", "nan"]),
         ("simulate", ["simulate", "wave", "--c", "nan"]),
         ("simulate", ["simulate", "wave", "--L", "nan"]),
+        ("simulate", ["simulate", "wave", "--mode-k", str(10**400)]),
+        ("simulate", ["simulate", "wave", "--mode-k", "0"]),
     ], ids=["fit-eps", "wave-nt", "wave-c", "periodic-seed", "almost-periodic-seed",
             "wave-width-zero", "wave-width-negative", "wave-width-inf", "wave-tiny-L",
             "wave-huge-L", "wave-huge-c", "wave-width-tiny", "wave-center-far",
-            "wave-center-inf", "wave-dt-nan", "wave-c-nan", "wave-L-nan"])
+            "wave-center-inf", "wave-dt-nan", "wave-c-nan", "wave-L-nan",
+            "wave-mode-k-huge", "wave-mode-k-zero"])
     def test_bad_argv_value_exits_two_with_one_line(self, capsys, tmp_path, command, argv):
         h = tmp_path / "h.bin"
         write_snapshots(periodic_history(16, 4, seed=1), h)

@@ -1,6 +1,11 @@
 """Tests for the deterministic data generators and the wave simulator."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from dense_oracle import dense_wave_1d
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sclrom import (
     ConfigInvalid,
@@ -176,8 +181,59 @@ class TestWaveSimulator:
         b = simulate_wave_1d(WaveConfig(nx=30, nt=10))
         assert a.data.tobytes() == b.data.tobytes()
 
+    def test_sine_mode_beyond_float_range_rejected(self):
+        for k in (10**400, 10**308, float("nan")):  # k itself, or k * pi, is not a finite float
+            with pytest.raises(ConfigInvalid, match="mode number k"):
+                SineMode(k)
+        x = WaveConfig(L=1e3, nx=8).grid()
+        with np.errstate(all="raise"):  # k pi x alone would overflow
+            assert np.isfinite(SineMode(10**306).evaluate(x, 1e3)).all()
+
     def test_sine_mode_profile(self):
         x = np.array([0.25, 0.5, 0.75])
         np.testing.assert_allclose(
             SineMode(2).evaluate(x, 1.0), np.sin(2 * np.pi * x), atol=1e-15
         )
+
+
+@st.composite
+def wave_configs(draw):
+    """Grids up to 64 points and 80 steps, L and c over six decades, every
+    resolving time step, both profiles."""
+    L, c = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    dt = draw(st.floats(0.0, 1.0, exclude_min=True)) * L / (np.pi * c)
+    assume(0.0 < dt and np.pi * c * dt / L <= 1.0)
+    if draw(st.booleans()):
+        w0 = SineMode(draw(st.integers(1, 8)))
+    else:
+        w0 = GaussianBump(draw(st.floats(0.0, 1.0)) * L, draw(st.floats(0.02, 1.0)) * L)
+    return WaveConfig(L=L, c=c, nx=draw(st.integers(3, 64)), nt=draw(st.integers(1, 80)),
+                      dt=dt, w0=w0)
+
+
+class TestWaveAgainstDenseStepper:
+    @settings(max_examples=100, deadline=None)
+    @given(wave_configs())
+    def test_matches_dense_stepper(self, cfg):
+        """The per-mode rotation against the dense 2nx x 2nx stepper. Velocity
+        carries one frequency, so its scale is max|w0| times the largest mode
+        frequency 2c/dx."""
+        h, u = simulate_wave_1d(cfg, return_velocity=True)
+        h_dense, u_dense = dense_wave_1d(cfg, return_velocity=True)
+        scale = np.max(np.abs(h_dense.data[:, 0]))
+        assert np.max(np.abs(h.data - h_dense.data)) <= 1e-10 * scale
+        assert np.max(np.abs(u - u_dense)) <= 1e-10 * scale * 2.0 * cfg.c / cfg.dx
+        energy = wave_energy(h.data.real, u, cfg)
+        assert np.max(np.abs(energy - energy[0])) <= 1e-13 * energy[0]
+
+    def test_large_grid_allocates_no_square_array(self):
+        """One 8192 x 8192 float64 array alone would take 512 MiB."""
+        cfg = WaveConfig(nx=8192, nt=64, dt=2.0 / 64, w0=GaussianBump(0.5, 0.05))
+        tracemalloc.start()
+        try:
+            h = simulate_wave_1d(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.data.shape == (8192, 65)
+        assert peak < 64 * 2**20

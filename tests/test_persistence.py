@@ -22,7 +22,12 @@ from sclrom import (
     write_model,
     write_snapshots,
 )
-from sclrom.persistence import format_complex_entry, parse_complex_entry
+from sclrom.persistence import (
+    _decode_array,
+    _encode_array,
+    format_complex_entry,
+    parse_complex_entry,
+)
 
 
 class TestCsvFormat:
@@ -122,6 +127,24 @@ class TestBinaryFormat:
         assert path.stat().st_size == 32 + 12 * 5 * 8
         back = read_snapshots(path)
         assert back.data.tobytes(order="C") == data.tobytes(order="C")
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_decode_is_one_owned_c_ordered_copy(self, real):
+        """Same bits as slicing, converting and reordering the payload; at an odd
+        offset too, so the payload view is unaligned."""
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((9, 7)) + (0.0 if real else 1j * rng.standard_normal((9, 7)))
+        prefix = b"abc"
+        blob = prefix + _encode_array(np.asarray(data, dtype=np.complex128))
+        arr, end = _decode_array(blob, len(prefix))
+        assert end == len(blob)
+        stored = np.frombuffer(blob[len(prefix) + 32:], dtype="<f8" if real else "<c16")
+        expected = np.ascontiguousarray(
+            stored.reshape((9, 7), order="F").astype(np.complex128)
+        )
+        assert arr.tobytes() == expected.tobytes()
+        assert arr.dtype == np.complex128
+        assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
 
     def test_truncated_payload_reports_byte_counts(self, tmp_path):
         h = periodic_history(16, 4, seed=1)
