@@ -13,7 +13,14 @@ reading. The reader accepts whitespace around entries and skips blank
 lines; its errors name the physical line (as ``str.splitlines`` counts
 them, header = line 1) and the 1-based column. Each row is formatted,
 validated and converted as a whole, so the temporaries stay one row in
-size.
+size. A written row is one list ``repr`` of its floats (real and
+imaginary parts interleaved for a complex payload), with the integral
+``.0`` and the signs fixed by string replacement. A read row made only of
+ASCII digits, ``.eE+-``, commas, spaces and tabs is converted by
+``float()``, which accepts exactly the grammar's entries over that
+alphabet; any other row, and any row ``float()`` rejects, is checked
+against the grammar and converted by ``complex()``, so the grammar and
+the errors are the same on both paths.
 
 Model files: a fixed-order UTF-8 manifest, a blank line, then three
 snapshot-encoded binary blocks holding V (n x m), Vhat (n x m), and the
@@ -58,6 +65,11 @@ _UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _PADDED_ENTRY = rf"\s*[+-]?{_UFLOAT}(?:[+-]{_UFLOAT}i)?\s*"
 _ENTRY_RE = re.compile(_PADDED_ENTRY)
 _ROW_RE = re.compile(rf"{_PADDED_ENTRY}(?:,{_PADDED_ENTRY})*")
+# A row that this table deletes entirely holds only ASCII digits, '.eE+-',
+# commas, spaces and tabs: no 'i', 'inf', 'nan', '_', non-ASCII digit or
+# space. Over that alphabet float() accepts exactly the fields that
+# _PADDED_ENTRY accepts, and gives complex()'s real part bit for bit.
+_REAL_ASCII = str.maketrans("", "", "0123456789.eE+-, \t")
 
 
 def format_float(x: float) -> str:
@@ -75,6 +87,37 @@ def format_complex_entry(z: complex) -> str:
     if z.imag == 0.0 and not negative:
         return re_part
     return f"{re_part}{'-' if negative else '+'}{format_float(abs(z.imag))}i"
+
+
+def _drop_integral_zeros(text: str, ends: str) -> str:
+    """format_float's rule applied to whole lines.
+
+    repr writes '.0' only at the end of an integral float (1e+16, never
+    1.0e+16), so every '.0' followed by a character of ``ends``, the
+    characters that can follow a number, is one that format_float drops.
+    """
+    for end in ends:
+        text = text.replace(".0" + end, end)
+    return text
+
+
+def _real_row_text(row: np.ndarray) -> str:
+    """One CSV line of format_float entries, from one list repr."""
+    return _drop_integral_zeros(repr(row.tolist())[1:-1].replace(", ", ",") + "\n", ",\n")
+
+
+def _complex_row_text(row: np.ndarray) -> str:
+    """One CSV line of format_complex_entry entries, from one list repr.
+
+    Each entry is first written 're+imi' with the signed imaginary part;
+    '+-' then becomes '-', and '+0.0i', which only a +0 imaginary part
+    writes, is left out. repr puts a '+' only after an 'e' and before a
+    digit, so every '+-' and '+0.0i' starts at the joining '+'.
+    """
+    parts = repr(np.ascontiguousarray(row).view(np.float64).tolist())[1:-1].split(", ")
+    text = "i,".join(map("+".join, zip(parts[0::2], parts[1::2]))) + "i\n"
+    text = text.replace("+-", "-").replace("+0.0i", "")
+    return _drop_integral_zeros(text, ",\n+-i")
 
 
 def parse_complex_entry(text: str, line: int, column: int) -> complex:
@@ -136,17 +179,15 @@ def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> N
                 fh.write(_encode_array(history.data))
         else:
             data = history.data
-            # a real payload has no imaginary part to print, so its rows
-            # format as floats: the same text as format_complex_entry, in
-            # about 60% of its time
+            # a real payload has no imaginary part to print
             if _payload_is_real(data):
-                rows, fmt = data.real, format_float
+                rows, fmt = data.real, _real_row_text
             else:
-                rows, fmt = data, format_complex_entry
+                rows, fmt = data, _complex_row_text
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(f"{history.n},{history.m}\n")
                 for row in rows:
-                    fh.write(",".join(map(fmt, row.tolist())) + "\n")
+                    fh.write(fmt(row))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -176,6 +217,12 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
             )
     data = np.empty((n, m), dtype=np.complex128)
     for i, (number, row) in enumerate(rows):
+        if row.isascii() and not row.translate(_REAL_ASCII):
+            try:
+                data[i] = list(map(float, row.split(",")))
+                continue
+            except ValueError:
+                pass  # the grammar below names the bad field
         if _ROW_RE.fullmatch(row) is None:
             # _ROW_RE is _ENTRY_RE joined by commas, so some field fails
             # parse_complex_entry, which names its column

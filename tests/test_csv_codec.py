@@ -27,6 +27,7 @@ from sclrom import (
 from sclrom.datagen import WaveConfig, simulate_wave_1d
 from sclrom.persistence import (
     _ENTRY_RE,
+    _REAL_ASCII,
     _ROW_RE,
     format_complex_entry,
     format_float,
@@ -236,3 +237,73 @@ def test_wave_history_codec_memory_stays_within_five_file_sizes(tmp_path):
     assert read_peak < 5 * size, f"read peak {read_peak} B for a {size} B file"
     # the file bytes are released before parsing: 2.9x measured, 3.9x while held
     assert read_peak < 3.5 * size, f"read peak {read_peak} B for a {size} B file"
+
+
+def passes_real_gate(row: str) -> bool:
+    """Whether the reader may convert the row with float() before trying the grammar."""
+    return row.isascii() and not row.translate(_REAL_ASCII)
+
+
+def assert_reads_like_oracle(tmp_path_factory, text: str) -> None:
+    """The reader gives the oracle's bits or its error; an entry past 1e308 reads inf,
+    which SnapshotHistory rejects."""
+    path = write_text(tmp_path_factory, text)
+    assert outcome(lambda: read_snapshots(path).data) == outcome(
+        lambda: SnapshotHistory(oracle_read(text)).data
+    )
+
+
+GATE_ALPHABET = "0123456789.eE+- \t"  # the comma only separates fields
+
+
+@st.composite
+def gate_alphabet_texts(draw):
+    """A file whose rows use only the gate's alphabet: valid real entries, padded, mixed with
+    arbitrary fields over the same alphabet, most of them malformed."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    pad = st.text(st.sampled_from(" \t"), max_size=2)
+    valid = st.builds(lambda x, a, b: a + format_float(x) + b, floats, pad, pad)
+    field = st.one_of(valid, st.text(st.sampled_from(GATE_ALPHABET), max_size=6))
+    rows = [",".join(draw(st.lists(field, min_size=m, max_size=m))) for _ in range(n)]
+    return f"{n},{m}\n" + "\n".join(rows) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gate_alphabet_texts())
+def test_rows_over_the_gate_alphabet_read_like_oracle(tmp_path_factory, text):
+    """float() behind the gate accepts what the grammar accepts, with the same bits and errors."""
+    assert all(passes_real_gate(row) for row in text.splitlines()[1:])
+    assert_reads_like_oracle(tmp_path_factory, text)
+
+
+@pytest.mark.parametrize("char", ["i", "\xa0", "\u0660", "\x1f"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_rows_failing_the_gate_read_like_oracle(tmp_path_factory, char, data):
+    """One character outside the gate's alphabet, anywhere in a real row, sends the row to the grammar."""
+    values = data.draw(st.lists(floats, min_size=1, max_size=5))
+    row = ",".join(map(format_float, values))
+    at = data.draw(st.integers(0, len(row)))
+    row = row[:at] + char + row[at:]
+    assert not passes_real_gate(row)
+    text = f"1,{row.count(',') + 1}\n{row}\n"
+    assert_reads_like_oracle(tmp_path_factory, text)
+
+
+@pytest.mark.parametrize(
+    "values, line",
+    [
+        ([100.0, -0.0, 1e16, 1e-05, 5e-324, 1.7976931348623157e308, 0.1, 3.0],
+         "100,-0,1e+16,1e-05,5e-324,1.7976931348623157e+308,0.1,3"),
+        ([1 + 2j, complex(3.0, -0.0), complex(-0.0, 1e16), complex(0.1, -1e-05), 4.0,
+          complex(10.0, -20.0)],
+         "1+2i,3-0i,-0+1e+16i,0.1-1e-05i,4,10-20i"),
+    ],
+    ids=["real", "complex"],
+)
+def test_writer_pinned_bytes(tmp_path, values, line):
+    """The integral '.0' is dropped before ',', '+', '-', 'i' and the end of the line."""
+    path = tmp_path / "row.csv"
+    write_snapshots(SnapshotHistory(np.array([values], dtype=np.complex128)), path, format="csv")
+    assert path.read_bytes() == f"1,{len(values)}\n{line}\n".encode("ascii")

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 from dense_oracle import dense_factors, transition_matrix
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sclrom import (
     DegenerateHistory,
@@ -241,6 +243,27 @@ class TestVerifyMimetic:
         model, _ = fit(pair.clean)
         report = verify_mimetic(model, pair.perturbed, 1e-10)
         assert not report.passed
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 200).filter(lambda n: n % 64),
+        period=st.integers(1, 6),
+        extra=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=65, period=4, extra=2, seed=1)  # a last tile of one row
+    def test_fit_and_verify_residuals_are_bitwise_predict_gaps(self, n, period, extra, seed):
+        """Tiled residuals keep every bit, also on the column slice verify_mimetic takes."""
+        period = min(period, n // 2)
+        steps = period + extra
+        pair = almost_periodic_history(n, period, 1e-3, steps + 3, seed=seed)
+        train = SnapshotHistory(pair.perturbed.data[:, :steps].copy())
+        model, fit_report = fit(train, FitOptions(mode="least_squares", period=period))
+        report = verify_mimetic(model, pair.perturbed, 1.0)
+        direct = [np.linalg.norm(predict(model, t) - train.data[:, t]) for t in range(steps)]
+        assert np.array(fit_report.per_step).tobytes() == np.array(direct).tobytes()
+        assert [k for k, _ in report.per_step] == list(range(steps))
+        assert np.array([r for _, r in report.per_step]).tobytes() == np.array(direct).tobytes()
 
 
 class TestDetectPeriod:
