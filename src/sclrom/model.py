@@ -130,17 +130,11 @@ def _gap_norms(model: SclRomModel, data: np.ndarray) -> list[float]:
     """||x_t - data[:, t]||_2 for every column t of data.
 
     One norm per contiguous row of the (steps, n) gap matrix, so each value
-    is bitwise equal to ``norm(predict(model, t) - data[:, t])``. The
-    (n, steps) snapshots are read in tiles of 64 rows, each written
-    transposed into 64 columns of the gap matrix: reading them transposed
-    whole strides across all of memory and costs twice as much. Runs
+    is bitwise equal to ``norm(predict(model, t) - data[:, t])``. Runs
     under ``np.errstate(over="ignore")``: an overflowing residual reads inf.
     """
-    states = replay(model, 0, data.shape[1]).T
-    gaps = np.empty_like(states, order="C")
     with np.errstate(over="ignore"):
-        for j in range(0, data.shape[0], 64):
-            np.subtract(states[:, j : j + 64], data[j : j + 64].T, out=gaps[:, j : j + 64])
+        gaps = np.subtract(replay(model, 0, data.shape[1]).T, data.T, order="C")
         return [float(np.linalg.norm(gap)) for gap in gaps]
 
 

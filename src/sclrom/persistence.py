@@ -13,9 +13,9 @@ reading. The reader accepts whitespace around entries and skips blank
 lines; its errors name the physical line (as ``str.splitlines`` counts
 them, header = line 1) and the 1-based column. Each row is formatted,
 validated and converted as a whole, so the temporaries stay one row in
-size. A written row is one list ``repr`` of its floats (real and
-imaginary parts interleaved for a complex payload), with the integral
-``.0`` and the signs fixed by string replacement. A read row made only of
+size. A real row is written from one list ``repr`` of its floats, with
+the integral ``.0`` dropped by string replacement; a complex row joins
+one ``format_complex_entry`` per entry. A read row made only of
 ASCII digits, ``.eE+-``, commas, spaces and tabs is converted by
 ``float()``, which accepts exactly the grammar's entries over that
 alphabet; any other row, and any row ``float()`` rejects, is checked
@@ -89,35 +89,15 @@ def format_complex_entry(z: complex) -> str:
     return f"{re_part}{'-' if negative else '+'}{format_float(abs(z.imag))}i"
 
 
-def _drop_integral_zeros(text: str, ends: str) -> str:
-    """format_float's rule applied to whole lines.
+def _real_row_text(row: np.ndarray) -> str:
+    """One CSV line of format_float entries, from one list repr.
 
     repr writes '.0' only at the end of an integral float (1e+16, never
-    1.0e+16), so every '.0' followed by a character of ``ends``, the
-    characters that can follow a number, is one that format_float drops.
+    1.0e+16), so every '.0' before a comma or the line end is one that
+    format_float drops.
     """
-    for end in ends:
-        text = text.replace(".0" + end, end)
-    return text
-
-
-def _real_row_text(row: np.ndarray) -> str:
-    """One CSV line of format_float entries, from one list repr."""
-    return _drop_integral_zeros(repr(row.tolist())[1:-1].replace(", ", ",") + "\n", ",\n")
-
-
-def _complex_row_text(row: np.ndarray) -> str:
-    """One CSV line of format_complex_entry entries, from one list repr.
-
-    Each entry is first written 're+imi' with the signed imaginary part;
-    '+-' then becomes '-', and '+0.0i', which only a +0 imaginary part
-    writes, is left out. repr puts a '+' only after an 'e' and before a
-    digit, so every '+-' and '+0.0i' starts at the joining '+'.
-    """
-    parts = repr(np.ascontiguousarray(row).view(np.float64).tolist())[1:-1].split(", ")
-    text = "i,".join(map("+".join, zip(parts[0::2], parts[1::2]))) + "i\n"
-    text = text.replace("+-", "-").replace("+0.0i", "")
-    return _drop_integral_zeros(text, ",\n+-i")
+    text = repr(row.tolist())[1:-1].replace(", ", ",") + "\n"
+    return text.replace(".0,", ",").replace(".0\n", "\n")
 
 
 def parse_complex_entry(text: str, line: int, column: int) -> complex:
@@ -179,15 +159,15 @@ def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> N
                 fh.write(_encode_array(history.data))
         else:
             data = history.data
-            # a real payload has no imaginary part to print
-            if _payload_is_real(data):
-                rows, fmt = data.real, _real_row_text
-            else:
-                rows, fmt = data, _complex_row_text
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(f"{history.n},{history.m}\n")
-                for row in rows:
-                    fh.write(fmt(row))
+                # a real payload has no imaginary part to print
+                if _payload_is_real(data):
+                    for row in data.real:
+                        fh.write(_real_row_text(row))
+                else:
+                    for row in data:
+                        fh.write(",".join(map(format_complex_entry, row.tolist())) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 from dense_oracle import dense_factors, transition_matrix
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sclrom import (
@@ -246,14 +246,13 @@ class TestVerifyMimetic:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        n=st.integers(2, 200).filter(lambda n: n % 64),
+        n=st.integers(2, 200),
         period=st.integers(1, 6),
         extra=st.integers(0, 5),
         seed=st.integers(0, 2**16),
     )
-    @example(n=65, period=4, extra=2, seed=1)  # a last tile of one row
     def test_fit_and_verify_residuals_are_bitwise_predict_gaps(self, n, period, extra, seed):
-        """Tiled residuals keep every bit, also on the column slice verify_mimetic takes."""
+        """Residuals keep every bit, also on the column slice verify_mimetic takes."""
         period = min(period, n // 2)
         steps = period + extra
         pair = almost_periodic_history(n, period, 1e-3, steps + 3, seed=seed)
