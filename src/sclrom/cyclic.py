@@ -100,11 +100,14 @@ def check_orthogonal_system(vs: VectorSystem, tol: float = DEFAULT_TOL) -> OrthR
     additionally requires every norm within ``tol`` of 1.
     """
     cols = vs.columns
-    norms = np.linalg.norm(cols, axis=0)
-    gram = np.abs(cols.conj().T @ cols)
-    cross = gram / np.outer(norms, norms)
+    return _gram_orthogonality(cols.conj().T @ cols, np.linalg.norm(cols, axis=0), tol)
+
+
+def _gram_orthogonality(gram: np.ndarray, norms: np.ndarray, tol: float) -> OrthReport:
+    """:func:`check_orthogonal_system` from the Gram matrix and column norms."""
+    cross = np.abs(gram) / np.outer(norms, norms)
     np.fill_diagonal(cross, 0.0)
-    max_cross = float(cross.max()) if vs.m > 1 else 0.0
+    max_cross = float(cross.max()) if len(norms) > 1 else 0.0
     min_norm = float(norms.min())
     is_orthogonal = max_cross <= tol
     is_orthonormal = is_orthogonal and bool(np.max(np.abs(norms - 1.0)) <= tol)

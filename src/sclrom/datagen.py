@@ -19,20 +19,17 @@ from .ohf import SnapshotHistory, pin_column_phases
 def random_orthonormal_columns(n: int, m: int, seed) -> np.ndarray:
     """Seeded random orthonormal m-frame in C^n.
 
-    Gram-Schmidt over a complex Gaussian draw, followed by the phase
-    convention of the SVD factors (:func:`sclrom.ohf.pin_column_phases`).
+    The Q factor of a Householder QR of a complex Gaussian draw, followed
+    by the phase convention of the SVD factors
+    (:func:`sclrom.ohf.pin_column_phases`). The thin QR is unique up to
+    one phase per column and the convention fixes that phase, so the frame
+    equals the Gram-Schmidt orthonormalisation of the draw up to rounding.
     """
     if m > n:
         raise DimensionTooSmall(f"cannot fit {m} orthonormal columns in dimension {n}")
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    Q = np.zeros((n, m), dtype=np.complex128)
-    for j in range(m):
-        v = G[:, j]
-        for _ in range(2):
-            for k in range(j):
-                v = v - Q[:, k] * np.vdot(Q[:, k], v)
-        Q[:, j] = v / np.linalg.norm(v)
+    Q = np.linalg.qr(G)[0]
     pin_column_phases(Q)
     return Q
 

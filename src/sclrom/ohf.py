@@ -26,6 +26,7 @@ from .errors import (
     DegenerateHistory,
     DimensionMismatch,
     DimensionTooSmall,
+    InvariantViolation,
     NonFiniteData,
     NotOrthogonal,
     NumericalFailure,
@@ -33,6 +34,9 @@ from .errors import (
 
 DEFAULT_RANK_TOL = 1e-12
 _COMPLEMENT_DROP_TOL = 1e-8
+# the CholeskyQR2 complement falls back to the Gram-Schmidt loop beyond these
+_FAST_COMPLEMENT_MIN_PIVOT = 1e-6
+_FAST_COMPLEMENT_MAX_LOSS = 1e-4
 _ORTHOGONALITY_TOL = 1e-8
 
 
@@ -133,17 +137,24 @@ def thin_svd(history: SnapshotHistory) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return V, S, W
 
 
-def complement_basis(V: np.ndarray) -> np.ndarray:
-    """m orthonormal columns spanning a subspace orthogonal to range(V).
+def _gram_factor(G: np.ndarray) -> np.ndarray | None:
+    """Upper-triangular R with R* R = G, the conjugate transpose of the
+    Cholesky factor of G; None when G is not numerically positive definite.
+    """
+    try:
+        return np.linalg.cholesky(G).conj().T
+    except np.linalg.LinAlgError:
+        return None
 
-    Gram-Schmidt is seeded with the canonical basis vectors e_1, e_2, ... in
-    order, projecting out range(V) and previously accepted columns and
-    skipping candidates whose residual drops below 1e-8, so the result is a
-    deterministic function of V.
+
+def _complement_loop(V: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt complement of range(V), one canonical vector at a time.
+
+    Seeded with e_1, e_2, ... in order, it projects out range(V) and the
+    previously accepted columns (twice, against cancellation) and skips
+    candidates whose residual drops below 1e-8.
     """
     n, m = V.shape
-    if n < 2 * m:
-        raise DimensionTooSmall(f"complement of an m={m} frame needs n >= {2 * m}, got n={n}")
     accepted: list[np.ndarray] = []
     for i in range(n):
         r = np.zeros(n, dtype=np.complex128)
@@ -164,6 +175,47 @@ def complement_basis(V: np.ndarray) -> np.ndarray:
     return np.column_stack(accepted)
 
 
+def complement_basis(V: np.ndarray) -> np.ndarray:
+    """m orthonormal columns spanning a subspace orthogonal to range(V).
+
+    The result is the Gram-Schmidt orthonormalisation of e_1, e_2, ... in
+    order against range(V), skipping candidates whose residual drops below
+    1e-8, so it is a deterministic function of V.
+
+    Fast path, in GEMMs and m x m work: e_1..e_m are projected against V as
+    one block, B = (1 - V V*)[e_1..e_m], twice; then CholeskyQR2
+    orthonormalises B. Pass 1 takes R_1 = chol(B* B)* and Q_1 = B R_1^-1.
+    Q_1 is projected against V once more, because R_1^-1 amplifies the
+    rounding-level range(V) components of B by up to cond(B) and pass 2
+    cannot remove them. Pass 2 repeats the factorisation on Q_1. The QR
+    with a positive diagonal is unique and the Cholesky pivots are the
+    Gram-Schmidt residual norms, so this is the loop's result up to
+    rounding whenever the loop skips nothing.
+
+    CholeskyQR squares the condition number of B, so the fast path is only
+    taken when it is accurate. The loop (:func:`_complement_loop`, same
+    bits as ever) runs instead when the Cholesky factorisation of B* B
+    fails, when a pivot is at most 1e-6 (near the 1e-8 skip rule), or when
+    pass 1 lost orthogonality: ||Q_1* Q_1 - 1||_F > 1e-4, which a
+    condition number of about 1e6 reaches.
+    """
+    n, m = V.shape
+    if n < 2 * m:
+        raise DimensionTooSmall(f"complement of an m={m} frame needs n >= {2 * m}, got n={n}")
+    V_adj = V.conj().T
+    B = np.eye(n, m, dtype=np.complex128) - V @ V_adj[:, :m]
+    B -= V @ (V_adj @ B)
+    R = _gram_factor(B.conj().T @ B)
+    if R is None or not R.diagonal().real.min() > _FAST_COMPLEMENT_MIN_PIVOT:
+        return _complement_loop(V)
+    Q = B @ np.linalg.inv(R)
+    Q -= V @ (V_adj @ Q)
+    G = Q.conj().T @ Q
+    if not np.linalg.norm(G - np.eye(m)) <= _FAST_COMPLEMENT_MAX_LOSS:
+        return _complement_loop(V)
+    return Q @ np.linalg.inv(_gram_factor(G))
+
+
 def replay_operator(V: np.ndarray, Vhat: np.ndarray, rho: complex) -> np.ndarray:
     """R = V (V* Vhat) circ(g) with g = rho Vhat* vhat_1 (n x m).
 
@@ -177,40 +229,59 @@ def replay_operator(V: np.ndarray, Vhat: np.ndarray, rho: complex) -> np.ndarray
     return V @ ((V.conj().T @ Vhat) @ CirculantElement(g).to_matrix())
 
 
-def _unitarity_residual(E: np.ndarray, F: np.ndarray) -> float:
-    """||U* U - 1||_F for U = 1 + E F*, in O(n m^2).
+def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:
+    """||U* U - 1||_F for the shift factor U = 1 + E F* of frame columns
+    Vhat with Gram matrix G = Vhat* Vhat = R* R, in O(m^3).
 
-    U* U - 1 = Z M Z* with Z = [E F] and M = [[0, 1], [1, E* E]]; with the
-    thin QR Z = Q R_Z the norm is ||R_Z M R_Z*||_F.
+    [E F] = Vhat B with B = [S - 1, D^-1], S the cyclic shift and
+    D = diag(G), and U* U - 1 = Z M Z* with Z = [E F] and
+    M = [[0, 1], [1, E* E]]. Vhat = Q R with orthonormal Q, so the norm is
+    ||(R B) M (R B)*||_F with E* E = (R (S - 1))* (R (S - 1)). The
+    cancellation happens inside an m x m product of O(1) entries.
     """
-    m = E.shape[1]
+    m = G.shape[0]
+    RE = np.roll(R, -1, axis=1) - R
+    RB = np.hstack([RE, R / G.diagonal().real])
     M = np.zeros((2 * m, 2 * m), dtype=np.complex128)
     M[:m, m:] = M[m:, :m] = np.eye(m)
-    M[m:, m:] = E.conj().T @ E
-    R_Z = np.linalg.qr(np.hstack([E, F]), mode="r")
-    return float(np.linalg.norm(R_Z @ M @ R_Z.conj().T))
+    M[m:, m:] = RE.conj().T @ RE
+    return float(np.linalg.norm(RB @ M @ RB.conj().T))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # callers reject inf and NaN residuals
-def frame_residuals(V: np.ndarray, Vhat: np.ndarray) -> dict[str, float]:
+def frame_residuals(
+    V: np.ndarray, Vhat: np.ndarray, vhat_gram: np.ndarray | None = None
+) -> dict[str, float]:
     """Frobenius residuals of the factorization invariants, from the frames.
 
-    Each value equals its dense n x n counterpart up to rounding, computed
-    in O(n m^2) time and O(n m) memory:
+    Each value equals its dense n x n counterpart up to rounding. One Gram
+    matrix per frame, G = Vhat* Vhat (``vhat_gram``, if the caller already
+    has it) and G_V = V* V, is the only O(n m^2) work; the rest is m x m,
+    through the Cholesky factors R with R* R = G and R_V* R_V = G_V, which
+    stand in for the R of a thin QR:
 
     - ||Vhat* Vhat - 1|| and ||V* V - 1||;
-    - ||U* U - 1|| for the shift factor U of Vhat;
-    - ||K^2 - K|| = ||R_V (V* V - 1) R_V*|| with the thin QR V = Q R_V;
+    - ||U* U - 1|| for the shift factor U of Vhat (:func:`_unitarity_residual`);
+    - ||K^2 - K|| = ||R_V (V* V - 1) R_V*||;
     - ||T^2 - T|| = |(||vhat_1||^2 - 1)| ||vhat_1||^2.
+
+    A Gram matrix that is not positive definite belongs to a frame with
+    dependent columns, which no valid model file holds: InvariantViolation,
+    naming the residual that needed the factor.
     """
     eye = np.eye(V.shape[1])
-    V_gap = V.conj().T @ V - eye
-    R_V = np.linalg.qr(V, mode="r")
+    G = Vhat.conj().T @ Vhat if vhat_gram is None else vhat_gram
+    G_V = V.conj().T @ V
+    R, R_V = _gram_factor(G), _gram_factor(G_V)
+    for name, factor, frame in (("shift factor unitary", R, "Vhat"), ("K idempotent", R_V, "V")):
+        if factor is None:
+            raise InvariantViolation(f"{name}: Gram matrix of {frame} is not positive definite")
+    V_gap = G_V - eye
     vhat1_sq = float(np.vdot(Vhat[:, 0], Vhat[:, 0]).real)
     return {
-        "Vhat columns orthonormal": float(np.linalg.norm(Vhat.conj().T @ Vhat - eye)),
+        "Vhat columns orthonormal": float(np.linalg.norm(G - eye)),
         "V columns orthonormal": float(np.linalg.norm(V_gap)),
-        "shift factor unitary": _unitarity_residual(*shift_factors(Vhat)),
+        "shift factor unitary": _unitarity_residual(G, R),
         "K idempotent": float(np.linalg.norm(R_V @ V_gap @ R_V.conj().T)),
         "T idempotent": abs(vhat1_sq - 1.0) * vhat1_sq,
     }
@@ -311,7 +382,8 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     unitary_residual = ||U* U - 1||_F
 
     Each residual is evaluated through the frames in O(n m^2), with no
-    n x n matrix formed.
+    n x n matrix formed. Raises NotOrthogonal when the Vhat columns are
+    linearly dependent, so that U* U - 1 has no Cholesky form.
     """
     if ohf.n != history.n or ohf.m != history.m:
         raise DimensionMismatch(
@@ -329,6 +401,10 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     recon = ohf.kappa * (V @ (V.conj().T @ Vhat))
     col_norms = np.linalg.norm(history.data, axis=0)
     k_residual = float(np.max(np.linalg.norm(recon - history.data, axis=0) / col_norms))
-    unitary_residual = _unitarity_residual(E, F)
+    G = Vhat.conj().T @ Vhat
+    R = _gram_factor(G)
+    if R is None:
+        raise NotOrthogonal("Vhat columns are linearly dependent: Gram matrix not positive definite")
+    unitary_residual = _unitarity_residual(G, R)
     passed = max(t_residual, shift_residual, k_residual, unitary_residual) <= tol
     return OhfReport(t_residual, shift_residual, k_residual, unitary_residual, passed)

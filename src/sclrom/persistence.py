@@ -38,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .cyclic import VectorSystem, check_orthogonal_system
+from .cyclic import VectorSystem, _gram_orthogonality
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -334,7 +334,9 @@ def read_model(path) -> SclRomModel:
     try:
         # huge entries read inf or NaN, which this gate or the frame residuals reject
         with np.errstate(all="ignore"):
-            orth = check_orthogonal_system(VectorSystem(Vhat), _LOAD_TOL)
+            cols = VectorSystem(Vhat).columns
+            gram = cols.conj().T @ cols  # shared by the gate and the frame residuals
+            orth = _gram_orthogonality(gram, np.linalg.norm(cols, axis=0), _LOAD_TOL)
     except SclRomError as exc:
         raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
     if not orth.is_orthogonal:
@@ -342,7 +344,7 @@ def read_model(path) -> SclRomModel:
             f"stored frames are inconsistent: max relative cross product "
             f"{orth.max_cross:.3e} exceeds tol {_LOAD_TOL:.3e}"
         )
-    for name, residual in frame_residuals(V, Vhat).items():
+    for name, residual in frame_residuals(V, Vhat, gram).items():
         # "not <=" so NaN residuals from corrupt payloads also fail
         if not (residual <= _LOAD_TOL * max(1.0, float(m))):
             raise InvariantViolation(f"{name}: residual {residual:.3e}")

@@ -2,23 +2,32 @@
 import numpy as np
 import pytest
 from dense_oracle import dense_factors
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sclrom.ohf
 from sclrom import (
     DegenerateHistory,
     DimensionMismatch,
     DimensionTooSmall,
+    FitOptions,
+    GaussianBump,
     NonFiniteData,
     NotOrthogonal,
     NumericalFailure,
     SnapshotHistory,
+    WaveConfig,
     build_ohf,
     complement_basis,
+    fit,
     periodic_history,
     random_orthonormal_columns,
+    simulate_wave_1d,
     thin_svd,
+    verify_mimetic,
     verify_ohf,
 )
+from sclrom.ohf import _complement_loop
 
 
 class TestSnapshotHistory:
@@ -106,6 +115,78 @@ class TestComplementBasis:
         U = complement_basis(V)
         assert np.linalg.norm(U.conj().T @ V) <= 1e-12
         assert np.linalg.norm(U.conj().T @ U - np.eye(3)) <= 1e-12
+
+
+def _loop_spy(monkeypatch):
+    """Record every call of the Gram-Schmidt fallback of complement_basis."""
+    calls = []
+
+    def spy(V):
+        calls.append(V.shape)
+        return _complement_loop(V)
+
+    monkeypatch.setattr(sclrom.ohf, "_complement_loop", spy)
+    return calls
+
+
+class TestFastComplement:
+    """The CholeskyQR2 path of complement_basis against the Gram-Schmidt loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 100), st.integers(0, 2**32 - 1))
+    def test_matches_loop_on_well_conditioned_frames(self, m, extra, seed):
+        # n >= 8m keeps the projected block (1 - V V*)[e_1..e_m] far from
+        # rank deficient, so the fast path must be taken
+        V = random_orthonormal_columns(8 * m + extra, m, seed)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _loop_spy(monkeypatch)
+            U = complement_basis(V)
+        assert calls == []
+        assert np.max(np.abs(U - _complement_loop(V))) <= 1e-12
+        assert np.linalg.norm(U.conj().T @ V) <= 1e-14
+
+    def test_wave_frame_takes_the_loop_bitwise(self):
+        """The frame of the wave workload (nx=512, nt=192, Gaussian of width
+        0.05 centred from seed 7, truncated): its projected block has a
+        condition number near 1e9 behind Cholesky pivots of order 0.1, so
+        only the loss-of-orthogonality gate can send it to the loop."""
+        center = 0.25 + 0.5 * float(np.random.default_rng(7).random())
+        cfg = WaveConfig(L=1.0, c=1.0, nx=512, nt=192, dt=2.0 / 192,
+                         w0=GaussianBump(center, 0.05))
+        history = simulate_wave_1d(cfg)
+        V, s, _ = thin_svd(history)
+        V = np.ascontiguousarray(V[:, : np.count_nonzero(s > 1e-12 * s[0])])
+        assert complement_basis(V).tobytes() == _complement_loop(V).tobytes()
+        model, _ = fit(history, FitOptions(mode="least_squares", truncate_rank=True))
+        eps = 1e-8 * float(np.max(np.linalg.norm(history.data, axis=0)))
+        assert verify_mimetic(model, history, eps).passed
+
+    def test_frame_holding_e1_takes_the_loop(self, monkeypatch):
+        # e_1 projects to zero, so B* B is singular and Cholesky fails
+        V = random_orthonormal_columns(16, 4, seed=1)
+        V[:, 0] = 0.0
+        V[0, 0] = 1.0
+        V = np.linalg.qr(V)[0]
+        calls = _loop_spy(monkeypatch)
+        U = complement_basis(V)
+        assert calls == [(16, 4)]
+        assert U.tobytes() == _complement_loop(V).tobytes()
+        assert np.linalg.norm(U.conj().T @ V) <= 1e-14
+
+    def test_frame_that_fires_the_skip_rule_takes_the_loop(self, monkeypatch):
+        # e_2 lies within 1e-9 of range(V): the loop skips it and takes e_4
+        rng = np.random.default_rng(3)
+        V = random_orthonormal_columns(16, 3, seed=2)
+        V[:, 0] = 0.0
+        V[1, 0] = 1.0
+        V[:, 0] += 1e-9 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        V = np.linalg.qr(V)[0]
+        calls = _loop_spy(monkeypatch)
+        U = complement_basis(V)
+        assert calls == [(16, 3)]
+        assert U.tobytes() == _complement_loop(V).tobytes()
+        # no column is built on e_2, and e_4 entered in its place
+        assert np.abs(U[1]).max() <= 1e-8 and np.abs(U[3]).max() > 0.5
 
 
 class TestBuildOhf:
@@ -252,6 +333,15 @@ class TestVerifyOhf:
         assert not report.passed
         assert report.shift_residual > 0.1
         assert report.unitary_residual > 0.1
+
+    def test_dependent_frame_columns_rejected(self):
+        # equal columns: the Gram matrix of Vhat has no Cholesky factor
+        h = periodic_history(16, 4, seed=1)
+        ohf = build_ohf(h)
+        ohf.Vhat = ohf.Vhat.copy()
+        ohf.Vhat[:, 2] = ohf.Vhat[:, 0]
+        with pytest.raises(NotOrthogonal, match="linearly dependent"):
+            verify_ohf(ohf, h)
 
     def test_single_snapshot_shift_residual_zero(self):
         h = SnapshotHistory(np.array([[2.0], [0.0], [0.0], [0.0]], dtype=complex))

@@ -22,6 +22,7 @@ from sclrom import (
     write_model,
     write_snapshots,
 )
+from sclrom.cli import run_cli
 from sclrom.persistence import (
     _decode_array,
     _encode_array,
@@ -254,6 +255,24 @@ class TestModelFormat:
         with pytest.raises(InvariantViolation) as exc:
             read_model(path)
         assert "stored frames are inconsistent" in str(exc.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_frame_gram_rejected(self, fitted, tmp_path, capsys):
+        # two equal V columns: the Vhat orthogonality gate passes, but the
+        # Gram matrix of V is singular and has no Cholesky factor
+        fitted.ohf.V[:, 1] = fitted.ohf.V[:, 0]
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        with pytest.raises(InvariantViolation) as exc:
+            read_model(path)
+        assert str(exc.value) == "K idempotent: Gram matrix of V is not positive definite"
+        snapshots = tmp_path / "h.bin"
+        write_snapshots(periodic_history(32, 4, seed=3), snapshots)
+        capsys.readouterr()
+        assert run_cli(["verify", str(path), str(snapshots)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"sclrom verify: {exc.value}\n"
 
     def test_truncated_array_header_rejected(self, fitted, tmp_path):
         path = tmp_path / "m.bin"
