@@ -1,12 +1,12 @@
-"""Circulant algebra and the compression maps onto it.
+"""Circulant matrices and the commuting-diagram check.
 
-Elements of the commutative algebra of m x m circulant matrices are stored
-as coefficient vectors on the powers of the cyclic permutation matrix;
-multiplication is cyclic convolution of coefficients. The compression
-X -> Vhat* X Vhat carries the shift factor of an orthonormal history
-factor onto the cyclic permutation matrix, which is what
-:func:`check_commuting_diagram` verifies degree by degree, and the lift
-Y -> Vhat Y Vhat* goes back up.
+An element of the group algebra C[Z/m] is a coefficient vector c on the
+powers of the m x m cyclic permutation matrix C_m; it is stored as a plain
+array (one column of a fitted model's coefficients) and becomes the
+circulant matrix sum_j c_j C_m^j only where a product needs it
+(:func:`circulant_matrix`). The compression X -> Vhat* X Vhat carries the
+shift factor of an orthonormal history factor onto C_m, which is what
+:func:`check_commuting_diagram` verifies degree by degree.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from .cyclic import shift_factors
 from .errors import DimensionMismatch
 
-if TYPE_CHECKING:  # ohf builds its replay operator from CirculantElement
+if TYPE_CHECKING:  # ohf builds its replay operator from circulant_matrix
     from .ohf import OhfFactorization
 
 
@@ -29,70 +29,10 @@ def cyclic_shift_matrix(m: int) -> np.ndarray:
     return np.roll(np.eye(m, dtype=np.complex128), 1, axis=0)
 
 
-@dataclass(eq=False)
-class CirculantElement:
-    """Coefficient vector c of the circulant matrix sum_j c_j C_m^j."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.complex128))
-        if c.ndim != 1 or c.shape[0] < 1:
-            raise DimensionMismatch("coefficients must be a nonempty 1-D vector")
-        self.coeffs = c
-
-    @property
-    def m(self) -> int:
-        return self.coeffs.shape[0]
-
-    def to_matrix(self) -> np.ndarray:
-        # column k of sum_j c_j C^j is the coefficient vector shifted down k
-        return np.column_stack([np.roll(self.coeffs, k) for k in range(self.m)])
-
-    def __mul__(self, other: "CirculantElement") -> "CirculantElement":
-        if not isinstance(other, CirculantElement):
-            return NotImplemented
-        if self.m != other.m:
-            raise DimensionMismatch(f"orders differ: {self.m} vs {other.m}")
-        m = self.m
-        diff = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-        return CirculantElement(self.coeffs @ other.coeffs[diff])
-
-
-def monomial_element(m: int, t: int, scale: complex) -> CirculantElement:
-    """scale * C_m^t as a circulant element; the exponent reduces mod m."""
-    if m < 1:
-        raise DimensionMismatch(f"order must be positive, got {m}")
-    if t < 0:
-        raise DimensionMismatch(f"exponent must be nonnegative, got {t}")
-    c = np.zeros(m, dtype=np.complex128)
-    c[t % m] = scale
-    return CirculantElement(c)
-
-
-def compress(ohf: OhfFactorization, X: np.ndarray) -> np.ndarray:
-    """Vhat* X Vhat: compress an n x n matrix onto the m x m frame block.
-
-    Restricted to the algebra generated by the shift factor this is an
-    algebra homomorphism onto the circulants; in particular the shift
-    factor itself compresses to the cyclic permutation matrix.
-    """
-    X = np.asarray(X, dtype=np.complex128)
-    if X.shape != (ohf.n, ohf.n):
-        raise DimensionMismatch(f"expected {(ohf.n, ohf.n)}, got {X.shape}")
-    return ohf.Vhat.conj().T @ X @ ohf.Vhat
-
-
-def lift(ohf: OhfFactorization, Y: np.ndarray) -> np.ndarray:
-    """Vhat Y Vhat*: lift an m x m matrix into the frame's range.
-
-    The lift preserves products and its output commutes with the span
-    projector Vhat Vhat*.
-    """
-    Y = np.asarray(Y, dtype=np.complex128)
-    if Y.shape != (ohf.m, ohf.m):
-        raise DimensionMismatch(f"expected {(ohf.m, ohf.m)}, got {Y.shape}")
-    return ohf.Vhat @ Y @ ohf.Vhat.conj().T
+def circulant_matrix(c: np.ndarray) -> np.ndarray:
+    """sum_j c_j C_m^j for a coefficient vector c of length m: entry (i, j) is c_{(i-j) mod m}."""
+    m = c.shape[0]
+    return c[(np.arange(m)[:, None] - np.arange(m)) % m]
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionTooSmall, InsufficientData, NumericalFailure
-from .ohf import SnapshotHistory, pin_column_phases
+from .ohf import SnapshotHistory, _check_entries, pin_column_phases
 
 
 def random_orthonormal_columns(n: int, m: int, seed) -> np.ndarray:
@@ -53,6 +53,8 @@ def periodic_history(n: int, period: int, seed: int, horizon: int | None = None)
     horizon = period if horizon is None else horizon
     if horizon < 1:
         raise InsufficientData(f"horizon must be positive, got {horizon}")
+    _check_entries("n * period", n * period)
+    _check_entries("n * horizon", n * horizon)
     rng = np.random.default_rng(seed)
     frame = random_orthonormal_columns(n, period, rng)
     magnitudes = 0.5 + rng.random(period)
@@ -154,6 +156,7 @@ class WaveConfig:
             raise ConfigInvalid(f"need at least 3 interior grid points, got {self.nx}")
         if self.nt < 1:
             raise ConfigInvalid(f"need at least 1 time step, got {self.nt}")
+        _check_entries("nx * (nt + 1)", self.nx * (self.nt + 1))
         with np.errstate(all="ignore"):  # the stencil scales must be positive finite floats
             inv_dx2 = 1.0 / np.float64(self.dx) ** 2
             if not 0.0 < inv_dx2 < np.inf or not 0.0 < np.float64(self.c) ** 2 * inv_dx2 < np.inf:

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import monomial_element
 from .errors import ConfigInvalid, DimensionMismatch, InsufficientData
-from .ohf import OhfFactorization, SnapshotHistory, build_ohf
+from .ohf import OhfFactorization, SnapshotHistory, _check_entries, build_ohf
 
 MODE_MONOMIAL = "monomial"
 MODE_LEAST_SQUARES = "least_squares"
@@ -33,8 +32,9 @@ class FitOptions:
     """Fitting controls.
 
     mode : "monomial" or "least_squares".
-    epsilon : target training residual; missing it is reported, not fatal.
-    rank_tol : relative singular-value threshold for degeneracy.
+    epsilon : target training residual, nonnegative; missing it is reported,
+        not fatal.
+    rank_tol : relative singular-value threshold for degeneracy, in [0, 1).
     truncate_rank : reduce the frame to the numerical rank instead of
         raising on degenerate snapshots.
     period : number of leading snapshots used to build the frame; defaults
@@ -50,8 +50,11 @@ class FitOptions:
     def __post_init__(self):
         if self.mode not in (MODE_MONOMIAL, MODE_LEAST_SQUARES):
             raise ConfigInvalid(f"unknown mode {self.mode!r}")
-        if self.epsilon < 0:
+        # written so that NaN fails too
+        if not self.epsilon >= 0.0:
             raise ConfigInvalid(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 <= self.rank_tol < 1.0:
+            raise ConfigInvalid(f"rank_tol must be in [0, 1), got {self.rank_tol}")
 
 
 @dataclass(eq=False)
@@ -60,10 +63,19 @@ class SclRomModel:
 
     ohf: OhfFactorization
     coeffs: np.ndarray  # (m, T), column t holds the step-t element
-    period: int
     epsilon_achieved: float
-    n: int
-    m: int
+
+    @property
+    def n(self) -> int:
+        return self.ohf.n
+
+    @property
+    def m(self) -> int:
+        return self.ohf.m
+
+    @property
+    def period(self) -> int:
+        return self.coeffs.shape[1]
 
 
 @dataclass
@@ -83,13 +95,6 @@ class MimeticReport:
     eps: float
 
 
-@dataclass
-class PeriodReport:
-    best_T: int
-    scores: dict[int, float]
-    within_tol: bool
-
-
 def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     """Model states for steps t0 <= t < t1, one per column, shape (n, t1 - t0).
 
@@ -105,6 +110,7 @@ def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     """
     if t0 < 0 or t1 < t0:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
+    _check_entries("n * (t1 - t0)", model.n * (t1 - t0))
     rows = model.coeffs.T @ model.ohf.R.T
     start = t0 % model.period
     if start + (t1 - t0) <= model.period:
@@ -173,9 +179,8 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
 
     if opts.mode == MODE_MONOMIAL:
         coeffs = np.zeros((m, T), dtype=np.complex128)
-        scale = ohf.kappa / ohf.rho
-        for t in range(T):
-            coeffs[:, t] = monomial_element(m, t, scale).coeffs
+        t = np.arange(T)
+        coeffs[t % m, t] = ohf.kappa / ohf.rho
     else:
         # min_c ||rho * CH c - v_{t+1}|| with CH = V diag(s_j/s_1) W, solved
         # through the pseudo-inverse assembled from the stored SVD factors
@@ -183,9 +188,7 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
         inv_scale = ohf.kappa / (ohf.rho * s)
         coeffs = W.conj().T @ (inv_scale[:, None] * (V.conj().T @ history.data))
 
-    model = SclRomModel(
-        ohf=ohf, coeffs=coeffs, period=T, epsilon_achieved=0.0, n=history.n, m=m
-    )
+    model = SclRomModel(ohf=ohf, coeffs=coeffs, epsilon_achieved=0.0)
     per_step = _gap_norms(model, history.data)
     model.epsilon_achieved = max(per_step) if per_step else 0.0
     report = FitReport(
@@ -203,8 +206,11 @@ def verify_mimetic(model: SclRomModel, history: SnapshotHistory, eps: float) -> 
     ||predict(model, k) - v_{k+1}||_2, the quantity printed by the
     verification log of the command-line front end. The states come from
     one :func:`replay` of the checked range, bitwise equal to ``predict``;
-    an overflowing residual reads inf and fails.
+    an overflowing residual reads inf and fails. A negative or NaN eps
+    raises ConfigInvalid.
     """
+    if not eps >= 0.0:  # False for NaN too
+        raise ConfigInvalid(f"eps must be nonnegative, got {eps}")
     if history.n != model.n:
         raise DimensionMismatch(
             f"model has state dimension {model.n} but history has {history.n}"
@@ -220,30 +226,3 @@ def verify_mimetic(model: SclRomModel, history: SnapshotHistory, eps: float) -> 
         n=model.n,
         eps=eps,
     )
-
-
-def detect_period(
-    history: SnapshotHistory, candidates: list[int], tol: float = 1e-10
-) -> PeriodReport:
-    """Score candidate periods by the worst wrap-around column mismatch.
-
-    score(T) = max_t ||v_{t+T} - v_t|| / max_t ||v_t|| over every t with
-    both columns available; the best candidate minimizes the score, ties
-    going to the smaller period.
-    """
-    if not candidates:
-        raise InsufficientData("no candidate periods supplied")
-    if any(c < 1 for c in candidates):
-        raise InsufficientData("candidate periods must be positive")
-    M = history.m
-    needed = 2 * max(candidates)
-    if M < needed:
-        raise InsufficientData(f"need at least {needed} snapshots, got {M}")
-    denom = float(np.max(np.linalg.norm(history.data, axis=0)))
-    scores: dict[int, float] = {}
-    for T in candidates:
-        diffs = history.data[:, T:] - history.data[:, :-T]
-        worst = float(np.max(np.linalg.norm(diffs, axis=0)))
-        scores[T] = worst / denom if denom > 0.0 else 0.0
-    best_T = min(candidates, key=lambda T: (scores[T], T))
-    return PeriodReport(best_T=best_T, scores=scores, within_tol=scores[best_T] <= tol)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import CirculantElement
+from .circulant import circulant_matrix
 from .cyclic import VectorSystem, check_orthogonal_system, shift_factors
 from .errors import (
+    ConfigInvalid,
     DegenerateHistory,
     DimensionMismatch,
     DimensionTooSmall,
@@ -38,6 +39,17 @@ _COMPLEMENT_DROP_TOL = 1e-8
 _FAST_COMPLEMENT_MIN_PIVOT = 1e-6
 _FAST_COMPLEMENT_MAX_LOSS = 1e-4
 _ORTHOGONALITY_TOL = 1e-8
+# numpy refuses an array of more than intp-max bytes, 16 per complex128 entry
+_MAX_ENTRIES = np.iinfo(np.intp).max // 16
+
+
+def _check_entries(name: str, count: int) -> None:
+    """ConfigInvalid naming ``name`` when an array of ``count`` complex128
+    entries is beyond what numpy can allocate."""
+    if count > _MAX_ENTRIES:
+        raise ConfigInvalid(
+            f"{name} is {count}, beyond the {_MAX_ENTRIES} complex entries of one array"
+        )
 
 
 @dataclass(eq=False)
@@ -226,7 +238,7 @@ def replay_operator(V: np.ndarray, Vhat: np.ndarray, rho: complex) -> np.ndarray
     from bit-identical inputs.
     """
     g = rho * (Vhat.conj().T @ Vhat[:, 0])
-    return V @ ((V.conj().T @ Vhat) @ CirculantElement(g).to_matrix())
+    return V @ ((V.conj().T @ Vhat) @ circulant_matrix(g))
 
 
 def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:

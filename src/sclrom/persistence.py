@@ -49,12 +49,17 @@ from .errors import (
     VersionUnsupported,
 )
 from .model import SclRomModel
-from .ohf import OhfFactorization, SnapshotHistory, frame_residuals, replay_operator
+from .ohf import (
+    _ORTHOGONALITY_TOL,
+    OhfFactorization,
+    SnapshotHistory,
+    frame_residuals,
+    replay_operator,
+)
 
 SNAPSHOT_MAGIC = b"SCLROM01"
 MODEL_FORMAT_VERSION = 1
 _MODEL_HEADER_PREFIX = "SCLROM-MODEL v"
-_LOAD_TOL = 1e-8
 _HEADER_BYTES = 32
 
 # One entry with the whitespace that str.strip() removes (re's \s is the
@@ -336,17 +341,17 @@ def read_model(path) -> SclRomModel:
         with np.errstate(all="ignore"):
             cols = VectorSystem(Vhat).columns
             gram = cols.conj().T @ cols  # shared by the gate and the frame residuals
-            orth = _gram_orthogonality(gram, np.linalg.norm(cols, axis=0), _LOAD_TOL)
+            orth = _gram_orthogonality(gram, np.linalg.norm(cols, axis=0), _ORTHOGONALITY_TOL)
     except SclRomError as exc:
         raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
     if not orth.is_orthogonal:
         raise InvariantViolation(
             f"stored frames are inconsistent: max relative cross product "
-            f"{orth.max_cross:.3e} exceeds tol {_LOAD_TOL:.3e}"
+            f"{orth.max_cross:.3e} exceeds tol {_ORTHOGONALITY_TOL:.3e}"
         )
     for name, residual in frame_residuals(V, Vhat, gram).items():
         # "not <=" so NaN residuals from corrupt payloads also fail
-        if not (residual <= _LOAD_TOL * max(1.0, float(m))):
+        if not (residual <= _ORTHOGONALITY_TOL * max(1.0, float(m))):
             raise InvariantViolation(f"{name}: residual {residual:.3e}")
 
     ohf = OhfFactorization(
@@ -358,6 +363,4 @@ def read_model(path) -> SclRomModel:
         singular_values=None,
         W=None,
     )
-    return SclRomModel(
-        ohf=ohf, coeffs=coeffs, period=period, epsilon_achieved=epsilon, n=n, m=m
-    )
+    return SclRomModel(ohf=ohf, coeffs=coeffs, epsilon_achieved=epsilon)

@@ -1,13 +1,54 @@
-"""Dense n x n oracles for the rank-m operator paths.
+"""Dense n x n oracles for the rank-m operator paths, and the circulant algebra.
 
 The library applies K, T, U and H_t through thin n x m factors. The
 functions here build every operator as a dense matrix from its defining
 formula instead, so the thin paths can be checked against an independent
-computation at small n.
+computation at small n. The product of the group algebra C[Z/m] (cyclic
+convolution) and the compression and lift maps between n x n and m x m
+matrices live here too: the pipeline never calls them, the tests check the
+paper's algebra through them.
 """
 import numpy as np
 
-from sclrom import CirculantElement, SnapshotHistory, cyclic_shift_matrix
+from sclrom import DimensionMismatch, SnapshotHistory, cyclic_shift_matrix
+
+
+def circulant(c):
+    """sum_j c_j C_m^j, summed term by term from powers of the cyclic permutation."""
+    m = len(c)
+    return sum(c[j] * np.roll(np.eye(m, dtype=np.complex128), j, axis=0) for j in range(m))
+
+
+def cyclic_convolution(a, b):
+    """Coefficients of circ(a) circ(b): (a * b)_k = sum_j a_j b_{(k - j) mod m}."""
+    m = len(a)
+    if len(b) != m:
+        raise DimensionMismatch(f"orders differ: {m} vs {len(b)}")
+    diff = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    return a @ b[diff]
+
+
+def compress(ohf, X):
+    """Vhat* X Vhat: an n x n matrix compressed onto the m x m frame block.
+
+    Restricted to the algebra generated by the shift factor this is an
+    algebra homomorphism onto the circulants; in particular the shift
+    factor itself compresses to the cyclic permutation matrix.
+    """
+    if X.shape != (ohf.n, ohf.n):
+        raise DimensionMismatch(f"expected {(ohf.n, ohf.n)}, got {X.shape}")
+    return ohf.Vhat.conj().T @ X @ ohf.Vhat
+
+
+def lift(ohf, Y):
+    """Vhat Y Vhat*: an m x m matrix lifted into the frame's range.
+
+    The lift preserves products and its output commutes with the span
+    projector Vhat Vhat*.
+    """
+    if Y.shape != (ohf.m, ohf.m):
+        raise DimensionMismatch(f"expected {(ohf.m, ohf.m)}, got {Y.shape}")
+    return ohf.Vhat @ Y @ ohf.Vhat.conj().T
 
 
 def orthogonal_projector(cols):
@@ -70,9 +111,8 @@ def dense_diagram_residuals(ohf, degrees, seed=0):
 
 def transition_matrix(model, t):
     """Step-t transition matrix Vhat circ(c_{t mod T}) Vhat*, dense n x n; rank <= m."""
-    element = CirculantElement(model.coeffs[:, t % model.period])
     Vhat = model.ohf.Vhat
-    return Vhat @ element.to_matrix() @ Vhat.conj().T
+    return Vhat @ circulant(model.coeffs[:, t % model.period]) @ Vhat.conj().T
 
 
 def dense_predict(model, t):

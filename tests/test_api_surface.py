@@ -7,11 +7,12 @@ from sclrom import circulant, cyclic, model, ohf, persistence
 
 REMOVED = {
     sclrom: ["ControlTuple", "SvdTriple", "circulant_to_matrix", "orthogonal_projector",
-             "project_span", "transition_matrix"],
-    circulant: ["ControlTuple", "MANIFOLD_TAGS", "circulant_to_matrix", "project_span"],
-    circulant.CirculantElement: ["identity", "__add__"],
+             "project_span", "transition_matrix", "CirculantElement", "monomial_element",
+             "compress", "lift", "detect_period", "PeriodReport"],
+    circulant: ["ControlTuple", "MANIFOLD_TAGS", "circulant_to_matrix", "project_span",
+                "CirculantElement", "monomial_element", "compress", "lift"],
     cyclic: ["orthogonal_projector"],
-    model: ["transition_matrix"],
+    model: ["transition_matrix", "detect_period", "PeriodReport"],
     model.SclRomModel: ["to_control_tuple", "element"],
     ohf: ["SvdTriple", "_shift_parts"],
     ohf.SnapshotHistory: ["column", "dt_meta"],

@@ -1,31 +1,28 @@
-"""Tests for circulant elements and the compression / lift maps."""
+"""Tests for circulant matrices, the monomial coefficients, and the compression /
+lift maps."""
 import numpy as np
 import pytest
-from dense_oracle import dense_factors, project_span
+from dense_oracle import (
+    circulant,
+    compress,
+    cyclic_convolution,
+    dense_factors,
+    lift,
+    project_span,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sclrom import (
-    CirculantElement,
     DimensionMismatch,
+    FitOptions,
     build_ohf,
     check_commuting_diagram,
-    compress,
     cyclic_shift_matrix,
-    lift,
-    monomial_element,
+    fit,
     periodic_history,
 )
-
-
-def brute_force_matrix(coeffs):
-    """Oracle: evaluate sum_j c_j C^j by explicit matrix powers."""
-    m = len(coeffs)
-    C = cyclic_shift_matrix(m)
-    out = np.zeros((m, m), dtype=complex)
-    for j, c in enumerate(coeffs):
-        out += c * np.linalg.matrix_power(C, j)
-    return out
+from sclrom.circulant import circulant_matrix
 
 
 class TestCyclicShiftMatrix:
@@ -48,20 +45,27 @@ class TestCyclicShiftMatrix:
 
 class TestCirculantElement:
     def test_identity_element(self):
-        e = monomial_element(4, 0, 1.0)
-        np.testing.assert_array_equal(e.to_matrix(), np.eye(4))
+        np.testing.assert_array_equal(circulant_matrix(np.eye(4)[0]), np.eye(4))
 
     def test_generator_element(self):
-        e = CirculantElement([0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(e.to_matrix(), cyclic_shift_matrix(3))
+        np.testing.assert_array_equal(
+            circulant_matrix(np.array([0.0, 1.0, 0.0])), cyclic_shift_matrix(3)
+        )
 
     def test_first_column_is_coefficients(self):
-        e = CirculantElement([1.0, 2.0, 3.0, 4.0])
-        M = e.to_matrix()
+        c = np.array([1.0, 2.0, 3.0, 4.0])
+        M = circulant_matrix(c)
         np.testing.assert_array_equal(M[:, 0], [1, 2, 3, 4])
-        np.testing.assert_array_equal(M, brute_force_matrix(e.coeffs))
+        np.testing.assert_array_equal(M, circulant(c))
         C4 = cyclic_shift_matrix(4)
         np.testing.assert_array_equal(M @ C4, C4 @ M)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 16, 32, 66])
+    def test_gather_equals_rolled_columns_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        rolled = np.column_stack([np.roll(c, k) for k in range(m)])
+        assert circulant_matrix(c).tobytes() == rolled.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -70,32 +74,48 @@ class TestCirculantElement:
     )
     def test_convolution_matches_matrix_product(self, m, seed):
         rng = np.random.default_rng(seed)
-        a = CirculantElement(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        b = CirculantElement(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        product = (a * b).to_matrix()
-        np.testing.assert_allclose(product, a.to_matrix() @ b.to_matrix(), atol=1e-12)
+        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        A, B = circulant_matrix(a), circulant_matrix(b)
+        product = circulant_matrix(cyclic_convolution(a, b))
+        np.testing.assert_allclose(product, A @ B, atol=1e-12)
         # commutativity of the algebra
-        np.testing.assert_allclose(
-            a.to_matrix() @ b.to_matrix(), b.to_matrix() @ a.to_matrix(), atol=1e-12
-        )
+        np.testing.assert_allclose(A @ B, B @ A, atol=1e-12)
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            CirculantElement([1.0]) * CirculantElement([1.0, 2.0])
+            cyclic_convolution(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestMonomialElement:
+    """The monomial fit stores (kappa/rho) z^t, t mod m, as column t of the coefficients."""
+
     def test_degree_zero(self):
-        np.testing.assert_array_equal(monomial_element(4, 0, 1.0).coeffs, [1, 0, 0, 0])
+        model, _ = fit(periodic_history(16, 4, seed=2))
+        scale = model.ohf.kappa / model.ohf.rho
+        np.testing.assert_array_equal(model.coeffs[:, 0], [scale, 0, 0, 0])
 
     def test_exponent_reduces_mod_order(self):
-        np.testing.assert_array_equal(monomial_element(4, 6, 2.0).coeffs, [0, 0, 2, 0])
+        model, _ = fit(periodic_history(16, 4, seed=2, horizon=10), FitOptions(period=4))
+        scale = model.ohf.kappa / model.ohf.rho
+        np.testing.assert_array_equal(model.coeffs[:, 6], [0, 0, scale, 0])
 
     def test_scalar_division_scale(self):
-        kappa, rho = 2.0, 0.5
-        np.testing.assert_array_equal(
-            monomial_element(3, 2, kappa / rho).coeffs, [0, 0, 4.0]
-        )
+        model, _ = fit(periodic_history(24, 3, seed=5, horizon=7), FitOptions(period=3))
+        kappa, rho = model.ohf.kappa, model.ohf.rho
+        assert np.count_nonzero(model.coeffs) == 7
+        assert set(model.coeffs[model.coeffs != 0].tolist()) == {kappa / rho}
+
+    @pytest.mark.parametrize("m, T", [(8, 8), (16, 16), (32, 32), (66, 66), (5, 23)])
+    def test_coefficients_equal_a_per_step_loop_bitwise(self, m, T):
+        history = periodic_history(2 * m + 3, m, seed=m, horizon=T)
+        model, _ = fit(history, FitOptions(period=m))
+        expected = np.zeros((m, T), dtype=np.complex128)
+        for t in range(T):
+            column = np.zeros(m, dtype=np.complex128)
+            column[t % m] = model.ohf.kappa / model.ohf.rho
+            expected[:, t] = column
+        assert model.coeffs.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")

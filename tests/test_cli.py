@@ -235,6 +235,41 @@ class TestErrorPaths:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"sclrom {command}: "), err
 
+    @pytest.mark.parametrize("command, argv, name", [
+        ("simulate", ["simulate", "periodic", "--n", "8", "--T", "2", "--seed", "1",
+                      "--horizon", str(10**20), "--out", "{out}"], "n * horizon"),
+        ("simulate", ["simulate", "almost-periodic", "--n", "8", "--T", "2", "--seed", "1",
+                      "--eps-pert", "0.1", "--horizon", str(10**20), "--out", "{out}"],
+         "n * horizon"),
+        ("simulate", ["simulate", "periodic", "--n", str(10**20), "--T", "2", "--seed", "1",
+                      "--out", "{out}"], "n * period"),
+        ("simulate", ["simulate", "wave", "--nt", str(10**20), "--out", "{out}"],
+         "nx * (nt + 1)"),
+        ("simulate", ["simulate", "wave", "--nx", str(10**20), "--out", "{out}"],
+         "nx * (nt + 1)"),
+        ("predict", ["predict", "{m}", "--t1", str(10**20), "--out", "{out}"], "n * (t1 - t0)"),
+        ("fit", ["fit", "{h}", "--eps", "nan", "--out", "{out}"], "epsilon"),
+        ("fit", ["fit", "{h}", "--rank-tol", "-1", "--out", "{out}"], "rank_tol"),
+        ("fit", ["fit", "{h}", "--rank-tol", "nan", "--out", "{out}"], "rank_tol"),
+        ("fit", ["fit", "{h}", "--rank-tol", "1", "--out", "{out}"], "rank_tol"),
+        ("verify", ["verify", "{m}", "{h}", "--eps", "nan"], "eps"),
+        ("verify", ["verify", "{m}", "{h}", "--eps", "-1"], "eps"),
+    ], ids=["periodic-horizon-huge", "almost-periodic-horizon-huge", "periodic-n-huge",
+            "wave-nt-huge", "wave-nx-huge", "predict-t1-huge", "fit-eps-nan",
+            "fit-rank-tol-negative", "fit-rank-tol-nan", "fit-rank-tol-one", "verify-eps-nan",
+            "verify-eps-negative"])
+    def test_bad_size_or_tolerance_exits_two_naming_it(self, capsys, tmp_path, command, argv,
+                                                       name):
+        """Each size here is beyond what numpy can allocate, so it is refused unallocated."""
+        h, m = tmp_path / "h.bin", tmp_path / "m.bin"
+        history = periodic_history(16, 4, seed=1)
+        write_snapshots(history, h)
+        write_model(fit(history)[0], m)
+        paths = {"{h}": str(h), "{m}": str(m), "{out}": str(tmp_path / "out.bin")}
+        code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"sclrom {command}: {name} "), err
+
     @pytest.mark.parametrize("frame", ["V", "Vhat"])
     def test_overflowing_model_frame_fails_verify_quietly(self, capsys, tmp_path, frame):
         """The load checks overflow on a frame entry of 1e300; no numpy warning precedes

@@ -19,7 +19,6 @@ from sclrom import (
     WaveConfig,
     almost_periodic_history,
     build_ohf,
-    detect_period,
     periodic_history,
     random_orthonormal_columns,
     simulate_wave_1d,
@@ -141,9 +140,12 @@ class TestWaveSimulator:
     def test_detected_period_matches_sampling(self):
         # two fundamental periods of 40 steps each
         cfg = WaveConfig(nt=84)
-        h = simulate_wave_1d(cfg)
-        report = detect_period(h, [38, 39, 40, 41, 42], tol=1.0)
-        assert report.best_T in (39, 40, 41)
+        data = simulate_wave_1d(cfg).data
+        # worst wrap-around mismatch max_t ||v_{t+T} - v_t||, relative to the largest state
+        scale = np.max(np.linalg.norm(data, axis=0))
+        scores = {T: np.max(np.linalg.norm(data[:, T:] - data[:, :-T], axis=0)) / scale
+                  for T in (38, 39, 40, 41, 42)}
+        assert min(scores, key=lambda T: (scores[T], T)) in (39, 40, 41)
 
     def test_energy_conserved_over_period(self):
         cfg = WaveConfig()

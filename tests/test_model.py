@@ -11,7 +11,6 @@ from sclrom import (
     InsufficientData,
     SnapshotHistory,
     almost_periodic_history,
-    detect_period,
     fit,
     periodic_history,
     predict,
@@ -264,36 +263,3 @@ class TestVerifyMimetic:
         assert [k for k, _ in report.per_step] == list(range(steps))
         assert np.array([r for _, r in report.per_step]).tobytes() == np.array(direct).tobytes()
 
-
-class TestDetectPeriod:
-    def test_exact_period_found(self):
-        h = periodic_history(24, 4, seed=3, horizon=12)
-        report = detect_period(h, [2, 3, 4, 5])
-        assert report.best_T == 4
-        assert report.scores[4] == 0.0
-        assert report.within_tol
-
-    def test_constant_history_tie_breaks_small(self):
-        data = np.tile(np.arange(1.0, 9.0).reshape(-1, 1), (1, 6)).astype(complex)
-        report = detect_period(SnapshotHistory(data), [1, 2, 3])
-        assert report.best_T == 1
-
-    def test_noisy_score_within_generator_bound(self):
-        # noise of relative size 1e-3: perturbation norm scaled to the
-        # (constant) clean column norm
-        clean = periodic_history(64, 4, seed=6, horizon=16)
-        scale = float(np.linalg.norm(clean.data[:, 0]))
-        pair = almost_periodic_history(64, 4, 1e-3 * scale, 16, seed=6)
-        report = detect_period(pair.perturbed, [2, 3, 4, 5], tol=1.0)
-        assert report.best_T == 4
-        assert 0.5e-3 <= report.scores[4] <= 4e-3
-
-    def test_insufficient_columns(self):
-        h = periodic_history(24, 4, seed=3, horizon=7)
-        with pytest.raises(InsufficientData):
-            detect_period(h, [2, 3, 4])
-
-    def test_empty_candidates(self):
-        h = periodic_history(24, 4, seed=3, horizon=8)
-        with pytest.raises(InsufficientData):
-            detect_period(h, [])

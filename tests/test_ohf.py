@@ -212,6 +212,15 @@ class TestBuildOhf:
         np.testing.assert_allclose(T @ data[:, 0], ohf.rho * ohf.Vhat[:, 0], atol=1e-14)
         np.testing.assert_allclose(T @ data[:, 0], [2, 0, 0, 0], atol=1e-14)
 
+    @pytest.mark.parametrize("m", [8, 16, 32, 66])
+    def test_replay_operator_equals_rolled_circulant_bitwise(self, m):
+        """R = V (V* Vhat) circ(g), with circ(g) stacked from rolled copies of g."""
+        ohf = build_ohf(periodic_history(2 * m + 4, m, seed=m))
+        g = ohf.rho * (ohf.Vhat.conj().T @ ohf.Vhat[:, 0])
+        circ = np.column_stack([np.roll(g, k) for k in range(m)])
+        expected = ohf.V @ ((ohf.V.conj().T @ ohf.Vhat) @ circ)
+        assert ohf.R.tobytes() == expected.tobytes()
+
     def test_periodic_history_verifies(self):
         h = periodic_history(16, 4, seed=7)
         ohf = build_ohf(h)
