@@ -83,8 +83,8 @@ def almost_periodic_history(
     """
     if horizon < period:
         raise InsufficientData(f"horizon {horizon} shorter than period {period}")
-    if eps_pert < 0:
-        raise ConfigInvalid("perturbation size must be nonnegative")
+    if not 0.0 <= eps_pert < math.inf:
+        raise ConfigInvalid(f"perturbation size must be nonnegative and finite, got {eps_pert}")
     clean = periodic_history(n, period, seed, horizon)
     if eps_pert == 0.0:
         return AlmostPeriodicPair(perturbed=SnapshotHistory(clean.data.copy()), clean=clean)

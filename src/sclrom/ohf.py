@@ -34,10 +34,6 @@ from .errors import (
 )
 
 DEFAULT_RANK_TOL = 1e-12
-_COMPLEMENT_DROP_TOL = 1e-8
-# the CholeskyQR2 complement falls back to the Gram-Schmidt loop beyond these
-_FAST_COMPLEMENT_MIN_PIVOT = 1e-6
-_FAST_COMPLEMENT_MAX_LOSS = 1e-4
 _ORTHOGONALITY_TOL = 1e-8
 # numpy refuses an array of more than intp-max bytes, 16 per complex128 entry
 _MAX_ENTRIES = np.iinfo(np.intp).max // 16
@@ -159,73 +155,21 @@ def _gram_factor(G: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _complement_loop(V: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt complement of range(V), one canonical vector at a time.
-
-    Seeded with e_1, e_2, ... in order, it projects out range(V) and the
-    previously accepted columns (twice, against cancellation) and skips
-    candidates whose residual drops below 1e-8.
-    """
-    n, m = V.shape
-    accepted: list[np.ndarray] = []
-    for i in range(n):
-        r = np.zeros(n, dtype=np.complex128)
-        r[i] = 1.0
-        for _ in range(2):  # second pass guards against cancellation
-            r = r - V @ (V.conj().T @ r)
-            for u in accepted:
-                r = r - u * np.vdot(u, r)
-        norm = np.linalg.norm(r)
-        if norm > _COMPLEMENT_DROP_TOL:
-            accepted.append(r / norm)
-            if len(accepted) == m:
-                break
-    if len(accepted) < m:
-        raise NumericalFailure(
-            f"complement construction found only {len(accepted)} of {m} directions"
-        )
-    return np.column_stack(accepted)
-
-
 def complement_basis(V: np.ndarray) -> np.ndarray:
-    """m orthonormal columns spanning a subspace orthogonal to range(V).
+    """m orthonormal columns orthogonal to range(V), supported on the first
+    2m rows, a deterministic function of V.
 
-    The result is the Gram-Schmidt orthonormalisation of e_1, e_2, ... in
-    order against range(V), skipping candidates whose residual drops below
-    1e-8, so it is a deterministic function of V.
-
-    Fast path, in GEMMs and m x m work: e_1..e_m are projected against V as
-    one block, B = (1 - V V*)[e_1..e_m], twice; then CholeskyQR2
-    orthonormalises B. Pass 1 takes R_1 = chol(B* B)* and Q_1 = B R_1^-1.
-    Q_1 is projected against V once more, because R_1^-1 amplifies the
-    rounding-level range(V) components of B by up to cond(B) and pass 2
-    cannot remove them. Pass 2 repeats the factorisation on Q_1. The QR
-    with a positive diagonal is unique and the Cholesky pivots are the
-    Gram-Schmidt residual norms, so this is the loop's result up to
-    rounding whenever the loop skips nothing.
-
-    CholeskyQR squares the condition number of B, so the fast path is only
-    taken when it is accurate. The loop (:func:`_complement_loop`, same
-    bits as ever) runs instead when the Cholesky factorisation of B* B
-    fails, when a pivot is at most 1e-6 (near the 1e-8 skip rule), or when
-    pass 1 lost orthogonality: ||Q_1* Q_1 - 1||_F > 1e-4, which a
-    condition number of about 1e6 reaches.
+    Q is the complete Householder QR factor of the 2m x m top block V[:2m];
+    the result is Q[:, m:] zero-padded to n rows. Q* V[:2m] = [R; 0], so its
+    columns are orthonormal and orthogonal to every column of V to rounding,
+    whatever the conditioning of V.
     """
     n, m = V.shape
     if n < 2 * m:
         raise DimensionTooSmall(f"complement of an m={m} frame needs n >= {2 * m}, got n={n}")
-    V_adj = V.conj().T
-    B = np.eye(n, m, dtype=np.complex128) - V @ V_adj[:, :m]
-    B -= V @ (V_adj @ B)
-    R = _gram_factor(B.conj().T @ B)
-    if R is None or not R.diagonal().real.min() > _FAST_COMPLEMENT_MIN_PIVOT:
-        return _complement_loop(V)
-    Q = B @ np.linalg.inv(R)
-    Q -= V @ (V_adj @ Q)
-    G = Q.conj().T @ Q
-    if not np.linalg.norm(G - np.eye(m)) <= _FAST_COMPLEMENT_MAX_LOSS:
-        return _complement_loop(V)
-    return Q @ np.linalg.inv(_gram_factor(G))
+    U = np.zeros((n, m), dtype=np.complex128)
+    U[: 2 * m] = np.linalg.qr(V[: 2 * m], mode="complete")[0][:, m:]
+    return U
 
 
 def replay_operator(V: np.ndarray, Vhat: np.ndarray, rho: complex) -> np.ndarray:

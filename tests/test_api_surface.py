@@ -8,7 +8,7 @@ from sclrom import circulant, cyclic, model, ohf, persistence
 REMOVED = {
     sclrom: ["ControlTuple", "SvdTriple", "circulant_to_matrix", "orthogonal_projector",
              "project_span", "transition_matrix", "CirculantElement", "monomial_element",
-             "compress", "lift", "detect_period", "PeriodReport"],
+             "compress", "lift", "detect_period", "PeriodReport", "complement_basis"],
     circulant: ["ControlTuple", "MANIFOLD_TAGS", "circulant_to_matrix", "project_span",
                 "CirculantElement", "monomial_element", "compress", "lift"],
     cyclic: ["orthogonal_projector"],

@@ -254,10 +254,16 @@ class TestErrorPaths:
         ("fit", ["fit", "{h}", "--rank-tol", "1", "--out", "{out}"], "rank_tol"),
         ("verify", ["verify", "{m}", "{h}", "--eps", "nan"], "eps"),
         ("verify", ["verify", "{m}", "{h}", "--eps", "-1"], "eps"),
+        ("simulate", ["simulate", "almost-periodic", "--n", "8", "--T", "2", "--seed", "1",
+                      "--eps-pert", "nan", "--horizon", "4", "--out", "{out}"],
+         "perturbation size"),
+        ("simulate", ["simulate", "almost-periodic", "--n", "8", "--T", "2", "--seed", "1",
+                      "--eps-pert", "inf", "--horizon", "4", "--out", "{out}"],
+         "perturbation size"),
     ], ids=["periodic-horizon-huge", "almost-periodic-horizon-huge", "periodic-n-huge",
             "wave-nt-huge", "wave-nx-huge", "predict-t1-huge", "fit-eps-nan",
             "fit-rank-tol-negative", "fit-rank-tol-nan", "fit-rank-tol-one", "verify-eps-nan",
-            "verify-eps-negative"])
+            "verify-eps-negative", "almost-periodic-eps-pert-nan", "almost-periodic-eps-pert-inf"])
     def test_bad_size_or_tolerance_exits_two_naming_it(self, capsys, tmp_path, command, argv,
                                                        name):
         """Each size here is beyond what numpy can allocate, so it is refused unallocated."""

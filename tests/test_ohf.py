@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 from dense_oracle import dense_factors
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sclrom.ohf
@@ -18,7 +18,6 @@ from sclrom import (
     SnapshotHistory,
     WaveConfig,
     build_ohf,
-    complement_basis,
     fit,
     periodic_history,
     random_orthonormal_columns,
@@ -27,7 +26,7 @@ from sclrom import (
     verify_mimetic,
     verify_ohf,
 )
-from sclrom.ohf import _complement_loop
+from sclrom.ohf import complement_basis
 
 
 class TestSnapshotHistory:
@@ -117,76 +116,82 @@ class TestComplementBasis:
         assert np.linalg.norm(U.conj().T @ U - np.eye(3)) <= 1e-12
 
 
-def _loop_spy(monkeypatch):
-    """Record every call of the Gram-Schmidt fallback of complement_basis."""
-    calls = []
-
-    def spy(V):
-        calls.append(V.shape)
-        return _complement_loop(V)
-
-    monkeypatch.setattr(sclrom.ohf, "_complement_loop", spy)
-    return calls
+def _wave_history_seed_7():
+    center = 0.25 + 0.5 * float(np.random.default_rng(7).random())
+    cfg = WaveConfig(L=1.0, c=1.0, nx=512, nt=192, dt=2.0 / 192,
+                     w0=GaussianBump(center, 0.05))
+    return simulate_wave_1d(cfg)
 
 
-class TestFastComplement:
-    """The CholeskyQR2 path of complement_basis against the Gram-Schmidt loop."""
+def _wave_frame_seed_7():
+    """The frame of the wave workload (nx=512, nt=192, Gaussian of width 0.05
+    centred from seed 7, truncated to its numerical rank): the worst-conditioned
+    wave frame seen, where e_1..e_m projected against V have a condition
+    number near 1e9."""
+    history = _wave_history_seed_7()
+    V, s, _ = thin_svd(history)
+    return np.ascontiguousarray(V[:, : np.count_nonzero(s > 1e-12 * s[0])])
 
+
+def _frame_holding_e1():
+    V = random_orthonormal_columns(16, 4, seed=1)
+    V[:, 0] = 0.0
+    V[0, 0] = 1.0
+    return np.linalg.qr(V)[0]
+
+
+def _frame_near_e2():
+    # e_2 lies within 1e-9 of range(V)
+    rng = np.random.default_rng(3)
+    V = random_orthonormal_columns(16, 3, seed=2)
+    V[:, 0] = 0.0
+    V[1, 0] = 1.0
+    V[:, 0] += 1e-9 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    return np.linalg.qr(V)[0]
+
+
+def _frame_below_top_block():
+    # supported on rows >= 2m, so the top 2m x m block is zero
+    V = np.zeros((20, 4), dtype=complex)
+    V[8:] = random_orthonormal_columns(12, 4, seed=4)
+    return V
+
+
+def _check_complement(V):
+    """The contract of complement_basis: orthonormal, orthogonal to range(V),
+    zero below row 2m, and the same bits on every call."""
+    n, m = V.shape
+    U = complement_basis(V)
+    assert U.shape == (n, m)
+    assert np.linalg.norm(U.conj().T @ U - np.eye(m)) <= 1e-13
+    assert np.linalg.norm(U.conj().T @ V) <= 1e-13
+    assert not U[2 * m:].any()
+    assert U.tobytes() == complement_basis(V.copy()).tobytes()
+
+
+class TestComplementContract:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 100), st.integers(0, 2**32 - 1))
-    def test_matches_loop_on_well_conditioned_frames(self, m, extra, seed):
-        # n >= 8m keeps the projected block (1 - V V*)[e_1..e_m] far from
-        # rank deficient, so the fast path must be taken
-        V = random_orthonormal_columns(8 * m + extra, m, seed)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = _loop_spy(monkeypatch)
-            U = complement_basis(V)
-        assert calls == []
-        assert np.max(np.abs(U - _complement_loop(V))) <= 1e-12
-        assert np.linalg.norm(U.conj().T @ V) <= 1e-14
+    @given(st.integers(1, 16), st.integers(0, 100), st.integers(0, 2**32 - 1))
+    @example(1, 0, 0)
+    @example(16, 0, 1)
+    def test_random_frames(self, m, extra, seed):
+        _check_complement(random_orthonormal_columns(2 * m + extra, m, seed))
 
-    def test_wave_frame_takes_the_loop_bitwise(self):
-        """The frame of the wave workload (nx=512, nt=192, Gaussian of width
-        0.05 centred from seed 7, truncated): its projected block has a
-        condition number near 1e9 behind Cholesky pivots of order 0.1, so
-        only the loss-of-orthogonality gate can send it to the loop."""
-        center = 0.25 + 0.5 * float(np.random.default_rng(7).random())
-        cfg = WaveConfig(L=1.0, c=1.0, nx=512, nt=192, dt=2.0 / 192,
-                         w0=GaussianBump(center, 0.05))
-        history = simulate_wave_1d(cfg)
-        V, s, _ = thin_svd(history)
-        V = np.ascontiguousarray(V[:, : np.count_nonzero(s > 1e-12 * s[0])])
-        assert complement_basis(V).tobytes() == _complement_loop(V).tobytes()
+    @pytest.mark.parametrize("frame", [_frame_holding_e1, _frame_near_e2,
+                                       _frame_below_top_block, _wave_frame_seed_7],
+                             ids=["holds-e1", "near-e2", "below-top-block", "wave-seed-7"])
+    def test_adversarial_frames(self, frame):
+        _check_complement(frame())
+
+    def test_zero_top_block_gives_the_next_canonical_vectors(self):
+        U = complement_basis(_frame_below_top_block())
+        assert np.array_equal(U, np.eye(20, 4, k=-4, dtype=complex))
+
+    def test_wave_frame_fits_and_verifies(self):
+        history = _wave_history_seed_7()
         model, _ = fit(history, FitOptions(mode="least_squares", truncate_rank=True))
         eps = 1e-8 * float(np.max(np.linalg.norm(history.data, axis=0)))
         assert verify_mimetic(model, history, eps).passed
-
-    def test_frame_holding_e1_takes_the_loop(self, monkeypatch):
-        # e_1 projects to zero, so B* B is singular and Cholesky fails
-        V = random_orthonormal_columns(16, 4, seed=1)
-        V[:, 0] = 0.0
-        V[0, 0] = 1.0
-        V = np.linalg.qr(V)[0]
-        calls = _loop_spy(monkeypatch)
-        U = complement_basis(V)
-        assert calls == [(16, 4)]
-        assert U.tobytes() == _complement_loop(V).tobytes()
-        assert np.linalg.norm(U.conj().T @ V) <= 1e-14
-
-    def test_frame_that_fires_the_skip_rule_takes_the_loop(self, monkeypatch):
-        # e_2 lies within 1e-9 of range(V): the loop skips it and takes e_4
-        rng = np.random.default_rng(3)
-        V = random_orthonormal_columns(16, 3, seed=2)
-        V[:, 0] = 0.0
-        V[1, 0] = 1.0
-        V[:, 0] += 1e-9 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        V = np.linalg.qr(V)[0]
-        calls = _loop_spy(monkeypatch)
-        U = complement_basis(V)
-        assert calls == [(16, 3)]
-        assert U.tobytes() == _complement_loop(V).tobytes()
-        # no column is built on e_2, and e_4 entered in its place
-        assert np.abs(U[1]).max() <= 1e-8 and np.abs(U[3]).max() > 0.5
 
 
 class TestBuildOhf:
