@@ -2,7 +2,8 @@
 
 Reports are deterministic for fixed inputs and seeds: two runs with the
 same argv and files produce byte-identical stdout. Exit codes: 0 success
-(and verification passed), 1 verification failed, 2 usage or I/O error.
+(and verification passed), 1 verification failed, 2 usage or I/O error,
+or an allocation that numpy refuses (one stderr line naming its size).
 """
 from __future__ import annotations
 
@@ -264,6 +265,9 @@ def run_cli(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SclRomError as exc:
         print(f"sclrom {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the refused size
+        print(f"sclrom {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -89,9 +89,19 @@ def almost_periodic_history(
     if eps_pert == 0.0:
         return AlmostPeriodicPair(perturbed=SnapshotHistory(clean.data.copy()), clean=clean)
     rng = np.random.default_rng([seed, 1])
-    E = rng.standard_normal((n, horizon)) + 1j * rng.standard_normal((n, horizon))
+    # both normal blocks go through one float buffer into one complex array
+    draw = rng.standard_normal((n, horizon))
+    E = np.empty((n, horizon), dtype=np.complex128)
+    E.real = draw
+    E.imag = rng.standard_normal(out=draw)
+    del draw
     E *= eps_pert / np.linalg.norm(E, axis=0)
-    return AlmostPeriodicPair(perturbed=SnapshotHistory(clean.data + E), clean=clean)
+    # one transposing copy into the column-major layout of the clean
+    # history, where the sum is contiguous and writing needs no copy
+    perturbed = np.asfortranarray(E)
+    del E
+    perturbed += clean.data
+    return AlmostPeriodicPair(perturbed=SnapshotHistory(perturbed), clean=clean)
 
 
 @dataclass(frozen=True)

@@ -135,12 +135,15 @@ def predict(model: SclRomModel, t: int) -> np.ndarray:
 def _gap_norms(model: SclRomModel, data: np.ndarray) -> list[float]:
     """||x_t - data[:, t]||_2 for every column t of data.
 
-    One norm per contiguous row of the (steps, n) gap matrix, so each value
-    is bitwise equal to ``norm(predict(model, t) - data[:, t])``. Runs
-    under ``np.errstate(over="ignore")``: an overflowing residual reads inf.
+    The snapshots are subtracted in place from the replayed states, a
+    fresh C-ordered (steps, n) array, which a column-major ``data`` matches
+    row for row. One norm per contiguous row, so each value is bitwise
+    equal to ``norm(predict(model, t) - data[:, t])``. Runs under
+    ``np.errstate(over="ignore")``: an overflowing residual reads inf.
     """
     with np.errstate(over="ignore"):
-        gaps = np.subtract(replay(model, 0, data.shape[1]).T, data.T, order="C")
+        gaps = replay(model, 0, data.shape[1]).T
+        np.subtract(gaps, data.T, out=gaps)
         return [float(np.linalg.norm(gap)) for gap in gaps]
 
 
@@ -186,7 +189,10 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
         # through the pseudo-inverse assembled from the stored SVD factors
         V, W, s = ohf.V, ohf.W, ohf.singular_values
         inv_scale = ohf.kappa / (ohf.rho * s)
-        coeffs = W.conj().T @ (inv_scale[:, None] * (V.conj().T @ history.data))
+        # BLAS rounds V* data differently for other operand layouts, so the
+        # product takes the column-major one that binary files load in
+        data = np.asfortranarray(history.data)
+        coeffs = W.conj().T @ (inv_scale[:, None] * (V.conj().T @ data))
 
     model = SclRomModel(ohf=ohf, coeffs=coeffs, epsilon_achieved=0.0)
     per_step = _gap_norms(model, history.data)

@@ -293,7 +293,9 @@ def build_ohf(
         first_col = V[:, 0] * s[0]  # first column of the rank-r core history
         m = rank
     else:
-        first_col = history.data[:, 0]
+        # a contiguous copy: the strided and the contiguous dot product round
+        # differently, and rho must not depend on the history's layout
+        first_col = np.ascontiguousarray(history.data[:, 0])
     if n < 2 * m:
         raise DimensionTooSmall(f"need n >= 2m, got n={n}, m={m}")
 

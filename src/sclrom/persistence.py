@@ -5,6 +5,13 @@ unsigned 64-bit little-endian integers (flag bit 0 marks purely real
 payloads; n and m are at least 1), then the matrix entries in
 column-major order, each entry two IEEE-754 binary64 little-endian values
 (real then imaginary; real-flagged files store only the real part).
+A binary snapshot file is read into a column-major history in one copy:
+the payload goes straight from the file into an (m, n) array whose
+transpose is the history (a real payload is widened to complex in one
+copy more). Writing streams the header, then the payload: a column-major
+complex array is written with no copy, any other array with one
+transposing copy. On a regular file the declared size is checked against
+the file size before the payload is allocated.
 
 Snapshot CSV layout: first line ``n,m`` (both at least 1), then one line
 per state row with entries rendered as ``a``, ``a+bi``, or ``a-bi`` using
@@ -28,12 +35,16 @@ coefficients (m x T). The replay operator is rebuilt on load from V,
 Vhat, and rho — storing it would permit inconsistent files — after every
 factorization invariant (orthonormal frames, unitary shift factor,
 idempotent projectors) is re-validated through residuals computed from
-the thin frames, and every stored number is checked to be finite.
+the thin frames, and every stored number is checked to be finite. Each
+block loads as a C-ordered array, the layout that fitting produces, so
+replay and predictions are bit-identical across a save/load round trip.
 """
 from __future__ import annotations
 
 import math
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -50,6 +61,7 @@ from .errors import (
 )
 from .model import SclRomModel
 from .ohf import (
+    _MAX_ENTRIES,
     _ORTHOGONALITY_TOL,
     OhfFactorization,
     SnapshotHistory,
@@ -114,44 +126,92 @@ def parse_complex_entry(text: str, line: int, column: int) -> complex:
 
 def _payload_is_real(data: np.ndarray) -> bool:
     imag = data.imag
-    return bool(np.all(imag == 0.0) and not np.signbit(imag).any())
+    return not imag.any() and not np.signbit(imag).any()
 
 
-def _encode_array(data: np.ndarray) -> bytes:
+def _write_array(fh, data: np.ndarray) -> None:
+    """Write one binary block: the header, then the C-ordered buffer of
+    ``data.T``. That buffer is ``data``'s own when ``data`` is column-major
+    and complex; any other array costs one copy, which transposes it or
+    keeps only its real part.
+    """
     n, m = data.shape
     real = _payload_is_real(data)
-    header = SNAPSHOT_MAGIC + struct.pack("<QQQ", n, m, 1 if real else 0)
+    fh.write(SNAPSHOT_MAGIC + struct.pack("<QQQ", n, m, 1 if real else 0))
     if real:
-        payload = np.ascontiguousarray(data.real).astype("<f8").tobytes(order="F")
+        fh.write(np.ascontiguousarray(data.real.T, dtype="<f8"))
     else:
-        payload = data.astype("<c16", copy=False).tobytes(order="F")
-    return header + payload
+        fh.write(np.ascontiguousarray(data.T, dtype="<c16"))
 
 
-def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
-    if buf[offset : offset + 8] != SNAPSHOT_MAGIC:
+def _parse_header(head: bytes, offset: int) -> tuple[int, int, bool]:
+    """(n, m, real) from the block header at ``offset``, checked for the
+    magic bytes, its own length and dimensions of at least 1."""
+    if head[offset : offset + 8] != SNAPSHOT_MAGIC:
         raise BadMagic(f"expected {SNAPSHOT_MAGIC!r} at byte {offset}")
-    available = len(buf) - offset
+    available = len(head) - offset
     if available < _HEADER_BYTES:
         raise DimensionMismatch(
             f"header truncated: expected {_HEADER_BYTES} bytes at byte {offset}, "
             f"found {available}"
         )
-    n, m, flags = struct.unpack_from("<QQQ", buf, offset + 8)
+    n, m, flags = struct.unpack_from("<QQQ", head, offset + 8)
     if n < 1 or m < 1:
         raise DimensionMismatch(f"header at byte {offset} declares {n}x{m}; both must be >= 1")
+    return n, m, bool(flags & 1)
+
+
+def _truncated(expected: int, n: int, m: int, found: int) -> DimensionMismatch:
+    return DimensionMismatch(
+        f"payload truncated: expected {expected} bytes for {n}x{m}, found {found}"
+    )
+
+
+def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
+    n, m, real = _parse_header(buf, offset)
     start = offset + _HEADER_BYTES
-    real = bool(flags & 1)
     expected = n * m * (8 if real else 16)
     available = len(buf) - start
     if available < expected:
-        raise DimensionMismatch(
-            f"payload truncated: expected {expected} bytes for {n}x{m}, found {available}"
-        )
+        raise _truncated(expected, n, m, available)
     # a view on the payload, F-ordered as stored; one copy converts and reorders it
     view = np.frombuffer(buf, dtype="<f8" if real else "<c16", count=n * m, offset=start)
     arr = np.array(view.reshape((n, m), order="F"), dtype=np.complex128, order="C")
     return arr, start + expected
+
+
+def _read_binary_snapshots(fh, head: bytes) -> np.ndarray:
+    """The column-major (n, m) history of an open binary snapshot file
+    whose header has been read: the transpose of the (m, n) array that the
+    payload is read into. A regular file's size is checked before the
+    array is allocated; other inputs (a pipe) are checked for a short read
+    and for trailing bytes instead.
+    """
+    n, m, real = _parse_header(head, 0)
+    expected = n * m * (8 if real else 16)
+    info = os.fstat(fh.fileno())
+    regular = stat.S_ISREG(info.st_mode)
+    if regular and info.st_size != _HEADER_BYTES + expected:
+        found = info.st_size - _HEADER_BYTES
+        if found < expected:
+            raise _truncated(expected, n, m, found)
+        raise DimensionMismatch(
+            f"trailing data: expected {_HEADER_BYTES + expected} bytes total, "
+            f"found {info.st_size}"
+        )
+    if n * m > _MAX_ENTRIES:
+        raise DimensionMismatch(f"header declares {n}x{m}, beyond the size of one array")
+    stored = np.empty((m, n), dtype="<f8" if real else "<c16")
+    found = fh.readinto(stored)
+    if found != expected:
+        raise _truncated(expected, n, m, found)
+    if not regular and fh.read(1):
+        raise DimensionMismatch(
+            f"trailing data: more than the {_HEADER_BYTES + expected} bytes declared"
+        )
+    if stored.dtype != np.complex128:
+        stored = stored.astype(np.complex128)
+    return stored.T
 
 
 def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> None:
@@ -161,7 +221,7 @@ def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> N
     try:
         if format == "binary":
             with open(path, "wb") as fh:
-                fh.write(_encode_array(history.data))
+                _write_array(fh, history.data)
         else:
             data = history.data
             with open(path, "w", encoding="utf-8") as fh:
@@ -220,19 +280,24 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
 
 
 def read_snapshots(path) -> SnapshotHistory:
-    """Read a snapshot file: binary if it starts with the magic bytes, else CSV."""
+    """Read a snapshot file: binary if it starts with the magic bytes, else CSV.
+
+    A binary file loads as a column-major history, a CSV file (one line per
+    state row) as a row-major one.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head = fh.read(_HEADER_BYTES)
+            if head[:8] == SNAPSHOT_MAGIC:
+                return SnapshotHistory(_read_binary_snapshots(fh, head))
+            # rereading a seekable file spares the copy that joining makes
+            if fh.seekable():
+                fh.seek(0)
+                blob = fh.read()
+            else:
+                blob = head + fh.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if blob[:8] == SNAPSHOT_MAGIC:
-        data, end = _decode_array(blob, 0)
-        if end != len(blob):
-            raise DimensionMismatch(
-                f"trailing data: expected {end} bytes total, found {len(blob)}"
-            )
-        return SnapshotHistory(data)
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -259,9 +324,9 @@ def write_model(model: SclRomModel, path) -> None:
     try:
         with open(path, "wb") as fh:
             fh.write(manifest.encode("utf-8") + b"\n\n")
-            fh.write(_encode_array(ohf.V))
-            fh.write(_encode_array(ohf.Vhat))
-            fh.write(_encode_array(model.coeffs))
+            _write_array(fh, ohf.V)
+            _write_array(fh, ohf.Vhat)
+            _write_array(fh, model.coeffs)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

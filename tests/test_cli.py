@@ -1,9 +1,13 @@
 """Tests for the command-line front end."""
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import sclrom
 from sclrom import (
     FitOptions,
     SnapshotHistory,
@@ -323,3 +327,48 @@ class TestErrorPaths:
         code, out, err = run(capsys, "verify", str(m), str(h))
         assert code == 1 and err == ""
         assert " = inf > eps" in out.splitlines()[0]
+
+
+# a child process may map at most this much, so that any allocation beyond
+# it is refused at once rather than attempted
+_CHILD_ADDRESS_SPACE = 512 * 2**20
+
+
+def run_child(*argv, stdin=None):
+    """Run the CLI in a child process with a capped address space."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(sclrom.__file__))}
+    return subprocess.run([sys.executable, "-m", "sclrom.cli", *argv], input=stdin,
+                          capture_output=True, env=env, preexec_fn=cap, timeout=120)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS and /dev/stdin as used here are Linux's")
+class TestChildProcess:
+    @pytest.mark.parametrize("command, argv", [
+        ("predict", ["predict", "{m}", "--t1", "100000000000"]),
+        ("simulate", ["simulate", "periodic", "--n", "100000000", "--T", "8", "--seed", "1"]),
+        ("simulate", ["simulate", "wave", "--nx", "100000000"]),
+    ], ids=["predict-t1", "periodic-n", "wave-nx"])
+    def test_refused_allocation_exits_two_with_one_line(self, tmp_path, command, argv):
+        m = tmp_path / "m.bin"
+        write_model(fit(periodic_history(16, 4, seed=1))[0], m)
+        argv = [str(m) if a == "{m}" else a for a in argv] + ["--out", str(tmp_path / "o.bin")]
+        done = run_child(*argv)
+        err = done.stderr.decode()
+        assert done.returncode == 2 and done.stdout == b""
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"sclrom {command}: out of memory: Unable to allocate "), err
+
+    def test_fit_reads_snapshots_from_a_pipe(self, tmp_path):
+        h, m = tmp_path / "h.bin", tmp_path / "m.bin"
+        history = periodic_history(256, 64, seed=2)
+        write_snapshots(history, h)
+        done = run_child("fit", "/dev/stdin", "--out", str(m), stdin=h.read_bytes())
+        assert done.returncode == 0, done.stderr
+        assert read_model(m).coeffs.tobytes() == fit(history)[0].coeffs.tobytes()

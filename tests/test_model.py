@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 from dense_oracle import dense_factors, transition_matrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sclrom import (
     DegenerateHistory,
     FitOptions,
     InsufficientData,
+    SclRomError,
     SnapshotHistory,
     almost_periodic_history,
     fit,
@@ -16,6 +17,7 @@ from sclrom import (
     predict,
     replay,
     verify_mimetic,
+    write_model,
 )
 
 
@@ -263,3 +265,44 @@ class TestVerifyMimetic:
         assert [k for k, _ in report.per_step] == list(range(steps))
         assert np.array([r for _, r in report.per_step]).tobytes() == np.array(direct).tobytes()
 
+
+class TestLayoutInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        period=st.integers(1, 6),
+        extra=st.integers(0, 6),
+        spare=st.integers(0, 200),
+        noise=st.sampled_from([0.0, 1e-6]),
+        seed=st.integers(0, 2**16),
+        mode=st.sampled_from(["monomial", "least_squares"]),
+        truncate=st.booleans(),
+        frame_period=st.booleans(),
+    )
+    # the history on which the strided and the contiguous dot product of
+    # the first column round differently
+    @example(period=32, extra=0, spare=1984, noise=0.0, seed=1, mode="monomial",
+             truncate=False, frame_period=False)
+    @example(period=16, extra=48, spare=480, noise=1e-6, seed=1, mode="least_squares",
+             truncate=False, frame_period=True)
+    @example(period=4, extra=8, spare=30, noise=0.0, seed=3, mode="least_squares",
+             truncate=True, frame_period=False)
+    def test_c_and_f_ordered_histories_give_identical_model_files(
+        self, tmp_path_factory, period, extra, spare, noise, seed, mode, truncate, frame_period
+    ):
+        """A fit, its model file and its residuals depend on the history's
+        values, not on its memory layout; so does a failed fit."""
+        steps = period + extra
+        data = almost_periodic_history(2 * period + spare, period, noise, steps, seed).perturbed.data
+        opts = FitOptions(mode=mode, truncate_rank=truncate,
+                          period=period if frame_period else None)
+        outcomes = []
+        for layout in (np.ascontiguousarray(data), np.asfortranarray(data)):
+            try:
+                model, report = fit(SnapshotHistory(layout), opts)
+            except SclRomError as exc:
+                outcomes.append(repr(exc))
+                continue
+            path = tmp_path_factory.mktemp("layout") / "m.bin"
+            write_model(model, path)
+            outcomes.append((path.read_bytes(), np.array(report.per_step).tobytes()))
+        assert outcomes[0] == outcomes[1]

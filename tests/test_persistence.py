@@ -1,5 +1,9 @@
 """Tests for the snapshot and model file formats."""
+import io
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from sclrom import (
     ParseError,
     SnapshotHistory,
     VersionUnsupported,
+    almost_periodic_history,
     fit,
     periodic_history,
     predict,
@@ -22,10 +27,11 @@ from sclrom import (
     write_model,
     write_snapshots,
 )
+from sclrom import persistence
 from sclrom.cli import run_cli
 from sclrom.persistence import (
     _decode_array,
-    _encode_array,
+    _write_array,
     format_complex_entry,
     parse_complex_entry,
 )
@@ -136,7 +142,10 @@ class TestBinaryFormat:
         rng = np.random.default_rng(3)
         data = rng.standard_normal((9, 7)) + (0.0 if real else 1j * rng.standard_normal((9, 7)))
         prefix = b"abc"
-        blob = prefix + _encode_array(np.asarray(data, dtype=np.complex128))
+        fh = io.BytesIO(prefix)
+        fh.seek(len(prefix))
+        _write_array(fh, np.asarray(data, dtype=np.complex128))
+        blob = fh.getvalue()
         arr, end = _decode_array(blob, len(prefix))
         assert end == len(blob)
         stored = np.frombuffer(blob[len(prefix) + 32:], dtype="<f8" if real else "<c16")
@@ -155,7 +164,7 @@ class TestBinaryFormat:
         path.write_bytes(blob[:-16])
         with pytest.raises(DimensionMismatch) as exc:
             read_snapshots(path)
-        assert "expected" in str(exc.value) and "found" in str(exc.value)
+        assert str(exc.value) == "payload truncated: expected 1024 bytes for 16x4, found 1008"
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "h.bin"
@@ -188,6 +197,145 @@ class TestBinaryFormat:
         with pytest.raises(IoFailure) as exc:
             write_snapshots(h, bad)
         assert str(bad) in str(exc.value)
+
+
+def _peak_bytes(fn):
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _header(n, m, flags=0):
+    return b"SCLROM01" + struct.pack("<QQQ", n, m, flags)
+
+
+def _feed_pipe(blob):
+    """Read end of a pipe that a thread fills with ``blob``, then closes."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with open(write_fd, "wb") as fh:
+            fh.write(blob)
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    return read_fd, thread
+
+
+class TestStreamedBinaryCodec:
+    """The reader fills a column-major history straight from the file; the
+    writer streams the header and the column-major payload."""
+
+    def test_forged_header_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "h.bin"
+        path.write_bytes(_header(2**40, 2**20) + bytes(32))
+        errors = []
+
+        def read():
+            with pytest.raises(DimensionMismatch) as exc:
+                read_snapshots(path)
+            errors.append(str(exc.value))
+
+        assert _peak_bytes(read) < 2**20
+        assert errors == [
+            f"payload truncated: expected {2**60 * 16} bytes for {2**40}x{2**20}, found 32"
+        ]
+
+    @pytest.mark.parametrize("blob, message", [
+        (_header(3, 2) + bytes(97), "trailing data: expected 128 bytes total, found 129"),
+        # a real flag halves the payload, so a complex payload is twice too long
+        (_header(3, 2, 1) + bytes(96), "trailing data: expected 80 bytes total, found 128"),
+        (_header(3, 2, 1) + bytes(40), "payload truncated: expected 48 bytes for 3x2, found 40"),
+    ], ids=["trailing", "real-flag-trailing", "real-flag-truncated"])
+    def test_malformed_file_names_the_fault(self, tmp_path, blob, message):
+        path = tmp_path / "h.bin"
+        path.write_bytes(blob)
+        with pytest.raises(DimensionMismatch) as exc:
+            read_snapshots(path)
+        assert str(exc.value) == message
+
+    def test_short_readinto_is_a_truncated_payload(self, tmp_path, monkeypatch):
+        path = tmp_path / "h.bin"
+        write_snapshots(periodic_history(16, 4, seed=1), path)
+
+        class ShortReads(io.BufferedReader):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer).cast("B")[:-16])
+
+        monkeypatch.setattr(
+            persistence, "open", lambda p, mode: ShortReads(io.FileIO(p, mode)), raising=False
+        )
+        with pytest.raises(DimensionMismatch) as exc:
+            read_snapshots(path)
+        assert str(exc.value) == "payload truncated: expected 1024 bytes for 16x4, found 1008"
+
+    @pytest.mark.parametrize("format", ["binary", "csv"])
+    def test_pipe_input_loads(self, tmp_path, format):
+        # larger than a pipe buffer, so the payload arrives in several reads
+        h = periodic_history(256, 64, seed=2)
+        path = tmp_path / "h.bin"
+        write_snapshots(h, path, format=format)
+        read_fd, thread = _feed_pipe(path.read_bytes())
+        back = read_snapshots(read_fd)
+        thread.join()
+        assert back.data.tobytes() == h.data.tobytes()
+
+    @pytest.mark.parametrize("cut, message", [
+        (-16, "payload truncated: expected 1024 bytes for 16x4, found 1008"),
+        (1, "trailing data: more than the 1056 bytes declared"),
+    ], ids=["truncated", "trailing"])
+    def test_malformed_pipe_input_names_the_fault(self, tmp_path, cut, message):
+        path = tmp_path / "h.bin"
+        write_snapshots(periodic_history(16, 4, seed=1), path)
+        blob = path.read_bytes()
+        read_fd, thread = _feed_pipe(blob[:cut] if cut < 0 else blob + bytes(cut))
+        with pytest.raises(DimensionMismatch) as exc:
+            read_snapshots(read_fd)
+        thread.join()
+        assert str(exc.value) == message
+
+    def test_pipe_header_beyond_one_array_is_refused_unallocated(self):
+        read_fd, thread = _feed_pipe(_header(2**40, 2**30))
+        with pytest.raises(DimensionMismatch) as exc:
+            read_snapshots(read_fd)
+        thread.join()
+        assert str(exc.value) == f"header declares {2**40}x{2**30}, beyond the size of one array"
+
+    def test_long_horizon_read_peaks_at_one_payload(self, tmp_path):
+        history = almost_periodic_history(512, 16, 1e-6, 1024, seed=1).perturbed
+        path = tmp_path / "h.bin"
+        write_snapshots(history, path)
+        payload = 512 * 1024 * 16
+        assert path.stat().st_size == 32 + payload
+        back = []
+        peak = _peak_bytes(lambda: back.append(read_snapshots(path)))
+        assert peak <= payload + 2**20
+        assert back[0].data.flags.f_contiguous
+        assert back[0].data.tobytes(order="F") == history.data.tobytes(order="F")
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_roundtrip_is_bitwise_in_either_layout(self, tmp_path, order, real):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((40, 24)) + (0.0 if real else 1j * rng.standard_normal((40, 24)))
+        data = np.array(data, dtype=np.complex128, order=order)
+        path, reference = tmp_path / "h.bin", tmp_path / "ref.bin"
+        write_snapshots(SnapshotHistory(data), path)
+        write_snapshots(SnapshotHistory(np.ascontiguousarray(data)), reference)
+        assert path.read_bytes() == reference.read_bytes()
+        back = read_snapshots(path).data
+        assert back.tobytes(order="C") == data.tobytes(order="C")
+        assert back.flags.f_contiguous and back.flags.writeable
+
+    def test_column_major_complex_history_is_written_without_a_copy(self, tmp_path):
+        data = np.asfortranarray(almost_periodic_history(512, 16, 1e-6, 256, seed=1).perturbed.data)
+        history = SnapshotHistory(data)
+        peak = _peak_bytes(lambda: write_snapshots(history, tmp_path / "h.bin"))
+        assert peak < data.nbytes // 8
 
 
 class TestModelFormat:
