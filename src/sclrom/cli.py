@@ -1,9 +1,11 @@
 """Batch command-line front end: simulate, fit, verify, predict, export-plot.
 
-Reports are deterministic for fixed inputs and seeds: two runs with the
-same argv and files produce byte-identical stdout. Exit codes: 0 success
-(and verification passed), 1 verification failed, 2 usage or I/O error,
-or an allocation that numpy refuses (one stderr line naming its size).
+Reports are deterministic for fixed inputs and seeds on a fixed numpy
+build, BLAS library and BLAS thread count: two runs with the same argv
+and files then produce byte-identical stdout and output files. Exit
+codes: 0 success (and verification passed), 1 verification failed, 2
+usage or I/O error, or an allocation that numpy refuses (one stderr line
+naming its size).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .datagen import (
     simulate_wave_1d,
 )
 from .errors import ConfigInvalid, DimensionMismatch, SclRomError
-from .model import FitOptions, SclRomModel, fit, replay, verify_mimetic
+from .model import FitOptions, SclRomModel, _gap_norms, fit, replay, verify_mimetic
 from .ohf import SnapshotHistory
 from .persistence import (
     format_complex_entry,
@@ -223,13 +225,15 @@ def _cmd_export_plot(args) -> int:
     if model is not None:
         header += [f"model{idx}" for idx in components]
     rows = [",".join(header)]
-    states = replay(model, 0, history.m) if model is not None else None
+    if model is not None:
+        states = replay(model, 0, history.m)
+        residuals = _gap_norms(model, history.data)
     for k in range(history.m):
         fields = [str(k)]
         xk = history.data[:, k]
         if model is not None:
             pk = states[:, k]
-            fields.append(format_complex_entry(complex(np.linalg.norm(pk - xk))))
+            fields.append(format_complex_entry(complex(residuals[k])))
         else:
             fields.append("")
         fields += [format_complex_entry(xk[idx]) for idx in components]

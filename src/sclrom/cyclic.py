@@ -35,15 +35,7 @@ class VectorSystem:
         cols = np.ascontiguousarray(np.asarray(self.columns, dtype=np.complex128))
         if cols.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D column matrix, got ndim={cols.ndim}")
-        n, m = cols.shape
-        if m == 0:
-            raise EmptySystem("vector system has no vectors")
-        if m > n:
-            raise DimensionMismatch(f"m={m} vectors cannot be independent in dimension n={n}")
-        norms = np.linalg.norm(cols, axis=0)
-        for j in range(m):
-            if norms[j] == 0.0:
-                raise ZeroVector(j)
+        _check_columns(cols.shape, np.linalg.norm(cols, axis=0))
         self.columns = cols
 
     @property
@@ -53,6 +45,20 @@ class VectorSystem:
     @property
     def m(self) -> int:
         return self.columns.shape[1]
+
+
+def _check_columns(shape: tuple[int, int], norms: np.ndarray) -> None:
+    """The checks of :class:`VectorSystem` on an (n, m) column matrix whose
+    column norms are ``norms``: at least one and at most n columns, none zero.
+    """
+    n, m = shape
+    if m == 0:
+        raise EmptySystem("vector system has no vectors")
+    if m > n:
+        raise DimensionMismatch(f"m={m} vectors cannot be independent in dimension n={n}")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVector(int(zero[0]))
 
 
 @dataclass(eq=False)
@@ -100,7 +106,21 @@ def check_orthogonal_system(vs: VectorSystem, tol: float = DEFAULT_TOL) -> OrthR
     additionally requires every norm within ``tol`` of 1.
     """
     cols = vs.columns
-    return _gram_orthogonality(cols.conj().T @ cols, np.linalg.norm(cols, axis=0), tol)
+    return _gram_orthogonality(*_gram_and_norms(cols, cols.conj()), tol)
+
+
+def _gram_and_norms(cols: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix cols* cols and the column norms of cols, from the
+    C-ordered copy ``conj = cols.conj()``, which this consumes.
+
+    The Gram matrix is the GEMM that ``cols.conj().T @ cols`` makes. The
+    norms are the sum that ``np.linalg.norm(cols, axis=0)`` makes of the
+    real parts of ``conj * cols``, here formed in the buffer of ``conj``.
+    Both keep their bits, from one n x m temporary instead of three.
+    """
+    gram = conj.T @ cols
+    np.multiply(conj, cols, out=conj)
+    return gram, np.sqrt(np.add.reduce(conj.real, axis=0))
 
 
 def _gram_orthogonality(gram: np.ndarray, norms: np.ndarray, tol: float) -> OrthReport:

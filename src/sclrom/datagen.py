@@ -1,9 +1,13 @@
 """Deterministic test dynamics: periodic frames and a 1-D wave simulator.
 
-Every generator is a pure function of its parameters and seed; the same
-inputs produce bit-identical output. Randomness comes from
-``numpy.random.default_rng`` (PCG64), whose stream is stable across
-platforms and library versions.
+Every generator is a pure function of its parameters and seed. The
+contract is bitwise for a fixed numpy build, BLAS library and BLAS thread
+count: with those fixed, the same inputs produce bit-identical output.
+Randomness comes from ``numpy.random.default_rng`` (PCG64), but the
+frames built from it go through a Householder QR and matrix products,
+whose rounding depends on the BLAS and on its thread count; for example
+a 2048 x 32 periodic history differs in its last bits between one and
+two OpenBLAS threads. Nothing is promised across those.
 """
 from __future__ import annotations
 

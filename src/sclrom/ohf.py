@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import circulant_matrix
-from .cyclic import VectorSystem, check_orthogonal_system, shift_factors
+from .cyclic import (
+    OrthReport,
+    _check_columns,
+    _gram_and_norms,
+    _gram_orthogonality,
+    shift_factors,
+)
 from .errors import (
     ConfigInvalid,
     DegenerateHistory,
@@ -172,17 +178,33 @@ def complement_basis(V: np.ndarray) -> np.ndarray:
     return U
 
 
-def replay_operator(V: np.ndarray, Vhat: np.ndarray, rho: complex) -> np.ndarray:
-    """R = V (V* Vhat) circ(g) with g = rho Vhat* vhat_1 (n x m).
+def replay_operator(V: np.ndarray, M: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """R = V M circ(g) (n x m), for M = V* Vhat and g = rho Vhat* vhat_1.
 
     K H_t (rho vhat_1) = V (V* Vhat) circ(c_t) g = R c_t for the step-t
     transition H_t = Vhat circ(c_t) Vhat*, because circulants commute
-    (circ(c) g = circ(g) c). Shared by the builder and the model loader so
-    both produce bit-identical replay operators, and hence predictions,
-    from bit-identical inputs.
+    (circ(c) g = circ(g) c). The builder and the model loader both take g
+    from :func:`_vhat_products` and M as the product of one conjugated
+    copy of V with Vhat, then form R here: the same BLAS calls on the same
+    operands, so bit-identical frames give bit-identical replay operators,
+    and hence predictions.
     """
-    g = rho * (Vhat.conj().T @ Vhat[:, 0])
-    return V @ ((V.conj().T @ Vhat) @ circulant_matrix(g))
+    return V @ (M @ circulant_matrix(g))
+
+
+def _vhat_products(Vhat: np.ndarray, rho: complex) -> tuple[OrthReport, np.ndarray, np.ndarray]:
+    """Orthogonality report, Gram matrix Vhat* Vhat and g = rho Vhat* vhat_1
+    of a frame, from one conjugated copy of it, freed on return.
+
+    Raises the errors of :class:`sclrom.cyclic.VectorSystem` for more
+    columns than rows or a zero column. Each product is the BLAS call that
+    ``Vhat.conj().T @ ...`` makes, so it keeps its bits.
+    """
+    conj = Vhat.conj()
+    g = rho * (conj.T @ Vhat[:, 0])
+    gram, norms = _gram_and_norms(Vhat, conj)
+    _check_columns(Vhat.shape, norms)
+    return _gram_orthogonality(gram, norms, _ORTHOGONALITY_TOL), gram, g
 
 
 def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:
@@ -206,15 +228,18 @@ def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # callers reject inf and NaN residuals
 def frame_residuals(
-    V: np.ndarray, Vhat: np.ndarray, vhat_gram: np.ndarray | None = None
+    V: np.ndarray,
+    Vhat: np.ndarray,
+    vhat_gram: np.ndarray | None = None,
+    v_gram: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Frobenius residuals of the factorization invariants, from the frames.
 
     Each value equals its dense n x n counterpart up to rounding. One Gram
-    matrix per frame, G = Vhat* Vhat (``vhat_gram``, if the caller already
-    has it) and G_V = V* V, is the only O(n m^2) work; the rest is m x m,
-    through the Cholesky factors R with R* R = G and R_V* R_V = G_V, which
-    stand in for the R of a thin QR:
+    matrix per frame, G = Vhat* Vhat and G_V = V* V (``vhat_gram`` and
+    ``v_gram``, if the caller already has them), is the only O(n m^2)
+    work; the rest is m x m, through the Cholesky factors R with R* R = G
+    and R_V* R_V = G_V, which stand in for the R of a thin QR:
 
     - ||Vhat* Vhat - 1|| and ||V* V - 1||;
     - ||U* U - 1|| for the shift factor U of Vhat (:func:`_unitarity_residual`);
@@ -227,7 +252,7 @@ def frame_residuals(
     """
     eye = np.eye(V.shape[1])
     G = Vhat.conj().T @ Vhat if vhat_gram is None else vhat_gram
-    G_V = V.conj().T @ V
+    G_V = V.conj().T @ V if v_gram is None else v_gram
     R, R_V = _gram_factor(G), _gram_factor(G_V)
     for name, factor, frame in (("shift factor unitary", R, "Vhat"), ("K idempotent", R_V, "V")):
         if factor is None:
@@ -301,10 +326,11 @@ def build_ohf(
 
     ratios = s / s[0]
     t_vals = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
-    U_cols = complement_basis(V)
-    span_part = (V * ratios) @ W
-    complement_part = (U_cols * t_vals) @ W
-    Vhat = np.ascontiguousarray(span_part + complement_part)
+    # the span part, with the complement part added on the 2m rows where
+    # complement_basis is nonzero: a GEMM row's bits do not depend on the
+    # row count, and the rows below would add only signed zeros
+    Vhat = (V * ratios) @ W
+    Vhat[: 2 * m] += (complement_basis(V)[: 2 * m] * t_vals) @ W
 
     kappa = complex(s[0])
     rho = complex(np.vdot(first_col, first_col).real / s[0])
@@ -314,7 +340,7 @@ def build_ohf(
         raise NumericalFailure(
             f"first-column product {direct:.6e} does not reproduce rho = {rho:.6e}"
         )
-    orth = check_orthogonal_system(VectorSystem(Vhat), _ORTHOGONALITY_TOL)
+    orth, _, g = _vhat_products(Vhat, rho)
     if not orth.is_orthogonal:
         raise NotOrthogonal(
             f"Vhat max relative cross product {orth.max_cross:.3e} exceeds tol {_ORTHOGONALITY_TOL:.1e}"
@@ -325,7 +351,7 @@ def build_ohf(
         V=V,
         kappa=kappa,
         rho=rho,
-        R=replay_operator(V, Vhat, rho),
+        R=replay_operator(V, V.conj().T @ Vhat, g),
         singular_values=s.copy(),
         W=W,
     )
@@ -348,17 +374,20 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
             f"factorization is (n={ohf.n}, m={ohf.m}) but history is (n={history.n}, m={history.m})"
         )
     Vhat, V = ohf.Vhat, ohf.V
+    # strided and contiguous products and sums round differently, so the
+    # residuals take the column-major layout that binary files load in
+    data = np.asfortranarray(history.data)
     vhat1 = Vhat[:, 0]
     # T v_1 - rho vhat_1 = (vhat_1* v_1 - rho) vhat_1
-    t_gap = np.vdot(vhat1, history.data[:, 0]) - ohf.rho
+    t_gap = np.vdot(vhat1, data[:, 0]) - ohf.rho
     t_residual = float(np.linalg.norm(t_gap * vhat1))
     # U Vhat - roll(Vhat) = Vhat + E F* Vhat - roll(Vhat) = E (F* Vhat - 1)
     E, F = shift_factors(Vhat)
     shift_gap = E @ (F.conj().T @ Vhat - np.eye(ohf.m))
     shift_residual = float(np.max(np.linalg.norm(shift_gap, axis=0)))
     recon = ohf.kappa * (V @ (V.conj().T @ Vhat))
-    col_norms = np.linalg.norm(history.data, axis=0)
-    k_residual = float(np.max(np.linalg.norm(recon - history.data, axis=0) / col_norms))
+    col_norms = np.linalg.norm(data, axis=0)
+    k_residual = float(np.max(np.linalg.norm(recon - data, axis=0) / col_norms))
     G = Vhat.conj().T @ Vhat
     R = _gram_factor(G)
     if R is None:

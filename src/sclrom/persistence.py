@@ -49,7 +49,6 @@ import struct
 
 import numpy as np
 
-from .cyclic import VectorSystem, _gram_orthogonality
 from .errors import (
     BadMagic,
     DimensionMismatch,
@@ -65,6 +64,7 @@ from .ohf import (
     _ORTHOGONALITY_TOL,
     OhfFactorization,
     SnapshotHistory,
+    _vhat_products,
     frame_residuals,
     replay_operator,
 )
@@ -401,20 +401,22 @@ def read_model(path) -> SclRomModel:
     if not (rho.real > 0.0 and abs(rho.imag) <= 1e-10 * abs(rho)):
         raise InvariantViolation(f"rho {rho} is not real and positive")
 
-    try:
-        # huge entries read inf or NaN, which this gate or the frame residuals reject
-        with np.errstate(all="ignore"):
-            cols = VectorSystem(Vhat).columns
-            gram = cols.conj().T @ cols  # shared by the gate and the frame residuals
-            orth = _gram_orthogonality(gram, np.linalg.norm(cols, axis=0), _ORTHOGONALITY_TOL)
-    except SclRomError as exc:
-        raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
+    # one conjugated copy per frame, each freed before the next is made;
+    # huge entries read inf or NaN, which the gate or the frame residuals reject
+    with np.errstate(all="ignore"):
+        try:
+            orth, vhat_gram, g = _vhat_products(Vhat, rho)
+        except SclRomError as exc:
+            raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
+        V_conj = V.conj()
+        v_gram, M = V_conj.T @ V, V_conj.T @ Vhat
+        del V_conj
     if not orth.is_orthogonal:
         raise InvariantViolation(
             f"stored frames are inconsistent: max relative cross product "
             f"{orth.max_cross:.3e} exceeds tol {_ORTHOGONALITY_TOL:.3e}"
         )
-    for name, residual in frame_residuals(V, Vhat, gram).items():
+    for name, residual in frame_residuals(V, Vhat, vhat_gram, v_gram).items():
         # "not <=" so NaN residuals from corrupt payloads also fail
         if not (residual <= _ORTHOGONALITY_TOL * max(1.0, float(m))):
             raise InvariantViolation(f"{name}: residual {residual:.3e}")
@@ -424,7 +426,7 @@ def read_model(path) -> SclRomModel:
         V=V,
         kappa=kappa,
         rho=rho,
-        R=replay_operator(V, Vhat, rho),
+        R=replay_operator(V, M, g),
         singular_values=None,
         W=None,
     )

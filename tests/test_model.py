@@ -1,4 +1,6 @@
 """Tests for model fitting, prediction, and the replay verification."""
+import warnings
+
 import numpy as np
 import pytest
 from dense_oracle import dense_factors, transition_matrix
@@ -251,19 +253,42 @@ class TestVerifyMimetic:
         period=st.integers(1, 6),
         extra=st.integers(0, 5),
         seed=st.integers(0, 2**16),
+        order=st.sampled_from(["C", "F"]),
     )
-    def test_fit_and_verify_residuals_are_bitwise_predict_gaps(self, n, period, extra, seed):
-        """Residuals keep every bit, also on the column slice verify_mimetic takes."""
+    @example(n=64, period=1, extra=0, seed=1, order="C")  # one step
+    @example(n=2**16, period=4, extra=2, seed=3, order="F")
+    def test_fit_and_verify_residuals_are_bitwise_predict_gaps(self, n, period, extra, seed, order):
+        """Residuals keep every bit, in either layout, also on the column
+        slice verify_mimetic takes."""
         period = min(period, n // 2)
         steps = period + extra
-        pair = almost_periodic_history(n, period, 1e-3, steps + 3, seed=seed)
-        train = SnapshotHistory(pair.perturbed.data[:, :steps].copy())
+        data = almost_periodic_history(n, period, 1e-3, steps + 3, seed=seed).perturbed.data
+        history = SnapshotHistory(np.asarray(data, order=order))
+        train = SnapshotHistory(np.asarray(data[:, :steps], order=order))
         model, fit_report = fit(train, FitOptions(mode="least_squares", period=period))
-        report = verify_mimetic(model, pair.perturbed, 1.0)
+        report = verify_mimetic(model, history, 1.0)
         direct = [np.linalg.norm(predict(model, t) - train.data[:, t]) for t in range(steps)]
         assert np.array(fit_report.per_step).tobytes() == np.array(direct).tobytes()
         assert [k for k, _ in report.per_step] == list(range(steps))
         assert np.array([r for _, r in report.per_step]).tobytes() == np.array(direct).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("scale, overflows", [(1e154, False), (1.5e154, True), (1e155, True)],
+                             ids=["finite", "sum-overflows", "parts-overflow"])
+    def test_huge_gaps_keep_their_bits_and_overflow_to_inf(self, order, scale, overflows):
+        """Gaps near sqrt(float max): a residual whose square overflows, in
+        one part or only in their sum, reads inf, without a warning."""
+        h = periodic_history(64, 4, seed=2)
+        model, _ = fit(h)
+        far = SnapshotHistory(np.asarray(h.data * scale, order=order))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_mimetic(model, far, 1.0)
+        with np.errstate(over="ignore"):
+            direct = [np.linalg.norm(predict(model, t) - far.data[:, t]) for t in range(4)]
+        assert np.array([r for _, r in report.per_step]).tobytes() == np.array(direct).tobytes()
+        assert np.isinf(report.max_residual) == overflows
+        assert not report.passed
 
 
 class TestLayoutInvariance:

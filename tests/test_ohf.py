@@ -17,6 +17,7 @@ from sclrom import (
     NumericalFailure,
     SnapshotHistory,
     WaveConfig,
+    almost_periodic_history,
     build_ohf,
     fit,
     periodic_history,
@@ -194,6 +195,56 @@ class TestComplementContract:
         assert verify_mimetic(model, history, eps).passed
 
 
+def _full_height_vhat(history, truncate=False):
+    """build_ohf's blend with the complement part formed on all n rows."""
+    V, s, W = thin_svd(history)
+    rank = int(np.count_nonzero(s > 1e-12 * s[0]))
+    if truncate and rank < V.shape[1]:
+        V, s, W = np.ascontiguousarray(V[:, :rank]), s[:rank], np.eye(rank, dtype=complex)
+    ratios = s / s[0]
+    t_vals = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
+    return (V * ratios) @ W + (complement_basis(V) * t_vals) @ W
+
+
+class TestFrameBlend:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 80), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @example(m=16, extra=0, rank=16, seed=1)
+    def test_vhat_is_the_full_height_blend_bitwise(self, m, extra, rank, seed):
+        """complement_basis is zero below row 2m, so its part is added on
+        those rows alone; a rank-deficient history is truncated."""
+        rank = min(rank, m)
+        rng = np.random.default_rng(seed)
+
+        def gaussian(rows, cols):
+            return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+        n = 2 * m + extra
+        data = gaussian(n, m) if rank == m else gaussian(n, rank) @ gaussian(rank, m)
+        history = SnapshotHistory(data)
+        ohf = build_ohf(history, truncate=rank < m)
+        assert ohf.Vhat.tobytes() == _full_height_vhat(history, truncate=rank < m).tobytes()
+
+    def test_wave_seed_7_vhat_is_the_full_height_blend_bitwise(self):
+        history = _wave_history_seed_7()
+        ohf = build_ohf(history, truncate=True)
+        assert ohf.m < history.m
+        assert ohf.Vhat.tobytes() == _full_height_vhat(history, truncate=True).tobytes()
+
+    def test_zero_rows_differ_at_most_in_the_sign_of_zero(self):
+        """Where a row of V is exactly zero, the full-height sum adds the
+        complement GEMM's signed zeros, which can turn -0 into +0; the
+        values stay equal."""
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            m = int(rng.integers(1, 8))
+            data = np.zeros((40, m), dtype=complex)
+            rows = rng.choice(40, size=2 * m + 1, replace=False)
+            data[rows] = rng.standard_normal((rows.size, m)) + 1j * rng.standard_normal((rows.size, m))
+            history = SnapshotHistory(data)
+            assert np.array_equal(build_ohf(history).Vhat, _full_height_vhat(history))
+
+
 class TestBuildOhf:
     def test_orthonormal_input_has_trivial_complement_part(self):
         data = np.zeros((4, 2), dtype=complex)
@@ -369,3 +420,15 @@ class TestVerifyOhf:
         other = periodic_history(16, 3, seed=1)
         with pytest.raises(DimensionMismatch):
             verify_ohf(ohf, other)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 64), st.integers(0, 2**16))
+    # histories on which strided and contiguous products round differently
+    @example(m=8, extra=48, seed=0)
+    @example(m=8, extra=48, seed=2)
+    def test_residuals_do_not_depend_on_the_history_layout(self, m, extra, seed):
+        data = almost_periodic_history(2 * m + extra, m, 1e-3, m, seed).perturbed.data
+        ohf = build_ohf(SnapshotHistory(data))
+        reports = [verify_ohf(ohf, SnapshotHistory(layout))
+                   for layout in (np.ascontiguousarray(data), np.asfortranarray(data))]
+        assert reports[0] == reports[1]
