@@ -226,19 +226,21 @@ def _cmd_export_plot(args) -> int:
         header += [f"model{idx}" for idx in components]
     rows = [",".join(header)]
     if model is not None:
+        # one replay: the plotted components are copied out before the
+        # residuals overwrite the states with the gaps
         states = replay(model, 0, history.m)
-        residuals = _gap_norms(model, history.data)
+        plotted = states[components]
+        residuals = _gap_norms(states, history.data)
     for k in range(history.m):
         fields = [str(k)]
         xk = history.data[:, k]
         if model is not None:
-            pk = states[:, k]
             fields.append(format_complex_entry(complex(residuals[k])))
         else:
             fields.append("")
         fields += [format_complex_entry(xk[idx]) for idx in components]
         if model is not None:
-            fields += [format_complex_entry(pk[idx]) for idx in components]
+            fields += [format_complex_entry(value) for value in plotted[:, k]]
         rows.append(",".join(fields))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -132,12 +132,13 @@ def predict(model: SclRomModel, t: int) -> np.ndarray:
     return replay(model, t, t + 1)[:, 0].copy()
 
 
-def _gap_norms(model: SclRomModel, data: np.ndarray) -> list[float]:
-    """||x_t - data[:, t]||_2 for every column t of data.
+def _gap_norms(states: np.ndarray, data: np.ndarray) -> list[float]:
+    """||states[:, t] - data[:, t]||_2 for every column t of data.
 
-    The snapshots are subtracted in place from the replayed states, a
-    fresh C-ordered (steps, n) array, which a column-major ``data`` matches
-    row for row. ``np.linalg.norm`` of a complex row x is
+    ``states`` is a :func:`replay` of the same steps, whose transpose is a
+    fresh C-ordered (steps, n) array; it is overwritten with the gaps, so
+    a column-major ``data`` is subtracted in place row for row.
+    ``np.linalg.norm`` of a complex row x is
     ``sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))``: one BLAS ``ddot``
     per part, on a stride-2 view. The batched ``matmul`` of each (1, n) row
     view by its (n, 1) transpose hands every row to that same ``ddot`` on
@@ -147,7 +148,7 @@ def _gap_norms(model: SclRomModel, data: np.ndarray) -> list[float]:
     reads inf.
     """
     with np.errstate(over="ignore"):
-        gaps = replay(model, 0, data.shape[1]).T
+        gaps = states.T
         np.subtract(gaps, data.T, out=gaps)
         re, im = gaps.real, gaps.imag
         squares = np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
@@ -203,7 +204,7 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
         coeffs = W.conj().T @ (inv_scale[:, None] * (V.conj().T @ data))
 
     model = SclRomModel(ohf=ohf, coeffs=coeffs, epsilon_achieved=0.0)
-    per_step = _gap_norms(model, history.data)
+    per_step = _gap_norms(replay(model, 0, history.m), history.data)
     model.epsilon_achieved = max(per_step) if per_step else 0.0
     report = FitReport(
         target_met=model.epsilon_achieved <= opts.epsilon,
@@ -230,7 +231,7 @@ def verify_mimetic(model: SclRomModel, history: SnapshotHistory, eps: float) -> 
             f"model has state dimension {model.n} but history has {history.n}"
         )
     steps = min(model.period, history.m)
-    per_step = list(enumerate(_gap_norms(model, history.data[:, :steps])))
+    per_step = list(enumerate(_gap_norms(replay(model, 0, steps), history.data[:, :steps])))
     max_residual = max((r for _, r in per_step), default=0.0)
     return MimeticReport(
         max_residual=max_residual,

@@ -178,18 +178,18 @@ def complement_basis(V: np.ndarray) -> np.ndarray:
     return U
 
 
-def replay_operator(V: np.ndarray, M: np.ndarray, g: np.ndarray) -> np.ndarray:
+def replay_operator(V: np.ndarray, V_conj: np.ndarray, Vhat: np.ndarray, g: np.ndarray) -> np.ndarray:
     """R = V M circ(g) (n x m), for M = V* Vhat and g = rho Vhat* vhat_1.
 
     K H_t (rho vhat_1) = V (V* Vhat) circ(c_t) g = R c_t for the step-t
     transition H_t = Vhat circ(c_t) Vhat*, because circulants commute
-    (circ(c) g = circ(g) c). The builder and the model loader both take g
-    from :func:`_vhat_products` and M as the product of one conjugated
-    copy of V with Vhat, then form R here: the same BLAS calls on the same
-    operands, so bit-identical frames give bit-identical replay operators,
-    and hence predictions.
+    (circ(c) g = circ(g) c). ``V_conj`` is the caller's conjugated copy of
+    V, which M is formed from here. The builder and the model loader both
+    take g from :func:`_vhat_products` and form M and R here: the same BLAS
+    calls on the same operands, so bit-identical frames give bit-identical
+    replay operators, and hence predictions.
     """
-    return V @ (M @ circulant_matrix(g))
+    return V @ ((V_conj.T @ Vhat) @ circulant_matrix(g))
 
 
 def _vhat_products(Vhat: np.ndarray, rho: complex) -> tuple[OrthReport, np.ndarray, np.ndarray]:
@@ -351,7 +351,7 @@ def build_ohf(
         V=V,
         kappa=kappa,
         rho=rho,
-        R=replay_operator(V, V.conj().T @ Vhat, g),
+        R=replay_operator(V, V.conj(), Vhat, g),
         singular_values=s.copy(),
         W=W,
     )

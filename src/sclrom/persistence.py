@@ -384,6 +384,7 @@ def read_model(path) -> SclRomModel:
         raise InvariantViolation(f"payload arrays unreadable: {exc}") from exc
     if offset != len(blob):
         raise InvariantViolation("trailing bytes after payload arrays")
+    del blob  # the arrays are copies; free one file size before the frame products
     if V.shape != (n, m):
         raise InvariantViolation(f"V has shape {V.shape}, manifest says {(n, m)}")
     if Vhat.shape != (n, m):
@@ -401,7 +402,8 @@ def read_model(path) -> SclRomModel:
     if not (rho.real > 0.0 and abs(rho.imag) <= 1e-10 * abs(rho)):
         raise InvariantViolation(f"rho {rho} is not real and positive")
 
-    # one conjugated copy per frame, each freed before the next is made;
+    # one conjugated copy per frame, each freed before the next is made (R
+    # is formed from the V copy, and used only once the checks pass);
     # huge entries read inf or NaN, which the gate or the frame residuals reject
     with np.errstate(all="ignore"):
         try:
@@ -409,7 +411,8 @@ def read_model(path) -> SclRomModel:
         except SclRomError as exc:
             raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
         V_conj = V.conj()
-        v_gram, M = V_conj.T @ V, V_conj.T @ Vhat
+        v_gram = V_conj.T @ V
+        R = replay_operator(V, V_conj, Vhat, g)
         del V_conj
     if not orth.is_orthogonal:
         raise InvariantViolation(
@@ -426,7 +429,7 @@ def read_model(path) -> SclRomModel:
         V=V,
         kappa=kappa,
         rho=rho,
-        R=replay_operator(V, M, g),
+        R=R,
         singular_values=None,
         W=None,
     )

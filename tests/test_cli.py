@@ -132,6 +132,28 @@ class TestPipeline:
         assert lines[0] == "step,residual,state0,state1,model0,model1"
         assert len(lines) == 4
 
+    def test_export_plot_columns_are_bitwise_predictions(self, capsys, tmp_path):
+        # 20 steps of a period-6 model: the replay window wraps past the period
+        from sclrom.persistence import format_complex_entry
+
+        h, m, csv = tmp_path / "h.bin", tmp_path / "m.bin", tmp_path / "plot.csv"
+        run(capsys, "simulate", "almost-periodic", "--n", "24", "--T", "6", "--horizon", "20",
+            "--eps-pert", "1e-3", "--seed", "4", "--out", str(h))
+        run(capsys, "fit", str(h), "--mode", "lsq", "--period", "6", "--out", str(m))
+        code, _, _ = run(capsys, "export-plot", str(h), "--model", str(m),
+                         "--components", "3,0,3", "--out", str(csv))
+        assert code == 0
+        data, model = read_snapshots(h).data, read_model(m)
+        lines = csv.read_text().splitlines()[1:]
+        assert len(lines) == 20
+        for t, line in enumerate(lines):
+            state = predict(model, t)
+            gap = complex(np.linalg.norm(state - data[:, t]))
+            expected = [str(t), format_complex_entry(gap)]
+            expected += [format_complex_entry(data[i, t]) for i in (3, 0, 3)]
+            expected += [format_complex_entry(state[i]) for i in (3, 0, 3)]
+            assert line.split(",") == expected, t
+
 
 class TestLogStyleBanner:
     def test_verify_banner_block(self, capsys, tmp_path):

@@ -253,18 +253,21 @@ class TestVerifyMimetic:
         period=st.integers(1, 6),
         extra=st.integers(0, 5),
         seed=st.integers(0, 2**16),
-        order=st.sampled_from(["C", "F"]),
+        fit_order=st.sampled_from(["C", "F"]),
+        verify_order=st.sampled_from(["C", "F"]),
     )
-    @example(n=64, period=1, extra=0, seed=1, order="C")  # one step
-    @example(n=2**16, period=4, extra=2, seed=3, order="F")
-    def test_fit_and_verify_residuals_are_bitwise_predict_gaps(self, n, period, extra, seed, order):
-        """Residuals keep every bit, in either layout, also on the column
-        slice verify_mimetic takes."""
+    @example(n=64, period=1, extra=0, seed=1, fit_order="C", verify_order="F")  # one step
+    @example(n=2**16, period=4, extra=2, seed=3, fit_order="F", verify_order="F")
+    def test_fit_and_verify_residuals_are_bitwise_predict_gaps(
+        self, n, period, extra, seed, fit_order, verify_order
+    ):
+        """Residuals keep every bit, whatever the layouts of the fitted and
+        the verified history, also on the column slice verify_mimetic takes."""
         period = min(period, n // 2)
         steps = period + extra
         data = almost_periodic_history(n, period, 1e-3, steps + 3, seed=seed).perturbed.data
-        history = SnapshotHistory(np.asarray(data, order=order))
-        train = SnapshotHistory(np.asarray(data[:, :steps], order=order))
+        history = SnapshotHistory(np.asarray(data, order=verify_order))
+        train = SnapshotHistory(np.array(data[:, :steps], order=fit_order))
         model, fit_report = fit(train, FitOptions(mode="least_squares", period=period))
         report = verify_mimetic(model, history, 1.0)
         direct = [np.linalg.norm(predict(model, t) - train.data[:, t]) for t in range(steps)]

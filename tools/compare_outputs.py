@@ -1,12 +1,12 @@
 """Compare the benchmark commands' outputs between two source checkouts.
 
-    python tools/compare_outputs.py PARENT CHANGE [--threads N] [--seeds 1 2]
+    python tools/compare_outputs.py PARENT CHANGE [--threads N]
 
 Runs every command of every workload in ``perfbench/workloads.py`` (one
-pass per seed) through ``sclrom.cli.run_cli``, once for each checkout,
-each in a child process that imports ``sclrom`` from that checkout's
-``src`` with the BLAS thread count pinned to N (default 2, as the
-benchmark pins it). Both sides take their argv from CHANGE's workloads
+pass at each of seeds 1 and 2) through ``sclrom.cli.run_cli``, once for
+each checkout, each in a child process that imports ``sclrom`` from that
+checkout's ``src`` with the BLAS thread count pinned to N (default 2, as
+the benchmark pins it). Both sides take their argv from CHANGE's workloads
 file and run in the same working directory, so that the paths printed on
 stdout agree. For each command it reports whether the exit code, stdout,
 stderr and output file match; for a differing snapshot, model or
@@ -33,6 +33,7 @@ import traceback
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEEDS = (1, 2)
 
 
 def _load_workloads(checkout: Path):
@@ -51,7 +52,7 @@ def _child(args) -> int:
     workdir, keep = Path(args.workdir), Path(args.keep)
     results = []
     for name, workload in _load_workloads(Path(args.workloads)).items():
-        for seed in args.seeds:
+        for seed in SEEDS:
             shutil.rmtree(workdir, ignore_errors=True)
             workdir.mkdir(parents=True)
             for index, cmd in enumerate(workload.commands(str(workdir), seed, 0)):
@@ -84,8 +85,7 @@ def _run_side(checkout: Path, workloads: Path, base: Path, label: str, args) -> 
         env[var] = str(args.threads)
     env["PYTHONPATH"] = str(checkout / "src")
     argv = [sys.executable, __file__, "--child", "--workloads", str(workloads),
-            "--workdir", str(base / "work"), "--keep", str(keep),
-            "--seeds", *map(str, args.seeds)]
+            "--workdir", str(base / "work"), "--keep", str(keep)]
     proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, timeout=1800)
     if proc.returncode != 0:
         raise SystemExit(f"compare_outputs: the run of {checkout} failed")
@@ -133,7 +133,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent", nargs="?", type=Path)
     parser.add_argument("change", nargs="?", type=Path)
     parser.add_argument("--threads", type=int, default=2)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--workloads", help=argparse.SUPPRESS)
     parser.add_argument("--workdir", help=argparse.SUPPRESS)
