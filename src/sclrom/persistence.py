@@ -18,16 +18,19 @@ per state row with entries rendered as ``a``, ``a+bi``, or ``a-bi`` using
 shortest round-trip decimals; only the ``i`` suffix is accepted when
 reading. The reader accepts whitespace around entries and skips blank
 lines; its errors name the physical line (as ``str.splitlines`` counts
-them, header = line 1) and the 1-based column. Each row is formatted,
-validated and converted as a whole, so the temporaries stay one row in
-size. A real row is written from one list ``repr`` of its floats, with
-the integral ``.0`` dropped by string replacement; a complex row joins
-one ``format_complex_entry`` per entry. A read row made only of
-ASCII digits, ``.eE+-``, commas, spaces and tabs is converted by
-``float()``, which accepts exactly the grammar's entries over that
-alphabet; any other row, and any row ``float()`` rejects, is checked
-against the grammar and converted by ``complex()``, so the grammar and
-the errors are the same on both paths.
+them, header = line 1) and the 1-based column. Each row is formatted as
+a whole, so the writer's temporaries stay one row in size. A real row
+is written from one list ``repr`` of its floats, with the integral
+``.0`` dropped by string replacement; a complex row joins one
+``format_complex_entry`` per entry. When every read row is made only of
+ASCII digits, ``.eE+-``, commas, spaces and tabs, the whole file is
+converted by one ``np.loadtxt`` call: numpy's C reader converts each
+field with ``PyOS_string_to_double``, the correctly rounded routine
+behind ``float()``, accepts exactly the grammar's entries over that
+alphabet, and its float64 result is widened to complex in one copy. A
+file with any other row, or one that numpy's reader rejects, is checked
+row by row against the grammar and converted by ``complex()``, so the
+grammar, the values and the errors are the same on both paths.
 
 Model files: a fixed-order UTF-8 manifest, a blank line, then three
 snapshot-encoded binary blocks holding V (n x m), Vhat (n x m), and the
@@ -84,8 +87,9 @@ _ENTRY_RE = re.compile(_PADDED_ENTRY)
 _ROW_RE = re.compile(rf"{_PADDED_ENTRY}(?:,{_PADDED_ENTRY})*")
 # A row that this table deletes entirely holds only ASCII digits, '.eE+-',
 # commas, spaces and tabs: no 'i', 'inf', 'nan', '_', non-ASCII digit or
-# space. Over that alphabet float() accepts exactly the fields that
-# _PADDED_ENTRY accepts, and gives complex()'s real part bit for bit.
+# space. Over that alphabet np.loadtxt reads as float64 (whitespace
+# stripped, then PyOS_string_to_double, as in float()) exactly the fields
+# that _PADDED_ENTRY accepts, with complex()'s real part bit for bit.
 _REAL_ASCII = str.maketrans("", "", "0123456789.eE+-, \t")
 
 
@@ -260,14 +264,17 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
             raise DimensionMismatch(
                 f"line {number} has {row.count(',') + 1} entries, declared m={m}"
             )
+    if all(row.isascii() and not row.translate(_REAL_ASCII) for _, row in rows):
+        try:
+            real = np.loadtxt([row for _, row in rows], delimiter=",", ndmin=2)
+        except ValueError:
+            pass  # the grammar below names the bad field
+        else:
+            if real.shape == (n, m):
+                del lines, rows  # free the row strings before the widened copy
+                return SnapshotHistory(real.astype(np.complex128))
     data = np.empty((n, m), dtype=np.complex128)
     for i, (number, row) in enumerate(rows):
-        if row.isascii() and not row.translate(_REAL_ASCII):
-            try:
-                data[i] = list(map(float, row.split(",")))
-                continue
-            except ValueError:
-                pass  # the grammar below names the bad field
         if _ROW_RE.fullmatch(row) is None:
             # _ROW_RE is _ENTRY_RE joined by commas, so some field fails
             # parse_complex_entry, which names its column
@@ -283,7 +290,10 @@ def read_snapshots(path) -> SnapshotHistory:
     """Read a snapshot file: binary if it starts with the magic bytes, else CSV.
 
     A binary file loads as a column-major history, a CSV file (one line per
-    state row) as a row-major one.
+    state row) as a row-major one. A real binary payload is widened to
+    complex in one copy; a CSV file whose rows are all real decimals over
+    ASCII is converted by one ``np.loadtxt`` call and widened the same
+    way, and any other CSV file row by row through the entry grammar.
     """
     try:
         with open(path, "rb") as fh:

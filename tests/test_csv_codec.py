@@ -307,3 +307,100 @@ def test_writer_pinned_bytes(tmp_path, values, line):
     path = tmp_path / "row.csv"
     write_snapshots(SnapshotHistory(np.array([values], dtype=np.complex128)), path, format="csv")
     assert path.read_bytes() == f"1,{len(values)}\n{line}\n".encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,1\n2.5\n",
+        "1,1\n-0\n",
+        "1,4\n1,-2.5e-3,7,0.1\n",
+        "4,1\n1\n-0\n3e2\n.5\n",
+        "2,2\n\n1,2\n \t \n\n3,4\n\n\n",
+        "2,3\n 1 ,\t2\t,  3\n-0 , 5e-324 ,\t1E+16 \n",
+        "2,2\r\n1,2\r\n\r\n3.,-.5\r\n",
+        "2,2\n1e309,2\n3,4\n",
+        "2,2\n1,2\n3,-1e400\n",
+    ],
+    ids=["n1-m1", "n1-m1-negative-zero", "n1", "m1", "blank-lines", "padded", "crlf",
+         "overflow", "negative-overflow"],
+)
+def test_valid_real_files_read_like_oracle(tmp_path_factory, text):
+    """Files valid throughout, which numpy's reader converts whole: the
+    ndmin shapes, blank and whitespace-only lines, padding, '\\r\\n', and
+    entries past 1e308, which read inf and fail SnapshotHistory."""
+    assert all(passes_real_gate(row) for row in text.splitlines()[1:])
+    assert_reads_like_oracle(tmp_path_factory, text)
+
+
+@st.composite
+def valid_real_texts(draw):
+    """Valid real files of any shape: padded entries, several spellings of a
+    float, blank and whitespace-only lines, '\\n' or '\\r\\n' endings."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    pad = st.text(st.sampled_from(" \t"), max_size=2)
+    spelled = st.one_of(st.builds(format_float, floats), st.builds(repr, floats),
+                        st.builds(lambda x: f"{x:.3E}", floats))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{n},{m}"]
+    for _ in range(n):
+        lines.extend(draw(st.lists(pad, max_size=2)))
+        lines.append(",".join(draw(pad) + draw(spelled) + draw(pad) for _ in range(m)))
+    return end.join(lines) + end * draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(valid_real_texts())
+def test_valid_real_texts_read_like_oracle(tmp_path_factory, text):
+    assert all(passes_real_gate(row) for row in text.splitlines()[1:])
+    assert_reads_like_oracle(tmp_path_factory, text)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """One entry per call of numpy's reader: the shape it returned, or
+    "ValueError" when it raised."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        try:
+            result = loadtxt(*args, **kwargs)
+        except ValueError:
+            calls.append("ValueError")
+            raise
+        calls.append(result.shape)
+        return result
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+def test_wave_history_reads_through_numpy(tmp_path, loadtxt_calls):
+    history = simulate_wave_1d(WaveConfig(nx=64, nt=24, dt=2 / 24))
+    path = tmp_path / "wave.csv"
+    write_snapshots(history, path, format="csv")
+    assert read_snapshots(path).data.tobytes() == history.data.tobytes()
+    assert loadtxt_calls == [(64, 25)]
+
+
+def test_one_complex_row_reads_through_the_grammar(tmp_path_factory, loadtxt_calls):
+    text = "3,2\n1,2\n3+0.5i,4\n5,6\n"
+    assert_reads_like_oracle(tmp_path_factory, text)
+    assert loadtxt_calls == []
+
+
+def test_a_bad_field_falls_back_to_the_grammar(tmp_path_factory, loadtxt_calls):
+    """numpy's reader raises on the bad field; the grammar then names it."""
+    text = "2,2\n1,2\n3,4e\n"
+    path = write_text(tmp_path_factory, text)
+    with pytest.raises(ParseError) as info:
+        read_snapshots(path)
+    assert (info.value.line, info.value.column) == (3, 2)
+    assert loadtxt_calls == ["ValueError"]
+
+
+def test_an_unexpected_shape_falls_back_to_the_grammar(tmp_path_factory, monkeypatch):
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: np.zeros((1, 1)))
+    assert_reads_like_oracle(tmp_path_factory, "2,2\n1,2\n3,4\n")

@@ -27,7 +27,7 @@ from sclrom import (
     verify_mimetic,
     verify_ohf,
 )
-from sclrom.ohf import complement_basis
+from sclrom.ohf import complement_basis, pin_column_phases
 
 
 class TestSnapshotHistory:
@@ -90,6 +90,72 @@ class TestThinSvd:
             assert pivot.real > 0
 
 
+def _pinned_complex_svd(data):
+    """The oracle: LAPACK's complex SVD with phases pinned by pin_column_phases."""
+    V, s, W = np.linalg.svd(np.asarray(data, dtype=complex), full_matrices=False)
+    V, W = V.copy(), W.copy()
+    pin_column_phases(V, W)
+    return V, s, W
+
+
+def _real_histories():
+    """Random real histories, full rank and rank-deficient, and one whose
+    imaginary parts are all -0.0."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, m, rank in [(40, 6, 6), (97, 20, 20), (30, 1, 1), (64, 12, 5), (50, 9, 1)]:
+        data = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+        cases.append(pytest.param(data.astype(complex), id=f"{n}x{m}-rank-{rank}"))
+    negative_zero = rng.standard_normal((24, 5)).astype(complex)
+    negative_zero.imag[:] = -0.0
+    cases.append(pytest.param(negative_zero, id="imag-minus-zero"))
+    return cases
+
+
+class TestRealSvd:
+    """A history with no imaginary part takes the real SVD; projectors and
+    reconstructions match the complex SVD (columns need not: equal or close
+    singular values leave them free to rotate)."""
+
+    @pytest.mark.parametrize("rank_tol", [None, 1e-12], ids=["full", "truncated"])
+    @pytest.mark.parametrize("data", _real_histories())
+    def test_matches_pinned_complex_svd(self, data, rank_tol):
+        history = SnapshotHistory(data)
+        V, s, W = thin_svd(history, rank_tol)
+        Vo, so, Wo = _pinned_complex_svd(data)
+        # directions past the numerical rank are set by rounding alone
+        rank = int(np.count_nonzero(so > 1e-12 * so[0]))
+        if rank_tol is not None:
+            Vo, so, Wo = Vo[:, :rank], so[:rank], Wo[:rank]
+        assert s.size == so.size
+        assert V.dtype == W.dtype == np.complex128 and V.flags.c_contiguous
+        assert not V.imag.any() and not np.signbit(V.imag).any()
+        assert not W.imag.any()
+        scale = so[0]
+        P, Po = V[:, :rank], Vo[:, :rank]
+        assert np.max(np.abs(P @ P.conj().T - Po @ Po.conj().T)) <= 1e-13
+        assert np.max(np.abs((V * s) @ W - (Vo * so) @ Wo)) <= 1e-13 * scale
+        np.testing.assert_allclose(s, so, rtol=0, atol=1e-13 * scale)
+
+    def test_complex_history_keeps_the_complex_factors(self):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
+        V, s, W = thin_svd(SnapshotHistory(data))
+        Vo, so, Wo = _pinned_complex_svd(data)
+        assert V.tobytes() == Vo.tobytes() and W.tobytes() == Wo.tobytes()
+        assert s.tobytes() == so.tobytes()
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_wave_histories_keep_their_rank_and_verify(self, seed):
+        history = _wave_history(seed)
+        so = np.linalg.svd(history.data, compute_uv=False)
+        model, _ = fit(history, FitOptions(mode="least_squares", truncate_rank=True))
+        assert model.m == int(np.count_nonzero(so > 1e-12 * so[0]))
+        assert not model.ohf.V.imag.any()
+        eps = 1e-8 * float(np.max(np.linalg.norm(history.data, axis=0)))
+        assert verify_mimetic(model, history, eps).passed
+
+
 class TestComplementBasis:
     def test_canonical_complement(self):
         V = np.zeros((4, 2), dtype=complex)
@@ -117,8 +183,10 @@ class TestComplementBasis:
         assert np.linalg.norm(U.conj().T @ U - np.eye(3)) <= 1e-12
 
 
-def _wave_history_seed_7():
-    center = 0.25 + 0.5 * float(np.random.default_rng(7).random())
+def _wave_history(seed):
+    """The wave workload's history: nx=512, nt=192, a Gaussian of width 0.05
+    centred from the seed."""
+    center = 0.25 + 0.5 * float(np.random.default_rng(seed).random())
     cfg = WaveConfig(L=1.0, c=1.0, nx=512, nt=192, dt=2.0 / 192,
                      w0=GaussianBump(center, 0.05))
     return simulate_wave_1d(cfg)
@@ -129,7 +197,7 @@ def _wave_frame_seed_7():
     centred from seed 7, truncated to its numerical rank): the worst-conditioned
     wave frame seen, where e_1..e_m projected against V have a condition
     number near 1e9."""
-    history = _wave_history_seed_7()
+    history = _wave_history(7)
     V, s, _ = thin_svd(history)
     return np.ascontiguousarray(V[:, : np.count_nonzero(s > 1e-12 * s[0])])
 
@@ -189,7 +257,7 @@ class TestComplementContract:
         assert np.array_equal(U, np.eye(20, 4, k=-4, dtype=complex))
 
     def test_wave_frame_fits_and_verifies(self):
-        history = _wave_history_seed_7()
+        history = _wave_history(7)
         model, _ = fit(history, FitOptions(mode="least_squares", truncate_rank=True))
         eps = 1e-8 * float(np.max(np.linalg.norm(history.data, axis=0)))
         assert verify_mimetic(model, history, eps).passed
@@ -226,7 +294,7 @@ class TestFrameBlend:
         assert ohf.Vhat.tobytes() == _full_height_vhat(history, truncate=rank < m).tobytes()
 
     def test_wave_seed_7_vhat_is_the_full_height_blend_bitwise(self):
-        history = _wave_history_seed_7()
+        history = _wave_history(7)
         ohf = build_ohf(history, truncate=True)
         assert ohf.m < history.m
         assert ohf.Vhat.tobytes() == _full_height_vhat(history, truncate=True).tobytes()
