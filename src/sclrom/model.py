@@ -123,7 +123,7 @@ def predict(model: SclRomModel, t: int) -> np.ndarray:
 
     rho vhat_1 equals T v_1 by the factorization identities; the replay
     operator R folds the stored scalar rho together with K and the frame
-    (see :func:`sclrom.ohf.replay_operator`). The state is an owned copy
+    (see :func:`sclrom.ohf.checked_factorization`). The state is an owned copy
     of one column of :func:`replay`, so it is bitwise equal to the same
     step of any replay window, before and after a save/load round trip.
     Each call computes a whole period; use :func:`replay` for many steps.

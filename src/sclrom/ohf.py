@@ -13,6 +13,10 @@ advancing the Vhat columns cyclically, so that
 Every one of these operators has rank m (U is the identity plus a rank-m
 term), so they are held through the n x m frames and never formed as
 n x n matrices.
+
+Fitting and the model loader both build the factorization through
+:func:`checked_factorization`, which checks the frames and forms the
+replay operator, so that fitting yields only models that load.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ import numpy as np
 
 from .circulant import circulant_matrix
 from .cyclic import (
-    OrthReport,
     _check_columns,
     _gram_and_norms,
     _gram_orthogonality,
@@ -90,9 +93,9 @@ class SnapshotHistory:
 class OhfFactorization:
     """Orthonormal history factor: frames, scalars, and the replay operator.
 
-    ``R`` is the n x m replay operator of :func:`replay_operator`, derived
-    from V, Vhat, and rho. ``singular_values`` is None on instances rebuilt
-    from a model file (the file stores only V, Vhat, and coefficients).
+    ``R`` is the n x m replay operator that :func:`checked_factorization`
+    derives from V, Vhat, and rho. ``singular_values`` is None on instances
+    rebuilt from a model file (the file stores only V, Vhat, and coefficients).
     ``W`` is the retained right SVD factor used by least-squares fitting;
     it is not persisted.
     """
@@ -191,35 +194,6 @@ def complement_basis(V: np.ndarray) -> np.ndarray:
     return U
 
 
-def replay_operator(V: np.ndarray, V_conj: np.ndarray, Vhat: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """R = V M circ(g) (n x m), for M = V* Vhat and g = rho Vhat* vhat_1.
-
-    K H_t (rho vhat_1) = V (V* Vhat) circ(c_t) g = R c_t for the step-t
-    transition H_t = Vhat circ(c_t) Vhat*, because circulants commute
-    (circ(c) g = circ(g) c). ``V_conj`` is the caller's conjugated copy of
-    V, which M is formed from here. The builder and the model loader both
-    take g from :func:`_vhat_products` and form M and R here: the same BLAS
-    calls on the same operands, so bit-identical frames give bit-identical
-    replay operators, and hence predictions.
-    """
-    return V @ ((V_conj.T @ Vhat) @ circulant_matrix(g))
-
-
-def _vhat_products(Vhat: np.ndarray, rho: complex) -> tuple[OrthReport, np.ndarray, np.ndarray]:
-    """Orthogonality report, Gram matrix Vhat* Vhat and g = rho Vhat* vhat_1
-    of a frame, from one conjugated copy of it, freed on return.
-
-    Raises the errors of :class:`sclrom.cyclic.VectorSystem` for more
-    columns than rows or a zero column. Each product is the BLAS call that
-    ``Vhat.conj().T @ ...`` makes, so it keeps its bits.
-    """
-    conj = Vhat.conj()
-    g = rho * (conj.T @ Vhat[:, 0])
-    gram, norms = _gram_and_norms(Vhat, conj)
-    _check_columns(Vhat.shape, norms)
-    return _gram_orthogonality(gram, norms, _ORTHOGONALITY_TOL), gram, g
-
-
 def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:
     """||U* U - 1||_F for the shift factor U = 1 + E F* of frame columns
     Vhat with Gram matrix G = Vhat* Vhat = R* R, in O(m^3).
@@ -281,6 +255,66 @@ def frame_residuals(
     }
 
 
+def checked_factorization(
+    V: np.ndarray, Vhat: np.ndarray, kappa: complex, rho: complex,
+    singular_values: np.ndarray | None = None, W: np.ndarray | None = None,
+) -> OhfFactorization:
+    """The factorization of frames V, Vhat and scalars kappa, rho, once they
+    pass every check of a valid model: the one gate of fitting and loading.
+
+    Vhat must pass the checks of :class:`sclrom.cyclic.VectorSystem` and
+    :func:`sclrom.cyclic.check_orthogonal_system` at 1e-8 (NotOrthogonal).
+    Then the five :func:`frame_residuals`, and three residuals of
+    M = V* Vhat that tie Vhat to V and rho (a fitted frame has
+    M = diag(s/s_1) W with W unitary, and v_1 = kappa V M e_1), must each be
+    at most 1e-8 max(1, m), written ``not <=`` so that NaN fails
+    (InvariantViolation naming it): ``V* Vhat rows orthogonal`` =
+    ||offdiag(M M*)||_F, ``V* Vhat row norms ordered`` =
+    max(|d_1 - 1|, max_j (d_{j+1} - d_j)^+) for d = diag(M M*), and
+    ``rho consistent`` = |rho - kappa ||M e_1||^2| / |rho|.
+
+    R = V M circ(g) with g = rho Vhat* vhat_1 is the replay operator:
+    K H_t (rho vhat_1) = V M circ(c_t) g = R c_t for the step-t transition
+    H_t = Vhat circ(c_t) Vhat*, as circulants commute. Each frame is
+    conjugated once, and each product is one BLAS call on fixed operands,
+    so bit-identical frames give bit-identical R, and hence predictions.
+    Runs under ``np.errstate(all="ignore")``: huge entries read inf or NaN,
+    which the checks reject.
+    """
+    m = Vhat.shape[1]
+    with np.errstate(all="ignore"):
+        conj = Vhat.conj()
+        g = rho * (conj.T @ Vhat[:, 0])
+        vhat_gram, norms = _gram_and_norms(Vhat, conj)
+        del conj
+        _check_columns(Vhat.shape, norms)
+        orth = _gram_orthogonality(vhat_gram, norms, _ORTHOGONALITY_TOL)
+        if not orth.is_orthogonal:
+            raise NotOrthogonal(
+                f"Vhat max relative cross product {orth.max_cross:.3e} "
+                f"exceeds tol {_ORTHOGONALITY_TOL:.1e}"
+            )
+        V_conj = V.conj()
+        v_gram = V_conj.T @ V
+        M = V_conj.T @ Vhat
+        del V_conj
+        residuals = frame_residuals(V, Vhat, vhat_gram, v_gram)
+        MM = M @ M.conj().T
+        d = MM.diagonal().real.copy()
+        np.fill_diagonal(MM, 0.0)
+        residuals["V* Vhat rows orthogonal"] = float(np.linalg.norm(MM))
+        gaps = np.append(np.diff(d), (abs(d[0] - 1.0), 0.0))  # np.max keeps a NaN
+        residuals["V* Vhat row norms ordered"] = float(np.max(gaps))
+        rho_gap = abs(rho - kappa * np.vdot(M[:, 0], M[:, 0]).real)
+        residuals["rho consistent"] = float(rho_gap / abs(rho))
+        for name, residual in residuals.items():
+            if not residual <= _ORTHOGONALITY_TOL * max(1.0, float(m)):
+                raise InvariantViolation(f"{name}: residual {residual:.3e}")
+        R = V @ (M @ circulant_matrix(g))
+    return OhfFactorization(Vhat=Vhat, V=V, kappa=kappa, rho=rho, R=R,
+                            singular_values=singular_values, W=W)
+
+
 def build_ohf(
     history: SnapshotHistory,
     rank_tol: float = DEFAULT_RANK_TOL,
@@ -312,6 +346,9 @@ def build_ohf(
     NotOrthogonal
         If the Vhat columns fail :func:`sclrom.cyclic.check_orthogonal_system`
         at 1e-8, the tolerance the model loader applies.
+    InvariantViolation
+        If a residual of :func:`checked_factorization` fails its gate, so
+        that the model loader would refuse the frames.
     """
     n, m = history.n, history.m
     if not truncate and n < 2 * m:
@@ -351,21 +388,7 @@ def build_ohf(
         raise NumericalFailure(
             f"first-column product {direct:.6e} does not reproduce rho = {rho:.6e}"
         )
-    orth, _, g = _vhat_products(Vhat, rho)
-    if not orth.is_orthogonal:
-        raise NotOrthogonal(
-            f"Vhat max relative cross product {orth.max_cross:.3e} exceeds tol {_ORTHOGONALITY_TOL:.1e}"
-        )
-
-    return OhfFactorization(
-        Vhat=Vhat,
-        V=V,
-        kappa=kappa,
-        rho=rho,
-        R=replay_operator(V, V.conj(), Vhat, g),
-        singular_values=s.copy(),
-        W=W,
-    )
+    return checked_factorization(V, Vhat, kappa, rho, s.copy(), W)
 
 
 def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-10) -> OhfReport:

@@ -34,13 +34,13 @@ grammar, the values and the errors are the same on both paths.
 
 Model files: a fixed-order UTF-8 manifest, a blank line, then three
 snapshot-encoded binary blocks holding V (n x m), Vhat (n x m), and the
-coefficients (m x T). The replay operator is rebuilt on load from V,
-Vhat, and rho — storing it would permit inconsistent files — after every
-factorization invariant (orthonormal frames, unitary shift factor,
-idempotent projectors) is re-validated through residuals computed from
-the thin frames, and every stored number is checked to be finite. Each
-block loads as a C-ordered array, the layout that fitting produces, so
-replay and predictions are bit-identical across a save/load round trip.
+coefficients (m x T). Once every stored number is checked to be finite,
+the frames pass :func:`sclrom.ohf.checked_factorization`, fitting's gate
+too, which re-validates every factorization invariant through residuals
+of the thin frames and rebuilds the replay operator from V, Vhat and rho
+(storing it would permit inconsistent files). Each block loads as a
+C-ordered array, the layout that fitting produces, so replay and
+predictions are bit-identical across a save/load round trip.
 """
 from __future__ import annotations
 
@@ -62,15 +62,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .model import SclRomModel
-from .ohf import (
-    _MAX_ENTRIES,
-    _ORTHOGONALITY_TOL,
-    OhfFactorization,
-    SnapshotHistory,
-    _vhat_products,
-    frame_residuals,
-    replay_operator,
-)
+from .ohf import _MAX_ENTRIES, SnapshotHistory, checked_factorization
 
 SNAPSHOT_MAGIC = b"SCLROM01"
 MODEL_FORMAT_VERSION = 1
@@ -352,8 +344,10 @@ def read_model(path) -> SclRomModel:
 
     Raises VersionUnsupported for unknown format versions and
     InvariantViolation when the stored arrays are inconsistent with the
-    manifest, hold non-finite numbers, or fail the factorization
-    invariants. No n x n matrix is formed.
+    manifest, hold non-finite numbers, or fail a check of
+    :func:`sclrom.ohf.checked_factorization`; any other error of that gate
+    is reported as ``stored frames are inconsistent: ...``. No n x n
+    matrix is formed.
     """
     try:
         with open(path, "rb") as fh:
@@ -412,35 +406,10 @@ def read_model(path) -> SclRomModel:
     if not (rho.real > 0.0 and abs(rho.imag) <= 1e-10 * abs(rho)):
         raise InvariantViolation(f"rho {rho} is not real and positive")
 
-    # one conjugated copy per frame, each freed before the next is made (R
-    # is formed from the V copy, and used only once the checks pass);
-    # huge entries read inf or NaN, which the gate or the frame residuals reject
-    with np.errstate(all="ignore"):
-        try:
-            orth, vhat_gram, g = _vhat_products(Vhat, rho)
-        except SclRomError as exc:
-            raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
-        V_conj = V.conj()
-        v_gram = V_conj.T @ V
-        R = replay_operator(V, V_conj, Vhat, g)
-        del V_conj
-    if not orth.is_orthogonal:
-        raise InvariantViolation(
-            f"stored frames are inconsistent: max relative cross product "
-            f"{orth.max_cross:.3e} exceeds tol {_ORTHOGONALITY_TOL:.3e}"
-        )
-    for name, residual in frame_residuals(V, Vhat, vhat_gram, v_gram).items():
-        # "not <=" so NaN residuals from corrupt payloads also fail
-        if not (residual <= _ORTHOGONALITY_TOL * max(1.0, float(m))):
-            raise InvariantViolation(f"{name}: residual {residual:.3e}")
-
-    ohf = OhfFactorization(
-        Vhat=Vhat,
-        V=V,
-        kappa=kappa,
-        rho=rho,
-        R=R,
-        singular_values=None,
-        W=None,
-    )
+    try:
+        ohf = checked_factorization(V, Vhat, kappa, rho)
+    except InvariantViolation:
+        raise
+    except SclRomError as exc:
+        raise InvariantViolation(f"stored frames are inconsistent: {exc}") from exc
     return SclRomModel(ohf=ohf, coeffs=coeffs, epsilon_achieved=epsilon)

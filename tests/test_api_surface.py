@@ -14,7 +14,7 @@ REMOVED = {
     cyclic: ["orthogonal_projector"],
     model: ["transition_matrix", "detect_period", "PeriodReport"],
     model.SclRomModel: ["to_control_tuple", "element"],
-    ohf: ["SvdTriple", "_shift_parts"],
+    ohf: ["SvdTriple", "_shift_parts", "_vhat_products", "replay_operator"],
     ohf.SnapshotHistory: ["column", "dt_meta"],
     cyclic.VectorSystem: ["from_vectors", "vector"],
 }

@@ -12,6 +12,7 @@ from sclrom import (
     DimensionTooSmall,
     FitOptions,
     GaussianBump,
+    InvariantViolation,
     NonFiniteData,
     NotOrthogonal,
     NumericalFailure,
@@ -413,6 +414,21 @@ class TestBuildOhf:
         monkeypatch.setattr(sclrom.ohf, "complement_basis", skewed_complement)
         with pytest.raises(NotOrthogonal):
             build_ohf(periodic_history(16, 4, seed=7))
+
+    def test_fit_refuses_a_frame_that_load_refuses(self, monkeypatch):
+        # complement columns scaled by 1 + 1e-6: orthogonal, and rho still
+        # checks out, but the Vhat column norms drift past the load gate
+        monkeypatch.setattr(sclrom.ohf, "complement_basis",
+                            lambda V: complement_basis(V) * (1 + 1e-6))
+        rng = np.random.default_rng(0)
+
+        def gaussian(rows, cols):
+            return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+        history = SnapshotHistory(gaussian(32, 3) @ gaussian(3, 6))
+        with pytest.raises(InvariantViolation) as exc:
+            fit(history, FitOptions(mode="least_squares", truncate_rank=True))
+        assert str(exc.value) == "Vhat columns orthonormal: residual 1.823e-06"
 
     def test_degenerate_history_reports_rank(self):
         col = np.arange(1.0, 9.0)

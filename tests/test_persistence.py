@@ -1,29 +1,34 @@
 """Tests for the snapshot and model file formats."""
 import io
 import os
+import re
 import struct
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sclrom import (
     DimensionMismatch,
     FitOptions,
+    GaussianBump,
     InvariantViolation,
     IoFailure,
     ParseError,
     SnapshotHistory,
     VersionUnsupported,
+    WaveConfig,
     almost_periodic_history,
     fit,
     periodic_history,
     predict,
+    random_orthonormal_columns,
     read_model,
     read_snapshots,
+    simulate_wave_1d,
     write_model,
     write_snapshots,
 )
@@ -454,3 +459,66 @@ class TestModelFormat:
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(IoFailure):
             read_model(tmp_path / "absent.bin")
+
+
+def _forge_vhat(model):
+    model.ohf.Vhat = random_orthonormal_columns(model.n, model.m, seed=99)
+
+
+def _scale_rho(model):
+    model.ohf.rho *= 1 + 1e-6
+
+
+def _swap_v_columns(model):
+    model.ohf.V[:, [1, 2]] = model.ohf.V[:, [2, 1]]
+
+
+def _roundtrip(model, path):
+    write_model(model, path)
+    loaded = read_model(path)
+    assert loaded.ohf.R.tobytes() == model.ohf.R.tobytes()
+
+
+class TestLoadBindsVhatToV:
+    """Each doctored frame below passes the five frame residuals, so an
+    older loader accepted it; the residuals on M = V* Vhat reject it."""
+
+    @pytest.mark.parametrize("doctor, residual", [
+        (_forge_vhat, "V* Vhat rows orthogonal"),
+        (_scale_rho, "rho consistent"),
+        (_swap_v_columns, "V* Vhat row norms ordered"),
+    ], ids=["forged-vhat", "scaled-rho", "swapped-v-columns"])
+    def test_doctored_frame_rejected(self, tmp_path, doctor, residual):
+        model, _ = fit(periodic_history(256, 8, seed=1), FitOptions(mode="least_squares"))
+        doctor(model)
+        path = tmp_path / "m.bin"
+        write_model(model, path)
+        with pytest.raises(InvariantViolation, match=rf"^{re.escape(residual)}: residual "):
+            read_model(path)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 10), st.integers(0, 40), st.integers(1, 10),
+           st.sampled_from(["monomial", "least_squares"]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_every_fitted_model_loads(self, tmp_path, m, extra, rank, mode, truncate, seed):
+        """A rank-deficient history is fitted with truncate_rank alone."""
+        rng = np.random.default_rng(seed)
+
+        def gaussian(rows, cols):
+            return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+        rank = min(rank, m) if truncate else m
+        data = gaussian(2 * m + extra, rank) @ gaussian(rank, m)
+        model, _ = fit(SnapshotHistory(data), FitOptions(mode=mode, truncate_rank=truncate))
+        _roundtrip(model, tmp_path / "m.bin")
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_wave_models_load(self, tmp_path, seed):
+        """The wave workload's fits (nx=512, nt=192, truncated); seed 7 gives
+        the worst-conditioned frame seen."""
+        center = 0.25 + 0.5 * float(np.random.default_rng(seed).random())
+        cfg = WaveConfig(L=1.0, c=1.0, nx=512, nt=192, dt=2.0 / 192,
+                         w0=GaussianBump(center, 0.05))
+        model, _ = fit(simulate_wave_1d(cfg), FitOptions(mode="least_squares", truncate_rank=True))
+        _roundtrip(model, tmp_path / "m.bin")
