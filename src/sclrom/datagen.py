@@ -84,6 +84,14 @@ def almost_periodic_history(
     column, scaled so each perturbation has Euclidean norm ``eps_pert``.
     With ``eps_pert == 0`` the perturbed history is a bitwise copy of the
     clean one.
+
+    The noise is one ``default_rng([seed, 1]).standard_normal((horizon, 2 * n))``
+    draw: row t is column t's perturbation, its real and imaginary parts
+    interleaved (re_0, im_0, re_1, im_1, ...). The perturbed history is
+    built in that buffer and returned as its column-major transpose, so it
+    holds about twice the history's bytes at its peak. Earlier versions
+    drew two (n, horizon) blocks, so their almost-periodic histories (and
+    files) differ from these; ``clean`` is unchanged.
     """
     if horizon < period:
         raise InsufficientData(f"horizon {horizon} shorter than period {period}")
@@ -92,20 +100,16 @@ def almost_periodic_history(
     clean = periodic_history(n, period, seed, horizon)
     if eps_pert == 0.0:
         return AlmostPeriodicPair(perturbed=SnapshotHistory(clean.data.copy()), clean=clean)
-    rng = np.random.default_rng([seed, 1])
-    # both normal blocks go through one float buffer into one complex array
-    draw = rng.standard_normal((n, horizon))
-    E = np.empty((n, horizon), dtype=np.complex128)
-    E.real = draw
-    E.imag = rng.standard_normal(out=draw)
-    del draw
-    E *= eps_pert / np.linalg.norm(E, axis=0)
-    # one transposing copy into the column-major layout of the clean
-    # history, where the sum is contiguous and writing needs no copy
-    perturbed = np.asfortranarray(E)
-    del E
-    perturbed += clean.data
-    return AlmostPeriodicPair(perturbed=SnapshotHistory(perturbed), clean=clean)
+    noise = np.random.default_rng([seed, 1]).standard_normal((horizon, 2 * n))
+    # a row-wise dot of the float rows is each column's squared norm, with
+    # no n x horizon temporary
+    noise *= (eps_pert / np.sqrt(np.einsum("ij,ij->i", noise, noise)))[:, None]
+    rows = noise.view(np.complex128)
+    # the clean history is column-major, so its transpose is contiguous
+    # like the rows and the sum is made in place; the result's transpose
+    # is column-major again, which writing streams with no copy
+    rows += clean.data.T
+    return AlmostPeriodicPair(perturbed=SnapshotHistory(rows.T), clean=clean)
 
 
 @dataclass(frozen=True)

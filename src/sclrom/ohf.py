@@ -213,19 +213,15 @@ def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:
     return float(np.linalg.norm(RB @ M @ RB.conj().T))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # callers reject inf and NaN residuals
 def frame_residuals(
-    V: np.ndarray,
-    Vhat: np.ndarray,
-    vhat_gram: np.ndarray | None = None,
-    v_gram: np.ndarray | None = None,
+    V: np.ndarray, Vhat: np.ndarray, vhat_gram: np.ndarray, v_gram: np.ndarray
 ) -> dict[str, float]:
-    """Frobenius residuals of the factorization invariants, from the frames.
+    """Frobenius residuals of the factorization invariants, from the frames
+    and their Gram matrices G = Vhat* Vhat (``vhat_gram``) and G_V = V* V
+    (``v_gram``).
 
-    Each value equals its dense n x n counterpart up to rounding. One Gram
-    matrix per frame, G = Vhat* Vhat and G_V = V* V (``vhat_gram`` and
-    ``v_gram``, if the caller already has them), is the only O(n m^2)
-    work; the rest is m x m, through the Cholesky factors R with R* R = G
+    Each value equals its dense n x n counterpart up to rounding. Past the
+    Grams the work is m x m, through the Cholesky factors R with R* R = G
     and R_V* R_V = G_V, which stand in for the R of a thin QR:
 
     - ||Vhat* Vhat - 1|| and ||V* V - 1||;
@@ -235,21 +231,21 @@ def frame_residuals(
 
     A Gram matrix that is not positive definite belongs to a frame with
     dependent columns, which no valid model file holds: InvariantViolation,
-    naming the residual that needed the factor.
+    naming the residual that needed the factor. Huge entries give inf or
+    NaN residuals; :func:`checked_factorization` calls this under its
+    ``np.errstate`` and rejects them.
     """
     eye = np.eye(V.shape[1])
-    G = Vhat.conj().T @ Vhat if vhat_gram is None else vhat_gram
-    G_V = V.conj().T @ V if v_gram is None else v_gram
-    R, R_V = _gram_factor(G), _gram_factor(G_V)
+    R, R_V = _gram_factor(vhat_gram), _gram_factor(v_gram)
     for name, factor, frame in (("shift factor unitary", R, "Vhat"), ("K idempotent", R_V, "V")):
         if factor is None:
             raise InvariantViolation(f"{name}: Gram matrix of {frame} is not positive definite")
-    V_gap = G_V - eye
+    V_gap = v_gram - eye
     vhat1_sq = float(np.vdot(Vhat[:, 0], Vhat[:, 0]).real)
     return {
-        "Vhat columns orthonormal": float(np.linalg.norm(G - eye)),
+        "Vhat columns orthonormal": float(np.linalg.norm(vhat_gram - eye)),
         "V columns orthonormal": float(np.linalg.norm(V_gap)),
-        "shift factor unitary": _unitarity_residual(G, R),
+        "shift factor unitary": _unitarity_residual(vhat_gram, R),
         "K idempotent": float(np.linalg.norm(R_V @ V_gap @ R_V.conj().T)),
         "T idempotent": abs(vhat1_sq - 1.0) * vhat1_sq,
     }

@@ -77,12 +77,13 @@ _UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _PADDED_ENTRY = rf"\s*[+-]?{_UFLOAT}(?:[+-]{_UFLOAT}i)?\s*"
 _ENTRY_RE = re.compile(_PADDED_ENTRY)
 _ROW_RE = re.compile(rf"{_PADDED_ENTRY}(?:,{_PADDED_ENTRY})*")
-# A row that this table deletes entirely holds only ASCII digits, '.eE+-',
+# An ASCII row from which bytes.translate(None, _REAL_ASCII) deletes every
+# byte holds only digits, '.eE+-',
 # commas, spaces and tabs: no 'i', 'inf', 'nan', '_', non-ASCII digit or
 # space. Over that alphabet np.loadtxt reads as float64 (whitespace
 # stripped, then PyOS_string_to_double, as in float()) exactly the fields
 # that _PADDED_ENTRY accepts, with complex()'s real part bit for bit.
-_REAL_ASCII = str.maketrans("", "", "0123456789.eE+-, \t")
+_REAL_ASCII = b"0123456789.eE+-, \t"
 
 
 def format_float(x: float) -> str:
@@ -256,7 +257,8 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
             raise DimensionMismatch(
                 f"line {number} has {row.count(',') + 1} entries, declared m={m}"
             )
-    if all(row.isascii() and not row.translate(_REAL_ASCII) for _, row in rows):
+    if all(row.isascii() and not row.encode("ascii").translate(None, _REAL_ASCII)
+           for _, row in rows):
         try:
             real = np.loadtxt([row for _, row in rows], delimiter=",", ndmin=2)
         except ValueError:

@@ -241,7 +241,7 @@ def test_wave_history_codec_memory_stays_within_five_file_sizes(tmp_path):
 
 def passes_real_gate(row: str) -> bool:
     """Whether the reader may convert the row with float() before trying the grammar."""
-    return row.isascii() and not row.translate(_REAL_ASCII)
+    return row.isascii() and not row.encode("ascii").translate(None, _REAL_ASCII)
 
 
 def assert_reads_like_oracle(tmp_path_factory, text: str) -> None:

@@ -109,6 +109,36 @@ class TestAlmostPeriodicHistory:
         direct = periodic_history(16, 4, seed=5, horizon=8)
         assert np.array_equal(pair.clean.data, direct.data)
 
+    @pytest.mark.parametrize(
+        "n, period, eps_pert, horizon, seed", [(64, 8, 1e-3, 16, 2), (16, 4, 0.5, 37, 9)]
+    )
+    def test_noise_is_one_interleaved_draw(self, n, period, eps_pert, horizon, seed):
+        """Row t of one (horizon, 2n) normal draw is column t's perturbation as
+        (re, im) pairs; the sum is column-major."""
+        pair = almost_periodic_history(n, period, eps_pert, horizon, seed)
+        draw = np.random.default_rng([seed, 1]).standard_normal((horizon, 2 * n))
+        noise = draw[:, 0::2] + 1j * draw[:, 1::2]
+        noise *= eps_pert / np.linalg.norm(noise, axis=1, keepdims=True)
+        # the difference loses bits below 1e-16 * |clean|, hence the atol
+        np.testing.assert_allclose(
+            pair.perturbed.data - pair.clean.data, noise.T, rtol=1e-9, atol=1e-9 * eps_pert
+        )
+        assert pair.perturbed.data.flags.f_contiguous
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_peak_memory_stays_near_two_histories(self, seed):
+        """The clean history and the noise buffer the sum is built in; the
+        long-horizon benchmark's size."""
+        n, horizon = 512, 1024
+        tracemalloc.start()
+        try:
+            almost_periodic_history(n, 16, 1e-6, horizon, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        history_bytes = n * horizon * 16
+        assert peak <= 2.25 * history_bytes, f"peak {peak / history_bytes:.2f}x the history"
+
     def test_horizon_shorter_than_period_rejected(self):
         with pytest.raises(InsufficientData):
             almost_periodic_history(16, 4, 1e-3, 3, seed=0)
