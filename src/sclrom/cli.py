@@ -4,12 +4,14 @@ Reports are deterministic for fixed inputs and seeds on a fixed numpy
 build, BLAS library and BLAS thread count: two runs with the same argv
 and files then produce byte-identical stdout and output files. Exit
 codes: 0 success (and verification passed), 1 verification failed, 2
-usage or I/O error, or an allocation that numpy refuses (one stderr line
-naming its size).
+usage or I/O error, an allocation that numpy refuses (one stderr line
+naming its size), or a standard output closed by its reader (one stderr
+line).
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -18,14 +20,25 @@ from .datagen import (
     GaussianBump,
     SineMode,
     WaveConfig,
-    almost_periodic_history,
-    periodic_history,
+    _almost_periodic_columns,
+    _joined,
+    _periodic_columns,
     simulate_wave_1d,
 )
 from .errors import ConfigInvalid, DimensionMismatch, SclRomError
-from .model import FitOptions, SclRomModel, _gap_norms, fit, replay, verify_mimetic
+from .model import (
+    FitOptions,
+    SclRomModel,
+    _gap_norms,
+    _replayed_columns,
+    fit,
+    replay,
+    verify_mimetic,
+)
 from .ohf import SnapshotHistory
 from .persistence import (
+    _snapshot_columns,
+    _write_columns,
     format_complex_entry,
     read_model,
     read_snapshots,
@@ -114,52 +127,71 @@ def _banner_block(title: str) -> str:
     return f"{_BANNER}\n{title}\n{_BANNER}"
 
 
-def _cmd_simulate(args) -> int:
-    if args.generator == "periodic":
-        history = periodic_history(args.n, args.period, args.seed, args.horizon)
-    elif args.generator == "almost-periodic":
-        pair = almost_periodic_history(
-            args.n, args.period, args.eps_pert, args.horizon, args.seed
-        )
-        if args.clean_out:
-            write_snapshots(pair.clean, args.clean_out, format=args.format)
-        history = pair.perturbed
+def _write_history(path, n: int, steps: int, blocks, format: str) -> None:
+    """Write the column blocks that the callable ``blocks`` yields: a
+    binary file block by block, a CSV file (one line per state row) whole."""
+    if format == "binary":
+        _write_columns(path, n, steps, blocks)
     else:
-        if args.dt is None and args.c * args.nt == 0:
-            raise ConfigInvalid("the default --dt, 2L/(c nt), needs nonzero --c and --nt")
-        dt = args.dt if args.dt is not None else 2.0 * args.L / (args.c * args.nt)
-        if args.profile == "sine":
-            w0 = SineMode(args.mode_k)
+        write_snapshots(SnapshotHistory(_joined(n, steps, blocks)), path, format="csv")
+
+
+def _wave_history(args) -> SnapshotHistory:
+    if args.dt is None and args.c * args.nt == 0:
+        raise ConfigInvalid("the default --dt, 2L/(c nt), needs nonzero --c and --nt")
+    dt = args.dt if args.dt is not None else 2.0 * args.L / (args.c * args.nt)
+    if args.profile == "sine":
+        w0 = SineMode(args.mode_k)
+    else:
+        w0 = GaussianBump(args.center, args.width)
+    cfg = WaveConfig(L=args.L, c=args.c, nx=args.nx, nt=args.nt, dt=dt, w0=w0)
+    if not np.any(w0.evaluate(cfg.grid(), cfg.L)):
+        flags = (
+            f"--mode-k {args.mode_k!r} makes the sine" if args.profile == "sine"
+            else f"--center {args.center!r} and --width {args.width!r} make the Gaussian"
+        )
+        raise ConfigInvalid(f"{flags} profile zero at every grid point")
+    if args.log_style == "paper":
+        print(_banner_block("                     Running simulation:"))
+    return simulate_wave_1d(cfg)
+
+
+def _cmd_simulate(args) -> int:
+    if args.generator == "wave":
+        history = _wave_history(args)
+        n, steps = history.n, history.m
+        write_snapshots(history, args.out, format=args.format)
+    else:
+        n = args.n
+        if args.generator == "periodic":
+            steps, blocks = _periodic_columns(n, args.period, args.seed, args.horizon)
         else:
-            w0 = GaussianBump(args.center, args.width)
-        cfg = WaveConfig(L=args.L, c=args.c, nx=args.nx, nt=args.nt, dt=dt, w0=w0)
-        if not np.any(w0.evaluate(cfg.grid(), cfg.L)):
-            flags = (
-                f"--mode-k {args.mode_k!r} makes the sine" if args.profile == "sine"
-                else f"--center {args.center!r} and --width {args.width!r} make the Gaussian"
+            clean, blocks = _almost_periodic_columns(
+                n, args.period, args.eps_pert, args.horizon, args.seed
             )
-            raise ConfigInvalid(f"{flags} profile zero at every grid point")
-        if args.log_style == "paper":
-            print(_banner_block("                     Running simulation:"))
-        history = simulate_wave_1d(cfg)
-    write_snapshots(history, args.out, format=args.format)
-    print(f"simulate: wrote {args.out} (n = {history.n}, m = {history.m})")
+            steps = args.horizon
+            if args.clean_out:
+                _write_history(args.clean_out, n, steps, clean, args.format)
+        _write_history(args.out, n, steps, blocks, args.format)
+    print(f"simulate: wrote {args.out} (n = {n}, m = {steps})")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    history = read_snapshots(args.snapshots)
-    mode = "least_squares" if args.mode == "lsq" else "monomial"
-    opts = FitOptions(
-        mode=mode,
-        epsilon=args.eps,
-        rank_tol=args.rank_tol,
-        truncate_rank=args.truncate_rank,
-        period=args.period,
-    )
-    if args.log_style == "paper":
-        print(_banner_block(" Computing circular matrix representations in C[U[v1|vm]]:"))
-    model, report = fit(history, opts)
+    # options are checked inside the block, so that a fault of the file is
+    # still reported before them, as when the file was read first
+    with _snapshot_columns(args.snapshots) as columns:
+        mode = "least_squares" if args.mode == "lsq" else "monomial"
+        opts = FitOptions(
+            mode=mode,
+            epsilon=args.eps,
+            rank_tol=args.rank_tol,
+            truncate_rank=args.truncate_rank,
+            period=args.period,
+        )
+        if args.log_style == "paper":
+            print(_banner_block(" Computing circular matrix representations in C[U[v1|vm]]:"))
+        model, report = fit(columns, opts)
     write_model(model, args.out)
     met = "yes" if report.target_met else "no"
     print(
@@ -171,8 +203,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = read_model(args.model)
-    history = read_snapshots(args.snapshots)
-    report = verify_mimetic(model, history, args.eps)
+    with _snapshot_columns(args.snapshots) as columns:
+        report = verify_mimetic(model, columns, args.eps)
     comparator = "<=" if report.passed else ">"
     lines = []
     if args.log_style == "paper":
@@ -199,9 +231,13 @@ def _cmd_predict(args) -> int:
     if args.t1 <= args.t0 or args.t0 < 0:
         print("predict: need 0 <= t0 < t1", file=sys.stderr)
         return 2
-    out_history = SnapshotHistory(replay(model, args.t0, args.t1))
-    write_snapshots(out_history, args.out, format=args.format)
-    print(f"predict: wrote {args.out} (n = {out_history.n}, steps = {out_history.m})")
+    steps = args.t1 - args.t0
+    if args.format == "binary":
+        _write_columns(args.out, model.n, steps,
+                       lambda: _replayed_columns(model, args.t0, args.t1))
+    else:
+        write_snapshots(SnapshotHistory(replay(model, args.t0, args.t1)), args.out, format="csv")
+    print(f"predict: wrote {args.out} (n = {model.n}, steps = {steps})")
     return 0
 
 
@@ -268,12 +304,23 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except SclRomError as exc:
         print(f"sclrom {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy names the refused size
         print(f"sclrom {args.command}: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone. Whatever is still buffered for it
+        # goes to os.devnull, so that the flush at interpreter exit fails
+        # no second time (the Python signal docs, "Note on SIGPIPE").
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"sclrom {args.command}: standard output is closed", file=sys.stderr)
         return 2
 
 

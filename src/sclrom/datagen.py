@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionTooSmall, InsufficientData, NumericalFailure
+from .model import _block_bounds
 from .ohf import SnapshotHistory, _check_entries, pin_column_phases
 
 
@@ -38,15 +39,23 @@ def random_orthonormal_columns(n: int, m: int, seed) -> np.ndarray:
     return Q
 
 
-def periodic_history(n: int, period: int, seed: int, horizon: int | None = None) -> SnapshotHistory:
-    """Exactly periodic snapshot trajectory rotating through a random frame.
+def _joined(n: int, steps: int, blocks) -> np.ndarray:
+    """The column-major (n, steps) array of the column blocks that the
+    callable ``blocks`` yields."""
+    rows = np.empty((steps, n), dtype=np.complex128)
+    at = 0
+    for block in blocks():
+        rows[at : at + block.shape[1]] = block.T
+        at += block.shape[1]
+    return rows.T
 
-    States are x_t = Q roll(w, t mod period) for a seeded orthonormal frame
-    Q and weight vector w, so x_{t+period} is bit-identical to x_t: the
-    period distinct states are computed once and indexed by t mod period. The
-    weights are drawn in the Fourier domain with magnitudes in [0.5, 1.5],
-    which bounds the condition number of one period of snapshots by 3 and
-    keeps every seed safely nondegenerate.
+
+def _periodic_columns(n: int, period: int, seed: int, horizon: int | None = None):
+    """(horizon, blocks): the step count of :func:`periodic_history` and a
+    callable that yields its columns in the pinned blocks of
+    :func:`sclrom.replay`, each a column-major gather of the period
+    distinct states. The arguments are checked, and the period computed,
+    here.
     """
     if period < 1:
         raise InsufficientData(f"period must be positive, got {period}")
@@ -65,13 +74,67 @@ def periodic_history(n: int, period: int, seed: int, horizon: int | None = None)
     phases = np.exp(2j * np.pi * rng.random(period))
     weights = np.fft.ifft(magnitudes * phases)
     one_period = np.column_stack([frame @ np.roll(weights, t) for t in range(period)])
-    return SnapshotHistory(one_period[:, np.arange(horizon) % period])
+    return horizon, lambda: (one_period[:, np.arange(start, stop) % period]
+                             for start, stop in _block_bounds(horizon))
+
+
+def periodic_history(n: int, period: int, seed: int, horizon: int | None = None) -> SnapshotHistory:
+    """Exactly periodic snapshot trajectory rotating through a random frame.
+
+    States are x_t = Q roll(w, t mod period) for a seeded orthonormal frame
+    Q and weight vector w, so x_{t+period} is bit-identical to x_t: the
+    period distinct states are computed once and indexed by t mod period. The
+    weights are drawn in the Fourier domain with magnitudes in [0.5, 1.5],
+    which bounds the condition number of one period of snapshots by 3 and
+    keeps every seed safely nondegenerate. The history is column-major.
+    """
+    horizon, blocks = _periodic_columns(n, period, seed, horizon)
+    return SnapshotHistory(_joined(n, horizon, blocks))
 
 
 @dataclass(eq=False)
 class AlmostPeriodicPair:
     perturbed: SnapshotHistory
     clean: SnapshotHistory
+
+
+def _perturbed_block(rng, clean: np.ndarray, eps_pert: float, noise: np.ndarray) -> np.ndarray:
+    """The column block ``clean`` (n, k) plus its perturbations, made in
+    ``noise``, a C-ordered (k, 2n) float buffer: the next k rows of the
+    noise stream, scaled to norm ``eps_pert``; returned column-major."""
+    rng.standard_normal(out=noise)
+    # a row-wise dot of the float rows is each column's squared norm, with
+    # no temporary of the block's size
+    noise *= (eps_pert / np.sqrt(np.einsum("ij,ij->i", noise, noise)))[:, None]
+    rows = noise.view(np.complex128)
+    # the sum is made in place, row for row; a column-major clean block
+    # is contiguous in that order too
+    rows += clean.T
+    return rows.T
+
+
+def _almost_periodic_columns(n: int, period: int, eps_pert: float, horizon: int, seed: int):
+    """(clean, perturbed): callables that yield the columns of the two
+    histories of :func:`almost_periodic_history` in the pinned blocks of
+    :func:`sclrom.replay`, each perturbed block made in a noise buffer of
+    its own. Arguments are checked here, and the period computed once.
+    """
+    if horizon < period:
+        raise InsufficientData(f"horizon {horizon} shorter than period {period}")
+    if not 0.0 <= eps_pert < math.inf:
+        raise ConfigInvalid(f"perturbation size must be nonnegative and finite, got {eps_pert}")
+    _, clean = _periodic_columns(n, period, seed, horizon)
+    if eps_pert == 0.0:
+        return clean, clean
+
+    def perturbed():
+        rng = np.random.default_rng([seed, 1])
+        # map holds no block between steps: each clean block is freed
+        # once its perturbed block is made
+        return map(lambda block: _perturbed_block(
+            rng, block, eps_pert, np.empty((block.shape[1], 2 * n))), clean())
+
+    return clean, perturbed
 
 
 def almost_periodic_history(
@@ -85,31 +148,29 @@ def almost_periodic_history(
     With ``eps_pert == 0`` the perturbed history is a bitwise copy of the
     clean one.
 
-    The noise is one ``default_rng([seed, 1]).standard_normal((horizon, 2 * n))``
-    draw: row t is column t's perturbation, its real and imaginary parts
-    interleaved (re_0, im_0, re_1, im_1, ...). The perturbed history is
-    built in that buffer and returned as its column-major transpose, so it
-    holds about twice the history's bytes at its peak. Earlier versions
-    drew two (n, horizon) blocks, so their almost-periodic histories (and
-    files) differ from these; ``clean`` is unchanged.
+    The noise is one stream of ``default_rng([seed, 1]).standard_normal``
+    draws, (horizon, 2 * n) of them in row order: row t is column t's
+    perturbation, its real and imaginary parts interleaved (re_0, im_0,
+    re_1, im_1, ...). It is drawn in the rows of the pinned column blocks
+    of :func:`sclrom.replay` (256 to 511 columns, or the whole horizon
+    when shorter), straight into the buffer of the perturbed history, and
+    each block's sum is made there in place; the perturbed history is that
+    buffer's column-major transpose, so the peak holds the two histories.
+    The command-line front end writes the blocks as they are made instead,
+    in O(n (period + 512)) memory. Earlier versions drew two
+    (n, horizon) blocks, so their almost-periodic histories (and files)
+    differ from these; ``clean`` is unchanged.
     """
-    if horizon < period:
-        raise InsufficientData(f"horizon {horizon} shorter than period {period}")
-    if not 0.0 <= eps_pert < math.inf:
-        raise ConfigInvalid(f"perturbation size must be nonnegative and finite, got {eps_pert}")
-    clean = periodic_history(n, period, seed, horizon)
+    blocks, _ = _almost_periodic_columns(n, period, eps_pert, horizon, seed)
+    clean = SnapshotHistory(_joined(n, horizon, blocks))
     if eps_pert == 0.0:
         return AlmostPeriodicPair(perturbed=SnapshotHistory(clean.data.copy()), clean=clean)
-    noise = np.random.default_rng([seed, 1]).standard_normal((horizon, 2 * n))
-    # a row-wise dot of the float rows is each column's squared norm, with
-    # no n x horizon temporary
-    noise *= (eps_pert / np.sqrt(np.einsum("ij,ij->i", noise, noise)))[:, None]
-    rows = noise.view(np.complex128)
-    # the clean history is column-major, so its transpose is contiguous
-    # like the rows and the sum is made in place; the result's transpose
-    # is column-major again, which writing streams with no copy
-    rows += clean.data.T
-    return AlmostPeriodicPair(perturbed=SnapshotHistory(rows.T), clean=clean)
+    noise = np.empty((horizon, 2 * n))
+    rng = np.random.default_rng([seed, 1])
+    for start, stop in _block_bounds(horizon):
+        _perturbed_block(rng, clean.data[:, start:stop], eps_pert, noise[start:stop])
+    return AlmostPeriodicPair(perturbed=SnapshotHistory(noise.view(np.complex128).T),
+                              clean=clean)
 
 
 @dataclass(frozen=True)

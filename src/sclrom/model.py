@@ -95,27 +95,121 @@ class MimeticReport:
     eps: float
 
 
-def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
-    """Model states for steps t0 <= t < t1, one per column, shape (n, t1 - t0).
+# Steps are computed in column blocks of _BLOCK steps; the last block of a
+# period absorbs the remainder, so every block is _BLOCK to 2 * _BLOCK - 1
+# steps wide, and a period shorter than _BLOCK is one block. The width is a
+# column count, not a byte budget: a state's bits come from the product of
+# its block, and BLAS rounds products of some narrow widths (1, 7) unlike the
+# whole-period product, while the products of blocks this wide equal it.
+_BLOCK = 256
 
-    Step t's state is R c_{t mod T}, so one period of states is the single
-    GEMM ``coeffs.T @ R.T``, a (T, n) array with one state per contiguous
-    row. Every replay computes that whole period and then slices its rows,
-    or gathers rows t mod T when the window wraps past the period. A
-    state's bits therefore come from one product of one fixed shape and do
-    not depend on the window: ``replay``, :func:`predict`, fit residuals,
-    verification and the command-line front end agree bitwise, and the
-    loader rebuilds R from bit-identical inputs, so they also agree after
-    a save/load round trip.
+
+def _block_of(steps: int, t: int) -> tuple[int, int]:
+    """(start, stop) of the pinned column block that holds step t of ``steps``."""
+    last = max(1, steps // _BLOCK) - 1
+    k = min(t // _BLOCK, last)
+    return k * _BLOCK, steps if k == last else (k + 1) * _BLOCK
+
+
+def _block_bounds(steps: int):
+    """Iterator over (start, stop) of each pinned column block of ``steps``
+    steps, in order; it holds no list, whatever the count."""
+    stop = 0
+    while stop < steps:
+        start, stop = _block_of(steps, stop)
+        yield start, stop
+
+
+class _HeldColumns:
+    """The columns of an array in memory, read in consecutive slices.
+
+    The same reading interface as a binary snapshot file streamed by
+    :mod:`sclrom.persistence`: ``read(count)`` returns the next ``count``
+    columns as an (n, count) array, which a file reader may overwrite at
+    its next read, and ``drain()`` checks what was not read (nothing, for
+    an array).
+    """
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self.n, self.m = data.shape
+        self._at = 0
+
+    def read(self, count: int) -> np.ndarray:
+        block = self.data[:, self._at : self._at + count]
+        self._at += count
+        return block
+
+    def drain(self) -> None:
+        pass
+
+
+def _columns(history):
+    """Column reader of a SnapshotHistory, or ``history`` itself when it is
+    already one (the columns of an open snapshot file)."""
+    return _HeldColumns(history.data) if isinstance(history, SnapshotHistory) else history
+
+
+def _block_states(model: SclRomModel, start: int, stop: int) -> np.ndarray:
+    """States of pinned block [start, stop) of the period: the C-ordered
+    (stop - start, n) product ``coeffs[:, start:stop].T @ R.T``."""
+    return model.coeffs[:, start:stop].T @ model.ohf.R.T
+
+
+def _replayed_columns(model: SclRomModel, t0: int, t1: int):
+    """Iterator over the states of steps t0 <= t < t1, in consecutive runs.
+
+    Each run is an (n, k) read-only column-major view of one pinned block's
+    :func:`_block_states`, one state per column; a run ends at a block
+    edge. A block is computed once for consecutive runs in it (a window
+    wrapping a one-block period), and freed before the next block is made.
+    The window is checked at the call, not at the first step.
     """
     if t0 < 0 or t1 < t0:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
     _check_entries("n * (t1 - t0)", model.n * (t1 - t0))
-    rows = model.coeffs.T @ model.ohf.R.T
-    start = t0 % model.period
-    if start + (t1 - t0) <= model.period:
-        return rows[start : start + (t1 - t0)].T
-    return rows[np.arange(t0, t1) % model.period].T
+    T = model.period
+
+    def runs():
+        start = stop = 0
+        states = None
+        t = t0
+        while t < t1:
+            phase = t % T
+            if not start <= phase < stop:
+                states = None  # free the last block before the next is made
+                start, stop = _block_of(T, phase)
+                states = _block_states(model, start, stop)
+                states.flags.writeable = False
+            count = min(stop - phase, t1 - t)
+            yield states[phase - start : phase - start + count].T
+            t += count
+
+    return runs()
+
+
+def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
+    """Model states for steps t0 <= t < t1, one per column, shape (n, t1 - t0).
+
+    Step t's state is R c_{t mod T}. The period is computed in pinned
+    column blocks of 256 steps (the last block of a period takes the
+    remainder, up to 511 steps; a shorter period is one block): block
+    [a, b) is the single GEMM ``coeffs[:, a:b].T @ R.T``, a (b - a, n)
+    array with one state per contiguous row. A replay computes only the
+    blocks that hold its steps, so a state's bits come from one product of
+    one fixed shape and do not depend on the window: ``replay``,
+    :func:`predict`, fit residuals, verification and the command-line
+    front end agree bitwise, and the loader rebuilds R from bit-identical
+    inputs, so they also agree after a save/load round trip. Memory is the
+    window plus one block.
+    """
+    runs = _replayed_columns(model, t0, t1)
+    out = np.empty((t1 - t0, model.n), dtype=np.complex128)
+    at = 0
+    for states in runs:
+        out[at : at + states.shape[1]] = states.T
+        at += states.shape[1]
+    return out.T
 
 
 def predict(model: SclRomModel, t: int) -> np.ndarray:
@@ -126,8 +220,10 @@ def predict(model: SclRomModel, t: int) -> np.ndarray:
     (see :func:`sclrom.ohf.checked_factorization`). The state is an owned copy
     of one column of :func:`replay`, so it is bitwise equal to the same
     step of any replay window, before and after a save/load round trip.
-    Each call computes a whole period; use :func:`replay` for many steps.
-    A negative step raises ValueError.
+    Each call computes the pinned block of 256 to 511 steps that holds
+    t mod T (the whole period when it is shorter), in n times the block's
+    width of memory; use :func:`replay` for many steps. A negative step
+    raises ValueError.
     """
     return replay(model, t, t + 1)[:, 0].copy()
 
@@ -135,9 +231,9 @@ def predict(model: SclRomModel, t: int) -> np.ndarray:
 def _gap_norms(states: np.ndarray, data: np.ndarray) -> list[float]:
     """||states[:, t] - data[:, t]||_2 for every column t of data.
 
-    ``states`` is a :func:`replay` of the same steps, whose transpose is a
-    fresh C-ordered (steps, n) array; it is overwritten with the gaps, so
-    a column-major ``data`` is subtracted in place row for row.
+    ``states`` is the transpose of a fresh C-ordered (steps, n) array, such
+    as the states of a block; it is overwritten with the gaps, so a
+    column-major ``data`` is subtracted in place row for row.
     ``np.linalg.norm`` of a complex row x is
     ``sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))``: one BLAS ``ddot``
     per part, on a stride-2 view. The batched ``matmul`` of each (1, n) row
@@ -156,7 +252,7 @@ def _gap_norms(states: np.ndarray, data: np.ndarray) -> list[float]:
         return np.sqrt(squares).tolist()
 
 
-def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport]:
+def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport]:
     """Fit a reduced model to a snapshot history.
 
     Builds the orthonormal history factor from the leading ``opts.period``
@@ -166,27 +262,37 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
     * monomial mode stores (kappa/rho) on the power t mod m — exact for
       periodic data;
     * least_squares mode solves min_c || rho (K Vhat) c - v_{t+1} ||_2
-      for every step at once through the retained SVD factors, as the one
+      for every step at once through the retained SVD factors, as the
       product W* diag(kappa / (rho s)) (V* data).
 
-    The per-step training residuals come from one :func:`replay` of the
-    whole period.
+    The snapshots are taken in the pinned column blocks of :func:`replay`:
+    the blocks that hold the frame's columns first, then one block at a
+    time, whose coefficients, replayed states and training residuals are
+    computed before the next block is read. Every product is bitwise equal
+    to its whole-period form. ``history`` is a SnapshotHistory, or the
+    columns of an open snapshot file, which the command-line front end
+    streams this way in O(n (period + 512)) memory besides the m x T
+    coefficients.
 
     Returns the model and a report; a missed epsilon target is flagged in
     the report rather than raised.
     """
     if opts is None:
         opts = FitOptions()
-    T = history.m
+    columns = _columns(history)
+    T = columns.m
     m_sys = opts.period if opts.period is not None else T
     if m_sys < 1:
         raise InsufficientData(f"period must be positive, got {m_sys}")
     if m_sys > T:
         raise InsufficientData(f"period {m_sys} exceeds the {T} available snapshots")
-    frame_source = history
-    if m_sys < T:
-        frame_source = SnapshotHistory(history.data[:, :m_sys].copy())
-    ohf = build_ohf(frame_source, rank_tol=opts.rank_tol, truncate=opts.truncate_rank)
+    # the frame is built before any coefficient, so the blocks that hold
+    # its columns are read first, in one read, and done before the next
+    held = _block_of(T, m_sys - 1)[1]
+    head = columns.read(held)
+    frame = SnapshotHistory(head[:, :m_sys].copy() if m_sys < T else head)
+    ohf = build_ohf(frame, rank_tol=opts.rank_tol, truncate=opts.truncate_rank)
+    del frame
     m = ohf.m
 
     if opts.mode == MODE_MONOMIAL:
@@ -196,16 +302,21 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
     else:
         # min_c ||rho * CH c - v_{t+1}|| with CH = V diag(s_j/s_1) W, solved
         # through the pseudo-inverse assembled from the stored SVD factors
-        V, W, s = ohf.V, ohf.W, ohf.singular_values
-        inv_scale = ohf.kappa / (ohf.rho * s)
-        # BLAS rounds V* data differently for other operand layouts, so the
-        # product takes the column-major one that binary files load in
-        data = np.asfortranarray(history.data)
-        coeffs = W.conj().T @ (inv_scale[:, None] * (V.conj().T @ data))
+        coeffs = np.empty((m, T), dtype=np.complex128)
+        V_star, W_star = ohf.V.conj().T, ohf.W.conj().T
+        inv_scale = (ohf.kappa / (ohf.rho * ohf.singular_values))[:, None]
 
     model = SclRomModel(ohf=ohf, coeffs=coeffs, epsilon_achieved=0.0)
-    per_step = _gap_norms(replay(model, 0, history.m), history.data)
-    model.epsilon_achieved = max(per_step) if per_step else 0.0
+    per_step: list[float] = []
+    for start, stop in _block_bounds(T):
+        # each block past the first ones is read over them
+        block = head[:, start:stop] if stop <= held else columns.read(stop - start)
+        if opts.mode != MODE_MONOMIAL:
+            # BLAS rounds V* data differently for other operand layouts, so
+            # the product takes the column-major one that binary files load in
+            coeffs[:, start:stop] = W_star @ (inv_scale * (V_star @ np.asfortranarray(block)))
+        per_step += _gap_norms(_block_states(model, start, stop).T, block)
+    model.epsilon_achieved = max(per_step)
     report = FitReport(
         target_met=model.epsilon_achieved <= opts.epsilon,
         epsilon_achieved=model.epsilon_achieved,
@@ -214,25 +325,34 @@ def fit(history: SnapshotHistory, opts: FitOptions | None = None) -> tuple[SclRo
     return model, report
 
 
-def verify_mimetic(model: SclRomModel, history: SnapshotHistory, eps: float) -> MimeticReport:
+def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
     """Replay the model against training snapshots and compare step by step.
 
     max_residual = max over 0 <= k < min(T, columns) of
     ||predict(model, k) - v_{k+1}||_2, the quantity printed by the
     verification log of the command-line front end. The states come from
-    one :func:`replay` of the checked range, bitwise equal to ``predict``;
-    an overflowing residual reads inf and fails. A negative or NaN eps
-    raises ConfigInvalid.
+    the pinned blocks of :func:`replay`, one block of states and snapshots
+    at a time, bitwise equal to ``predict``; an overflowing residual reads
+    inf and fails. ``history`` is a SnapshotHistory or the columns of an
+    open snapshot file, as for :func:`fit`. A negative or NaN eps raises
+    ConfigInvalid.
     """
     if not eps >= 0.0:  # False for NaN too
         raise ConfigInvalid(f"eps must be nonnegative, got {eps}")
-    if history.n != model.n:
+    columns = _columns(history)
+    if columns.n != model.n:
         raise DimensionMismatch(
-            f"model has state dimension {model.n} but history has {history.n}"
+            f"model has state dimension {model.n} but history has {columns.n}"
         )
-    steps = min(model.period, history.m)
-    per_step = list(enumerate(_gap_norms(replay(model, 0, steps), history.data[:, :steps])))
-    max_residual = max((r for _, r in per_step), default=0.0)
+    steps = min(model.period, columns.m)
+    residuals: list[float] = []
+    for start, stop in _block_bounds(model.period):
+        if start >= steps:
+            break
+        count = min(stop, steps) - start
+        residuals += _gap_norms(_block_states(model, start, stop)[:count].T, columns.read(count))
+    per_step = list(enumerate(residuals))
+    max_residual = max(residuals, default=0.0)
     return MimeticReport(
         max_residual=max_residual,
         per_step=per_step,

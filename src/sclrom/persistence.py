@@ -5,13 +5,22 @@ unsigned 64-bit little-endian integers (flag bit 0 marks purely real
 payloads; n and m are at least 1), then the matrix entries in
 column-major order, each entry two IEEE-754 binary64 little-endian values
 (real then imaginary; real-flagged files store only the real part).
-A binary snapshot file is read into a column-major history in one copy:
-the payload goes straight from the file into an (m, n) array whose
-transpose is the history (a real payload is widened to complex in one
-copy more). Writing streams the header, then the payload: a column-major
-complex array is written with no copy, any other array with one
-transposing copy. On a regular file the declared size is checked against
-the file size before the payload is allocated.
+A binary snapshot file is read in column blocks, in order: each block
+goes straight from the file into one buffer that the reader reuses (a
+real payload is read at most 256 columns at a time and widened into it),
+and every block is checked to be finite, a failure naming the entry's
+row and column in the whole history. :func:`read_snapshots` reads every
+column into one column-major history in one copy; fitting and
+verification from the command line consume the blocks one at a time
+(:func:`_snapshot_columns`). On a regular file the declared size is
+checked against the file size before any payload is read; other inputs
+(a pipe) are checked for a short read and for trailing bytes instead.
+Writing streams the header, then the payload block by block: a
+column-major complex block is written with no copy, any other block with
+one copy that transposes it or keeps its real part. The header's real
+flag is decided first, by a pass over the blocks that stops at the first
+one with an imaginary part that is not +0.0; the output is never read
+back, so it may be a pipe.
 
 Snapshot CSV layout: first line ``n,m`` (both at least 1), then one line
 per state row with entries rendered as ``a``, ``a+bi``, or ``a-bi`` using
@@ -49,6 +58,7 @@ import os
 import re
 import stat
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -57,11 +67,12 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     IoFailure,
+    NonFiniteData,
     ParseError,
     SclRomError,
     VersionUnsupported,
 )
-from .model import SclRomModel
+from .model import _BLOCK, SclRomModel, _block_bounds, _HeldColumns
 from .ohf import _MAX_ENTRIES, SnapshotHistory, checked_factorization
 
 SNAPSHOT_MAGIC = b"SCLROM01"
@@ -122,23 +133,78 @@ def parse_complex_entry(text: str, line: int, column: int) -> complex:
 
 
 def _payload_is_real(data: np.ndarray) -> bool:
-    imag = data.imag
-    return not imag.any() and not np.signbit(imag).any()
+    """True when every imaginary part of ``data`` is +0.0, the only float
+    whose bits are all zero: one test of the bits, in any layout."""
+    return not data.imag.view(np.uint64).any()
+
+
+def _real_pass(blocks) -> tuple[bool, object]:
+    """(real, iterator over every block) for the column blocks that the
+    callable ``blocks`` yields. A first pass stops at the first block that
+    is not real, which is the first block of any complex payload; only a
+    real payload is iterated twice.
+    """
+    chunks = blocks()
+    first = next(chunks)
+    if not _payload_is_real(first):
+        return False, _prepended(first, chunks)
+    real = all(map(_payload_is_real, chunks))
+    return real, blocks()
+
+
+def _prepended(first, rest):
+    """``first``, then the blocks of ``rest``; none is held once yielded."""
+    yield first
+    del first
+    yield from rest
+
+
+def _write_blocks(fh, n: int, m: int, real: bool, chunks) -> None:
+    """Write one binary block: the header, then the C-ordered buffer of
+    each column block's transpose. That buffer is the block's own when it
+    is column-major and complex; any other block costs one copy, which
+    transposes it or keeps only its real part.
+    """
+    fh.write(SNAPSHOT_MAGIC + struct.pack("<QQQ", n, m, 1 if real else 0))
+    for block in chunks:
+        if real:
+            fh.write(np.ascontiguousarray(block.real.T, dtype="<f8"))
+        else:
+            fh.write(np.ascontiguousarray(block.T, dtype="<c16"))
+        del block  # the next block is made without this one
+
+
+def _column_blocks(data: np.ndarray):
+    """A callable that yields the columns of ``data`` in the pinned blocks
+    of :func:`sclrom.replay`, as views."""
+    return lambda: (data[:, start:stop] for start, stop in _block_bounds(data.shape[1]))
 
 
 def _write_array(fh, data: np.ndarray) -> None:
-    """Write one binary block: the header, then the C-ordered buffer of
-    ``data.T``. That buffer is ``data``'s own when ``data`` is column-major
-    and complex; any other array costs one copy, which transposes it or
-    keeps only its real part.
+    """Write ``data`` as one binary block, from its pinned column blocks."""
+    _write_blocks(fh, *data.shape, *_real_pass(_column_blocks(data)))
+
+
+def _write_columns(path, n: int, m: int, blocks) -> None:
+    """Write a binary snapshot file of n x m entries from the column
+    blocks that the callable ``blocks`` yields (see :func:`_real_pass`).
+
+    A regular file must have room for the whole payload on its file
+    system, so that a history too large to store fails before its first
+    byte is written instead of filling the disk.
     """
-    n, m = data.shape
-    real = _payload_is_real(data)
-    fh.write(SNAPSHOT_MAGIC + struct.pack("<QQQ", n, m, 1 if real else 0))
-    if real:
-        fh.write(np.ascontiguousarray(data.real.T, dtype="<f8"))
-    else:
-        fh.write(np.ascontiguousarray(data.T, dtype="<c16"))
+    real, chunks = _real_pass(blocks)
+    size = _HEADER_BYTES + n * m * (8 if real else 16)
+    try:
+        with open(path, "wb") as fh:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                disk = os.fstatvfs(fh.fileno())
+                free = disk.f_bavail * disk.f_frsize
+                if size > free:
+                    raise IoFailure(f"cannot write {path}: {size} bytes needed, {free} free")
+            _write_blocks(fh, n, m, real, chunks)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_header(head: bytes, offset: int) -> tuple[int, int, bool]:
@@ -177,59 +243,132 @@ def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
     return arr, start + expected
 
 
-def _read_binary_snapshots(fh, head: bytes) -> np.ndarray:
-    """The column-major (n, m) history of an open binary snapshot file
-    whose header has been read: the transpose of the (m, n) array that the
-    payload is read into. A regular file's size is checked before the
-    array is allocated; other inputs (a pipe) are checked for a short read
-    and for trailing bytes instead.
+class _BinaryColumns:
+    """The columns of an open binary snapshot file whose header has been
+    read, in order, through the reading interface of the in-memory
+    ``sclrom.model._HeldColumns``.
+
+    ``read(count)`` reads the next ``count`` columns straight from the file
+    into one buffer that later reads reuse (it grows to the widest read),
+    and returns them as an (n, count) column-major view. A real payload is
+    read at most 256 columns at a time into a float buffer and widened.
+    Every entry read is checked to be finite; at the first non-finite one
+    the rest of the input is read too, so that the error names the first
+    non-finite entry in row-major order, as a check of the whole history
+    would. ``drain()`` reads and checks every column not read yet, then
+    the end of the input. Once the reader has raised, ``drain()`` does
+    nothing.
     """
-    n, m, real = _parse_header(head, 0)
-    expected = n * m * (8 if real else 16)
-    info = os.fstat(fh.fileno())
-    regular = stat.S_ISREG(info.st_mode)
-    if regular and info.st_size != _HEADER_BYTES + expected:
-        found = info.st_size - _HEADER_BYTES
-        if found < expected:
-            raise _truncated(expected, n, m, found)
-        raise DimensionMismatch(
-            f"trailing data: expected {_HEADER_BYTES + expected} bytes total, "
-            f"found {info.st_size}"
-        )
-    if n * m > _MAX_ENTRIES:
-        raise DimensionMismatch(f"header declares {n}x{m}, beyond the size of one array")
-    stored = np.empty((m, n), dtype="<f8" if real else "<c16")
-    found = fh.readinto(stored)
-    if found != expected:
-        raise _truncated(expected, n, m, found)
-    if not regular and fh.read(1):
-        raise DimensionMismatch(
-            f"trailing data: more than the {_HEADER_BYTES + expected} bytes declared"
-        )
-    if stored.dtype != np.complex128:
-        stored = stored.astype(np.complex128)
-    return stored.T
+
+    def __init__(self, fh, head: bytes, path):
+        n, m, real = _parse_header(head, 0)
+        expected = n * m * (8 if real else 16)
+        info = os.fstat(fh.fileno())
+        self._regular = stat.S_ISREG(info.st_mode)
+        if self._regular and info.st_size != _HEADER_BYTES + expected:
+            found = info.st_size - _HEADER_BYTES
+            if found < expected:
+                raise _truncated(expected, n, m, found)
+            raise DimensionMismatch(
+                f"trailing data: expected {_HEADER_BYTES + expected} bytes total, "
+                f"found {info.st_size}"
+            )
+        if n * m > _MAX_ENTRIES:
+            raise DimensionMismatch(f"header declares {n}x{m}, beyond the size of one array")
+        self.n, self.m = n, m
+        self._fh, self._path, self._real, self._expected = fh, path, real, expected
+        self._at = 0  # columns read
+        self._bytes = 0  # payload bytes read
+        self._buffer = None  # the reused (columns, n) complex buffer
+        self._floats = None  # the reused (columns, n) buffer of a real payload
+        self._bad = None  # (row, column) of the first non-finite entry, row-major
+        self._failed = False
+
+    def _fail(self, exc: SclRomError) -> SclRomError:
+        self._failed = True
+        return exc
+
+    def _readinto(self, array: np.ndarray) -> None:
+        try:
+            got = self._fh.readinto(array)
+        except OSError as exc:
+            raise self._fail(IoFailure(f"cannot read {self._path}: {exc}")) from exc
+        self._bytes += got
+        if got != array.nbytes:
+            raise self._fail(_truncated(self._expected, self.n, self.m, self._bytes))
+
+    def _next(self, count: int) -> np.ndarray:
+        """The next ``count`` columns as the rows of a C-ordered array."""
+        if self._buffer is None or len(self._buffer) < count:
+            self._buffer = None  # free the smaller buffer first
+            self._buffer = np.empty((count, self.n), dtype=np.complex128)
+        rows = self._buffer[:count]
+        if self._real:
+            if self._floats is None:
+                self._floats = np.empty((min(self.m, _BLOCK), self.n), dtype="<f8")
+            for start in range(0, count, len(self._floats)):
+                floats = self._floats[: min(len(self._floats), count - start)]
+                self._readinto(floats)
+                rows[start : start + len(floats)] = floats
+        else:
+            self._readinto(rows)
+        finite = np.isfinite(rows)
+        if not finite.all():
+            row, column = (int(i) for i in np.argwhere(~finite.T)[0])
+            bad = (row, self._at + column)
+            self._bad = bad if self._bad is None else min(self._bad, bad)
+        self._at += count
+        return rows
+
+    def read(self, count: int) -> np.ndarray:
+        rows = self._next(count)
+        if self._bad is not None:
+            self.drain()
+        return rows.T
+
+    def drain(self) -> None:
+        if self._failed:
+            return
+        while self._at < self.m:
+            self._next(min(_BLOCK, self.m - self._at))
+        if not self._regular:
+            try:
+                trailing = self._fh.read(1)
+            except OSError as exc:
+                raise self._fail(IoFailure(f"cannot read {self._path}: {exc}")) from exc
+            if trailing:
+                raise self._fail(DimensionMismatch(
+                    f"trailing data: more than the {_HEADER_BYTES + self._expected} bytes declared"
+                ))
+        if self._bad is not None:
+            row, column = self._bad
+            raise self._fail(NonFiniteData(
+                f"snapshot entry at (row {row}, column {column}) is non-finite"
+            ))
 
 
 def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> None:
-    """Write a snapshot history as binary (default) or CSV."""
+    """Write a snapshot history as binary (default) or CSV.
+
+    A binary file is written in the pinned column blocks of
+    :func:`sclrom.replay`, so a history in any layout costs at most one
+    block of copy."""
     if format not in ("binary", "csv"):
         raise ValueError(f"unknown format {format!r}")
+    data = history.data
+    if format == "binary":
+        _write_columns(path, history.n, history.m, _column_blocks(data))
+        return
     try:
-        if format == "binary":
-            with open(path, "wb") as fh:
-                _write_array(fh, history.data)
-        else:
-            data = history.data
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f"{history.n},{history.m}\n")
-                # a real payload has no imaginary part to print
-                if _payload_is_real(data):
-                    for row in data.real:
-                        fh.write(_real_row_text(row))
-                else:
-                    for row in data:
-                        fh.write(",".join(map(format_complex_entry, row.tolist())) + "\n")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{history.n},{history.m}\n")
+            # a real payload has no imaginary part to print
+            if _payload_is_real(data):
+                for row in data.real:
+                    fh.write(_real_row_text(row))
+            else:
+                for row in data:
+                    fh.write(",".join(map(format_complex_entry, row.tolist())) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
@@ -280,34 +419,69 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
     return SnapshotHistory(data)
 
 
-def read_snapshots(path) -> SnapshotHistory:
-    """Read a snapshot file: binary if it starts with the magic bytes, else CSV.
-
-    A binary file loads as a column-major history, a CSV file (one line per
-    state row) as a row-major one. A real binary payload is widened to
-    complex in one copy; a CSV file whose rows are all real decimals over
-    ASCII is converted by one ``np.loadtxt`` call and widened the same
-    way, and any other CSV file row by row through the entry grammar.
-    """
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(_HEADER_BYTES)
-            if head[:8] == SNAPSHOT_MAGIC:
-                return SnapshotHistory(_read_binary_snapshots(fh, head))
-            # rereading a seekable file spares the copy that joining makes
-            if fh.seekable():
-                fh.seek(0)
-                blob = fh.read()
-            else:
-                blob = head + fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+def _read_csv_file(fh, head: bytes) -> SnapshotHistory:
+    """The history of an open CSV snapshot file whose first bytes, ``head``,
+    have been read."""
+    # rereading a seekable file spares the copy that joining makes
+    if fh.seekable():
+        fh.seek(0)
+        blob = fh.read()
+    else:
+        blob = head + fh.read()
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8: {exc}", 1, 1) from None
     del blob  # the parser needs only the text; free one file size first
     return _read_csv_snapshots(text)
+
+
+@contextmanager
+def _snapshot_columns(path):
+    """The columns of a snapshot file, for one pass in order, in the form
+    that :func:`sclrom.fit` and :func:`sclrom.verify_mimetic` take them: a
+    binary file streamed in blocks (:class:`_BinaryColumns`), a CSV file
+    read whole.
+
+    On leaving, the columns not read are read and checked, so every fault
+    of the file is reported, and reported first when the body raises a
+    SclRomError of its own, as when the file was read whole before any
+    work began.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            head = fh.read(_HEADER_BYTES)
+            if head[:8] == SNAPSHOT_MAGIC:
+                columns = _BinaryColumns(fh, head, path)
+            else:
+                columns = _HeldColumns(_read_csv_file(fh, head).data)
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+        try:
+            yield columns
+        except SclRomError:
+            columns.drain()
+            raise
+        columns.drain()
+
+
+def read_snapshots(path) -> SnapshotHistory:
+    """Read a snapshot file: binary if it starts with the magic bytes, else CSV.
+
+    A binary file loads as a column-major history, a CSV file (one line per
+    state row) as a row-major one. A binary payload is read into the
+    history in one copy, a real one widened to complex a block at a time;
+    a CSV file whose rows are all real decimals over ASCII is converted by
+    one ``np.loadtxt`` call and widened in one copy, and any other CSV
+    file row by row through the entry grammar.
+    """
+    with _snapshot_columns(path) as columns:
+        data = columns.read(columns.m)
+    return SnapshotHistory(data)
 
 
 def write_model(model: SclRomModel, path) -> None:

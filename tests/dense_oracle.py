@@ -188,3 +188,29 @@ def dense_wave_1d(cfg, return_velocity=False):
     if return_velocity:
         return history, u_hist
     return history
+
+
+def one_shot_coefficients(ohf, data, mode):
+    """The m x T coefficients of a fit with factorization ``ohf``, from the
+    whole-period formulas: (kappa/rho) on the power t mod m, or the
+    least-squares product W* diag(kappa / (rho s)) (V* data) over the
+    column-major history at once."""
+    m, T = ohf.m, data.shape[1]
+    if mode == "monomial":
+        coeffs = np.zeros((m, T), dtype=np.complex128)
+        t = np.arange(T)
+        coeffs[t % m, t] = ohf.kappa / ohf.rho
+        return coeffs
+    inv_scale = ohf.kappa / (ohf.rho * ohf.singular_values)
+    return ohf.W.conj().T @ (inv_scale[:, None] * (ohf.V.conj().T @ np.asfortranarray(data)))
+
+
+def one_shot_states(coeffs, R):
+    """One period of states as the single product coeffs.T @ R.T: a (T, n)
+    array, one state per row."""
+    return coeffs.T @ R.T
+
+
+def one_shot_residuals(states, data):
+    """||states[t] - data[:, t]||_2, one np.linalg.norm per step."""
+    return [np.linalg.norm(states[t] - data[:, t]) for t in range(data.shape[1])]

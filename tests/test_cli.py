@@ -328,6 +328,26 @@ class TestErrorPaths:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("sclrom export-plot: "), err
 
+    @pytest.mark.parametrize("command, argv, size", [
+        ("predict", ["predict", "{m}", "--t1", "100000000000"], 32 + 16 * 16 * 10**11),
+        ("simulate", ["simulate", "periodic", "--n", "16", "--T", "4", "--seed", "1",
+                      "--horizon", str(10**12)], 32 + 16 * 16 * 10**12),
+        ("simulate", ["simulate", "almost-periodic", "--n", "16", "--T", "4", "--seed", "1",
+                      "--eps-pert", "0.1", "--horizon", str(10**12)], 32 + 16 * 16 * 10**12),
+    ], ids=["predict-t1", "periodic-horizon", "almost-periodic-horizon"])
+    def test_binary_output_beyond_free_space_exits_two_unwritten(self, capsys, tmp_path,
+                                                                   command, argv, size):
+        """A streamed binary file needs no memory of its size; a regular file
+        must fit on its file system, which is checked before the first byte."""
+        m, out = tmp_path / "m.bin", tmp_path / "o.bin"
+        write_model(fit(periodic_history(16, 4, seed=1))[0], m)
+        code, stdout, err = run(capsys, *[str(m) if a == "{m}" else a for a in argv],
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"sclrom {command}: cannot write {out}: {size} bytes needed, "), err
+        assert out.stat().st_size == 0
+
     @pytest.mark.parametrize("scale", [1e155, 1e300])
     def test_overflowing_snapshots_fail_fit(self, capsys, tmp_path, scale):
         """v_1* v_1 overflows, so rho is not finite: fit writes no model."""
@@ -372,8 +392,10 @@ def run_child(*argv, stdin=None):
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="RLIMIT_AS and /dev/stdin as used here are Linux's")
 class TestChildProcess:
+    # a binary predict streams its window, so the CSV writer, which formats
+    # the window whole, is the one that allocates it
     @pytest.mark.parametrize("command, argv", [
-        ("predict", ["predict", "{m}", "--t1", "100000000000"]),
+        ("predict", ["predict", "{m}", "--t1", "100000000000", "--format", "csv"]),
         ("simulate", ["simulate", "periodic", "--n", "100000000", "--T", "8", "--seed", "1"]),
         ("simulate", ["simulate", "wave", "--nx", "100000000"]),
     ], ids=["predict-t1", "periodic-n", "wave-nx"])
@@ -394,3 +416,50 @@ class TestChildProcess:
         done = run_child("fit", "/dev/stdin", "--out", str(m), stdin=h.read_bytes())
         assert done.returncode == 0, done.stderr
         assert read_model(m).coeffs.tobytes() == fit(history)[0].coeffs.tobytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "{m}", "{h}"],
+        ["simulate", "periodic", "--n", "16", "--T", "4", "--seed", "1", "--out", "{o}"],
+    ], ids=["verify", "simulate"])
+    def test_closed_stdout_exits_two_with_one_line(self, tmp_path, argv):
+        """The reader of stdout is gone before the report is printed: one
+        stderr line, exit 2, and no traceback at interpreter exit either."""
+        h, m = tmp_path / "h.bin", tmp_path / "m.bin"
+        history = periodic_history(16, 4, seed=1)
+        write_snapshots(history, h)
+        write_model(fit(history)[0], m)
+        paths = {"{h}": str(h), "{m}": str(m), "{o}": str(tmp_path / "o.bin")}
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sclrom.__file__))}
+        try:
+            done = subprocess.run([sys.executable, "-m", "sclrom.cli",
+                                   *[paths.get(a, a) for a in argv]],
+                                  stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_fd)
+        assert done.returncode == 2
+        assert done.stderr.decode() == f"sclrom {argv[0]}: standard output is closed\n"
+
+    def test_fit_reads_snapshots_from_a_fifo(self, tmp_path):
+        """simulate writes a named pipe that fit reads as it is written; the
+        model equals the one fitted from a regular file."""
+        fifo, h = tmp_path / "h.fifo", tmp_path / "h.bin"
+        os.mkfifo(fifo)
+        simulate = ["simulate", "almost-periodic", "--n", "64", "--T", "4", "--eps-pert",
+                    "1e-3", "--horizon", "1000", "--seed", "3", "--out"]
+        fit_options = ["--mode", "lsq", "--period", "4", "--out"]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sclrom.__file__))}
+        reader = subprocess.Popen([sys.executable, "-m", "sclrom.cli", "fit", str(fifo),
+                                   *fit_options, str(tmp_path / "fifo-m.bin")], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            writer = run_child(*simulate, str(fifo))
+            _, err = reader.communicate(timeout=120)
+        finally:
+            reader.kill()
+        assert writer.returncode == 0, writer.stderr
+        assert reader.returncode == 0, err
+        assert run_child(*simulate, str(h)).returncode == 0
+        assert run_child("fit", str(h), *fit_options, str(tmp_path / "m.bin")).returncode == 0
+        assert (tmp_path / "fifo-m.bin").read_bytes() == (tmp_path / "m.bin").read_bytes()

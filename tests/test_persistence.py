@@ -343,6 +343,118 @@ class TestStreamedBinaryCodec:
         assert peak < data.nbytes // 8
 
 
+def _layout(data, layout):
+    """``data`` as a C-ordered, F-ordered or strided (every other row and
+    column of a larger array) complex array."""
+    if layout == "strided":
+        big = np.zeros((2 * data.shape[0], 2 * data.shape[1]), dtype=np.complex128)
+        big[::2, ::2] = data
+        return big[::2, ::2]
+    return np.array(data, dtype=np.complex128, order=layout)
+
+
+class TestRealPayloadBits:
+    """A payload is real when every imaginary part is +0.0, the only float
+    whose bits are all zero; the flag decides whether a file stores them."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("imag, real", [
+        (0.0, True), (-0.0, False), (5e-324, False), (-5e-324, False),
+    ], ids=["plus-zero", "minus-zero", "plus-denormal", "minus-denormal"])
+    def test_one_imaginary_part_decides(self, layout, imag, real):
+        data = np.arange(12.0).reshape(3, 4) + 0j
+        data[2, 1] = complex(5.0, imag)
+        assert persistence._payload_is_real(_layout(data, layout)) is real
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("column", [None, 3, 300, 599])
+    def test_mixed_blocks_set_the_flag_and_keep_their_bits(self, tmp_path, layout, column):
+        """600 columns are two blocks; one -0.0 imaginary part in either makes
+        the whole file complex, and every sign of zero survives."""
+        data = np.random.default_rng(1).standard_normal((5, 600)) + 0j
+        if column is not None:
+            data[4, column] = complex(data[4, column].real, -0.0)
+        path = tmp_path / "h.bin"
+        write_snapshots(SnapshotHistory(_layout(data, layout)), path)
+        blob = path.read_bytes()
+        assert struct.unpack_from("<Q", blob, 24)[0] == (column is None)
+        assert len(blob) == 32 + data.size * (8 if column is None else 16)
+        back = read_snapshots(path).data
+        assert back.tobytes(order="F") == data.tobytes(order="F")
+        assert np.signbit(back.imag).sum() == (column is not None)
+
+
+class TestStreamedColumns:
+    """Fitting and verification from the command line read binary snapshot
+    files block by block; every fault is reported as a whole read reports it."""
+
+    def _history(self, tmp_path, columns=700):
+        history = almost_periodic_history(16, 4, 1e-3, columns, seed=2)
+        path = tmp_path / "h.bin"
+        write_snapshots(history.perturbed, path)
+        return history.perturbed.data, path
+
+    @pytest.mark.parametrize("command", ["read", "fit", "verify"])
+    def test_non_finite_entry_is_named_in_the_whole_history(self, tmp_path, capsys, command):
+        """Entries in two blocks are non-finite; as for a check of the whole
+        array, the first in row-major order is named, not the first read."""
+        data, path = self._history(tmp_path)
+        data = data.copy()
+        data[9, 20] = np.nan
+        data[3, 650] = np.inf
+        write_snapshots(SnapshotHistory(np.where(np.isfinite(data), data, 0)), path)
+        blob = bytearray(path.read_bytes())
+        for row, column, value in ((9, 20, np.nan), (3, 650, np.inf)):
+            offset = 32 + 16 * (column * 16 + row)
+            blob[offset : offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        message = "snapshot entry at (row 3, column 650) is non-finite"
+        if command == "read":
+            with pytest.raises(persistence.NonFiniteData, match=re.escape(message)):
+                read_snapshots(path)
+            return
+        model = tmp_path / "m.bin"
+        write_model(fit(periodic_history(16, 4, seed=1), FitOptions(mode="least_squares"))[0],
+                    model)
+        argv = (["fit", str(path), "--period", "4", "--out", str(tmp_path / "m2.bin")]
+                if command == "fit" else ["verify", str(model), str(path)])
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"sclrom {command}: {message}\n"
+
+    def test_verify_checks_the_columns_past_the_period(self, tmp_path, capsys):
+        """Verification compares the model's period only, but reads the rest."""
+        data, path = self._history(tmp_path)
+        model = tmp_path / "m.bin"
+        write_model(fit(SnapshotHistory(data[:, :300]),
+                        FitOptions(mode="least_squares", period=4))[0], model)
+        blob = bytearray(path.read_bytes())
+        blob[32 + 16 * (690 * 16) : 32 + 16 * (690 * 16) + 8] = struct.pack("<d", np.inf)
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run_cli(["verify", str(model), str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "sclrom verify: snapshot entry at (row 0, column 690) is non-finite\n")
+
+    @pytest.mark.parametrize("cut, message", [
+        (-16, "payload truncated: expected 179200 bytes for 16x700, found 179184"),
+        (1, "trailing data: more than the 179232 bytes declared"),
+    ], ids=["truncated", "trailing"])
+    def test_fault_of_a_piped_file_comes_before_a_fault_of_its_data(self, tmp_path, capsys,
+                                                                     cut, message):
+        """fit refuses a negative --eps only once the piped file is found sound."""
+        data, path = self._history(tmp_path)
+        blob = path.read_bytes()
+        read_fd, thread = _feed_pipe(blob[:cut] if cut < 0 else blob + bytes(cut))
+        capsys.readouterr()
+        code = run_cli(["fit", f"/dev/fd/{read_fd}", "--mode", "lsq", "--eps", "-1",
+                        "--out", str(tmp_path / "m.bin")])
+        thread.join()
+        os.close(read_fd)
+        assert code == 2
+        assert capsys.readouterr().err == f"sclrom fit: {message}\n"
+
+
 class TestModelFormat:
     @pytest.fixture
     def fitted(self):
