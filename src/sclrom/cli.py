@@ -21,7 +21,6 @@ from .datagen import (
     SineMode,
     WaveConfig,
     _almost_periodic_columns,
-    _joined,
     _periodic_columns,
     simulate_wave_1d,
 )
@@ -30,6 +29,7 @@ from .model import (
     FitOptions,
     SclRomModel,
     _gap_norms,
+    _joined,
     _replayed_columns,
     fit,
     replay,
@@ -232,11 +232,8 @@ def _cmd_predict(args) -> int:
         print("predict: need 0 <= t0 < t1", file=sys.stderr)
         return 2
     steps = args.t1 - args.t0
-    if args.format == "binary":
-        _write_columns(args.out, model.n, steps,
-                       lambda: _replayed_columns(model, args.t0, args.t1))
-    else:
-        write_snapshots(SnapshotHistory(replay(model, args.t0, args.t1)), args.out, format="csv")
+    _write_history(args.out, model.n, steps,
+                   lambda: _replayed_columns(model, args.t0, args.t1), args.format)
     print(f"predict: wrote {args.out} (n = {model.n}, steps = {steps})")
     return 0
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import ConfigInvalid, DimensionTooSmall, InsufficientData, NumericalFailure
-from .model import _block_bounds
 from .ohf import SnapshotHistory, _check_entries, pin_column_phases
 
 
@@ -37,17 +37,6 @@ def random_orthonormal_columns(n: int, m: int, seed) -> np.ndarray:
     Q = np.linalg.qr(G)[0]
     pin_column_phases(Q)
     return Q
-
-
-def _joined(n: int, steps: int, blocks) -> np.ndarray:
-    """The column-major (n, steps) array of the column blocks that the
-    callable ``blocks`` yields."""
-    rows = np.empty((steps, n), dtype=np.complex128)
-    at = 0
-    for block in blocks():
-        rows[at : at + block.shape[1]] = block.T
-        at += block.shape[1]
-    return rows.T
 
 
 def _periodic_columns(n: int, period: int, seed: int, horizon: int | None = None):
@@ -75,7 +64,7 @@ def _periodic_columns(n: int, period: int, seed: int, horizon: int | None = None
     weights = np.fft.ifft(magnitudes * phases)
     one_period = np.column_stack([frame @ np.roll(weights, t) for t in range(period)])
     return horizon, lambda: (one_period[:, np.arange(start, stop) % period]
-                             for start, stop in _block_bounds(horizon))
+                             for start, stop in model._block_bounds(horizon))
 
 
 def periodic_history(n: int, period: int, seed: int, horizon: int | None = None) -> SnapshotHistory:
@@ -89,7 +78,7 @@ def periodic_history(n: int, period: int, seed: int, horizon: int | None = None)
     keeps every seed safely nondegenerate. The history is column-major.
     """
     horizon, blocks = _periodic_columns(n, period, seed, horizon)
-    return SnapshotHistory(_joined(n, horizon, blocks))
+    return SnapshotHistory(model._joined(n, horizon, blocks))
 
 
 @dataclass(eq=False)
@@ -162,12 +151,12 @@ def almost_periodic_history(
     differ from these; ``clean`` is unchanged.
     """
     blocks, _ = _almost_periodic_columns(n, period, eps_pert, horizon, seed)
-    clean = SnapshotHistory(_joined(n, horizon, blocks))
+    clean = SnapshotHistory(model._joined(n, horizon, blocks))
     if eps_pert == 0.0:
         return AlmostPeriodicPair(perturbed=SnapshotHistory(clean.data.copy()), clean=clean)
     noise = np.empty((horizon, 2 * n))
     rng = np.random.default_rng([seed, 1])
-    for start, stop in _block_bounds(horizon):
+    for start, stop in model._block_bounds(horizon):
         _perturbed_block(rng, clean.data[:, start:stop], eps_pert, noise[start:stop])
     return AlmostPeriodicPair(perturbed=SnapshotHistory(noise.view(np.complex128).T),
                               clean=clean)

@@ -188,6 +188,19 @@ def _replayed_columns(model: SclRomModel, t0: int, t1: int):
     return runs()
 
 
+def _joined(n: int, steps: int, blocks) -> np.ndarray:
+    """The column-major (n, steps) array of the column blocks that the
+    callable ``blocks`` yields; it is called before the array is made, so
+    that it may check its window first."""
+    chunks = blocks()
+    rows = np.empty((steps, n), dtype=np.complex128)
+    at = 0
+    for block in chunks:
+        rows[at : at + block.shape[1]] = block.T
+        at += block.shape[1]
+    return rows.T
+
+
 def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     """Model states for steps t0 <= t < t1, one per column, shape (n, t1 - t0).
 
@@ -203,13 +216,7 @@ def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     inputs, so they also agree after a save/load round trip. Memory is the
     window plus one block.
     """
-    runs = _replayed_columns(model, t0, t1)
-    out = np.empty((t1 - t0, model.n), dtype=np.complex128)
-    at = 0
-    for states in runs:
-        out[at : at + states.shape[1]] = states.T
-        at += states.shape[1]
-    return out.T
+    return _joined(model.n, t1 - t0, lambda: _replayed_columns(model, t0, t1))
 
 
 def predict(model: SclRomModel, t: int) -> np.ndarray:

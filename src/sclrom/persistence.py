@@ -43,13 +43,14 @@ grammar, the values and the errors are the same on both paths.
 
 Model files: a fixed-order UTF-8 manifest, a blank line, then three
 snapshot-encoded binary blocks holding V (n x m), Vhat (n x m), and the
-coefficients (m x T). Once every stored number is checked to be finite,
-the frames pass :func:`sclrom.ohf.checked_factorization`, fitting's gate
+coefficients (m x T). The loader reads each block through the snapshot
+reader, a column block at a time, into a C-ordered array (fitting's
+layout, so predictions are bit-identical across a save/load round trip):
+a load holds the arrays plus one block, and the file may be a pipe. The
+frames then pass :func:`sclrom.ohf.checked_factorization`, fitting's gate
 too, which re-validates every factorization invariant through residuals
 of the thin frames and rebuilds the replay operator from V, Vhat and rho
-(storing it would permit inconsistent files). Each block loads as a
-C-ordered array, the layout that fitting produces, so replay and
-predictions are bit-identical across a save/load round trip.
+(storing it would permit inconsistent files).
 """
 from __future__ import annotations
 
@@ -208,17 +209,16 @@ def _write_columns(path, n: int, m: int, blocks) -> None:
 
 
 def _parse_header(head: bytes, offset: int) -> tuple[int, int, bool]:
-    """(n, m, real) from the block header at ``offset``, checked for the
-    magic bytes, its own length and dimensions of at least 1."""
-    if head[offset : offset + 8] != SNAPSHOT_MAGIC:
+    """(n, m, real) from a block header read at byte ``offset`` of its file,
+    checked for the magic bytes, its own length and dimensions of at least 1."""
+    if head[:8] != SNAPSHOT_MAGIC:
         raise BadMagic(f"expected {SNAPSHOT_MAGIC!r} at byte {offset}")
-    available = len(head) - offset
-    if available < _HEADER_BYTES:
+    if len(head) < _HEADER_BYTES:
         raise DimensionMismatch(
             f"header truncated: expected {_HEADER_BYTES} bytes at byte {offset}, "
-            f"found {available}"
+            f"found {len(head)}"
         )
-    n, m, flags = struct.unpack_from("<QQQ", head, offset + 8)
+    n, m, flags = struct.unpack_from("<QQQ", head, 8)
     if n < 1 or m < 1:
         raise DimensionMismatch(f"header at byte {offset} declares {n}x{m}; both must be >= 1")
     return n, m, bool(flags & 1)
@@ -230,49 +230,33 @@ def _truncated(expected: int, n: int, m: int, found: int) -> DimensionMismatch:
     )
 
 
-def _decode_array(buf: bytes, offset: int) -> tuple[np.ndarray, int]:
-    n, m, real = _parse_header(buf, offset)
-    start = offset + _HEADER_BYTES
-    expected = n * m * (8 if real else 16)
-    available = len(buf) - start
-    if available < expected:
-        raise _truncated(expected, n, m, available)
-    # a view on the payload, F-ordered as stored; one copy converts and reorders it
-    view = np.frombuffer(buf, dtype="<f8" if real else "<c16", count=n * m, offset=start)
-    arr = np.array(view.reshape((n, m), order="F"), dtype=np.complex128, order="C")
-    return arr, start + expected
-
-
 class _BinaryColumns:
-    """The columns of an open binary snapshot file whose header has been
-    read, in order, through the reading interface of the in-memory
-    ``sclrom.model._HeldColumns``.
+    """The columns of a binary block (a snapshot file, or an array of a
+    model file) whose header ``head`` was read at byte ``offset`` of an open
+    file, in order, through the reading interface of the in-memory
+    ``sclrom.model._HeldColumns``. A regular file must hold the block;
+    whether anything may follow it is the caller's decision.
 
     ``read(count)`` reads the next ``count`` columns straight from the file
     into one buffer that later reads reuse (it grows to the widest read),
     and returns them as an (n, count) column-major view. A real payload is
     read at most 256 columns at a time into a float buffer and widened.
-    Every entry read is checked to be finite; at the first non-finite one
-    the rest of the input is read too, so that the error names the first
-    non-finite entry in row-major order, as a check of the whole history
-    would. ``drain()`` reads and checks every column not read yet, then
-    the end of the input. Once the reader has raised, ``drain()`` does
-    nothing.
+    Every entry read is checked to be finite; a read that finds a
+    non-finite one raises. ``drain()``, for a block that ends its input,
+    reads and checks every column not read yet, then the end of the input;
+    its error names the first non-finite entry in row-major order, as a
+    check of the whole history would. Once a read has come up short or
+    ``drain()`` has raised, ``drain()`` does nothing.
     """
 
-    def __init__(self, fh, head: bytes, path):
-        n, m, real = _parse_header(head, 0)
+    def __init__(self, fh, head: bytes, path, offset: int):
+        n, m, real = _parse_header(head, offset)
         expected = n * m * (8 if real else 16)
+        self.end = offset + _HEADER_BYTES + expected  # the byte after the block
         info = os.fstat(fh.fileno())
         self._regular = stat.S_ISREG(info.st_mode)
-        if self._regular and info.st_size != _HEADER_BYTES + expected:
-            found = info.st_size - _HEADER_BYTES
-            if found < expected:
-                raise _truncated(expected, n, m, found)
-            raise DimensionMismatch(
-                f"trailing data: expected {_HEADER_BYTES + expected} bytes total, "
-                f"found {info.st_size}"
-            )
+        if self._regular and info.st_size < self.end:
+            raise _truncated(expected, n, m, info.st_size - offset - _HEADER_BYTES)
         if n * m > _MAX_ENTRIES:
             raise DimensionMismatch(f"header declares {n}x{m}, beyond the size of one array")
         self.n, self.m = n, m
@@ -287,6 +271,10 @@ class _BinaryColumns:
     def _fail(self, exc: SclRomError) -> SclRomError:
         self._failed = True
         return exc
+
+    def _non_finite(self) -> NonFiniteData:
+        row, column = self._bad
+        return NonFiniteData(f"snapshot entry at (row {row}, column {column}) is non-finite")
 
     def _readinto(self, array: np.ndarray) -> None:
         try:
@@ -323,7 +311,7 @@ class _BinaryColumns:
     def read(self, count: int) -> np.ndarray:
         rows = self._next(count)
         if self._bad is not None:
-            self.drain()
+            raise self._non_finite()
         return rows.T
 
     def drain(self) -> None:
@@ -338,13 +326,10 @@ class _BinaryColumns:
                 raise self._fail(IoFailure(f"cannot read {self._path}: {exc}")) from exc
             if trailing:
                 raise self._fail(DimensionMismatch(
-                    f"trailing data: more than the {_HEADER_BYTES + self._expected} bytes declared"
+                    f"trailing data: more than the {self.end} bytes declared"
                 ))
         if self._bad is not None:
-            row, column = self._bad
-            raise self._fail(NonFiniteData(
-                f"snapshot entry at (row {row}, column {column}) is non-finite"
-            ))
+            raise self._fail(self._non_finite())
 
 
 def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> None:
@@ -445,8 +430,9 @@ def _snapshot_columns(path):
 
     On leaving, the columns not read are read and checked, so every fault
     of the file is reported, and reported first when the body raises a
-    SclRomError of its own, as when the file was read whole before any
-    work began.
+    SclRomError of its own (a read's non-finite entry included), as when
+    the file was read whole before any work began. Bytes after the block
+    are refused, on a regular file before any payload is read.
     """
     try:
         fh = open(path, "rb")
@@ -456,7 +442,12 @@ def _snapshot_columns(path):
         try:
             head = fh.read(_HEADER_BYTES)
             if head[:8] == SNAPSHOT_MAGIC:
-                columns = _BinaryColumns(fh, head, path)
+                columns = _BinaryColumns(fh, head, path, 0)
+                info = os.fstat(fh.fileno())
+                if stat.S_ISREG(info.st_mode) and info.st_size > columns.end:
+                    raise DimensionMismatch(
+                        f"trailing data: expected {columns.end} bytes total, found {info.st_size}"
+                    )
             else:
                 columns = _HeldColumns(_read_csv_file(fh, head).data)
         except OSError as exc:
@@ -515,29 +506,39 @@ def _manifest_value(lines: list[str], index: int, key: str) -> str:
     return lines[index][len(key) + 2 :]
 
 
-def read_model(path) -> SclRomModel:
-    """Read a model file, re-validating it and rebuilding the replay operator.
+def _read_array(fh, path, offset: int, name: str, shape: tuple[int, int]):
+    """(array, offset of the next block) for the model array ``name`` at
+    byte ``offset``: its header is checked against the manifest's ``shape``,
+    then its pinned column blocks are read into a C-ordered array."""
+    try:
+        columns = _BinaryColumns(fh, fh.read(_HEADER_BYTES), path, offset)
+        if (columns.n, columns.m) != shape:
+            raise InvariantViolation(
+                f"{name} has shape {(columns.n, columns.m)}, manifest says {shape}"
+            )
+        array = np.empty(shape, dtype=np.complex128)
+        for start, stop in _block_bounds(columns.m):
+            array[:, start:stop] = columns.read(stop - start)
+    except NonFiniteData:
+        raise InvariantViolation(f"{name} holds non-finite values") from None
+    except (BadMagic, DimensionMismatch) as exc:
+        raise InvariantViolation(f"payload arrays unreadable: {exc}") from exc
+    return array, columns.end
 
-    Raises VersionUnsupported for unknown format versions and
-    InvariantViolation when the stored arrays are inconsistent with the
-    manifest, hold non-finite numbers, or fail a check of
-    :func:`sclrom.ohf.checked_factorization`; any other error of that gate
-    is reported as ``stored frames are inconsistent: ...``. No n x n
-    matrix is formed.
-    """
+
+def _read_manifest(fh):
+    """(offset of the first block, n, m, T, kappa, rho, epsilon_achieved)
+    from the manifest of an open model file, read up to its blank line."""
+    head = bytearray()
+    while not head.endswith(b"\n\n"):
+        line = fh.readline()
+        if not line:
+            raise InvariantViolation("missing manifest separator")
+        head += line
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    sep = blob.find(b"\n\n")
-    if sep < 0:
-        raise InvariantViolation("missing manifest separator")
-    try:
-        manifest = blob[:sep].decode("utf-8")
+        lines = head[:-2].decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise InvariantViolation("manifest is not valid UTF-8") from None
-    lines = manifest.splitlines()
     if not lines or not lines[0].startswith(_MODEL_HEADER_PREFIX):
         raise InvariantViolation(f"first line must start with {_MODEL_HEADER_PREFIX!r}")
     version = lines[0][len(_MODEL_HEADER_PREFIX) :]
@@ -554,30 +555,35 @@ def read_model(path) -> SclRomModel:
         raise InvariantViolation(f"malformed manifest: {exc}") from exc
     if _manifest_value(lines, 7, "arrays") != "V Vhat coeffs":
         raise InvariantViolation("unexpected array list")
+    kappa, rho = complex(kappa_re, kappa_im), complex(rho_re, rho_im)
+    return len(head), n, m, period, kappa, rho, epsilon
 
-    offset = sep + 2
+
+def read_model(path) -> SclRomModel:
+    """Read a model file, re-validating it and rebuilding the replay operator.
+
+    Each array is read by the snapshot reader, a column block at a time, so
+    a load holds the arrays plus one block, and the file may be a pipe.
+    Raises VersionUnsupported for unknown format versions and
+    InvariantViolation when the stored arrays are inconsistent with the
+    manifest, hold non-finite numbers, or fail a check of
+    :func:`sclrom.ohf.checked_factorization`; any other error of that gate
+    is reported as ``stored frames are inconsistent: ...``. No n x n
+    matrix is formed.
+    """
     try:
-        V, offset = _decode_array(blob, offset)
-        Vhat, offset = _decode_array(blob, offset)
-        coeffs, offset = _decode_array(blob, offset)
-    except (BadMagic, DimensionMismatch) as exc:
-        raise InvariantViolation(f"payload arrays unreadable: {exc}") from exc
-    if offset != len(blob):
+        with open(path, "rb") as fh:
+            offset, n, m, period, kappa, rho, epsilon = _read_manifest(fh)
+            V, offset = _read_array(fh, path, offset, "V", (n, m))
+            Vhat, offset = _read_array(fh, path, offset, "Vhat", (n, m))
+            coeffs, _ = _read_array(fh, path, offset, "coeffs", (m, period))
+            trailing = fh.read(1)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    if trailing:
         raise InvariantViolation("trailing bytes after payload arrays")
-    del blob  # the arrays are copies; free one file size before the frame products
-    if V.shape != (n, m):
-        raise InvariantViolation(f"V has shape {V.shape}, manifest says {(n, m)}")
-    if Vhat.shape != (n, m):
-        raise InvariantViolation(f"Vhat has shape {Vhat.shape}, manifest says {(n, m)}")
-    if coeffs.shape != (m, period):
-        raise InvariantViolation(f"coeffs has shape {coeffs.shape}, manifest says {(m, period)}")
-
-    kappa = complex(kappa_re, kappa_im)
-    rho = complex(rho_re, rho_im)
-    stored = {"V": V, "Vhat": Vhat, "coeffs": coeffs, "kappa": kappa, "rho": rho,
-              "epsilon_achieved": epsilon}
-    for name, value in stored.items():
-        if not np.all(np.isfinite(value)):
+    for name, value in (("kappa", kappa), ("rho", rho), ("epsilon_achieved", epsilon)):
+        if not np.isfinite(value):
             raise InvariantViolation(f"{name} holds non-finite values")
     if not (rho.real > 0.0 and abs(rho.imag) <= 1e-10 * abs(rho)):
         raise InvariantViolation(f"rho {rho} is not real and positive")

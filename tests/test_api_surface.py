@@ -3,7 +3,7 @@ the names deleted with the unused API stay deleted."""
 import inspect
 
 import sclrom
-from sclrom import circulant, cyclic, model, ohf, persistence
+from sclrom import circulant, cyclic, datagen, model, ohf, persistence
 
 REMOVED = {
     sclrom: ["ControlTuple", "SvdTriple", "circulant_to_matrix", "orthogonal_projector",
@@ -16,6 +16,8 @@ REMOVED = {
     model.SclRomModel: ["to_control_tuple", "element"],
     ohf: ["SvdTriple", "_shift_parts", "_vhat_products", "replay_operator"],
     ohf.SnapshotHistory: ["column", "dt_meta"],
+    persistence: ["_decode_array"],
+    datagen: ["_joined"],
     cyclic.VectorSystem: ["from_vectors", "vector"],
 }
 

@@ -34,12 +34,7 @@ from sclrom import (
 )
 from sclrom import persistence
 from sclrom.cli import run_cli
-from sclrom.persistence import (
-    _decode_array,
-    _write_array,
-    format_complex_entry,
-    parse_complex_entry,
-)
+from sclrom.persistence import format_complex_entry, parse_complex_entry
 
 
 class TestCsvFormat:
@@ -139,27 +134,6 @@ class TestBinaryFormat:
         assert path.stat().st_size == 32 + 12 * 5 * 8
         back = read_snapshots(path)
         assert back.data.tobytes(order="C") == data.tobytes(order="C")
-
-    @pytest.mark.parametrize("real", [True, False])
-    def test_decode_is_one_owned_c_ordered_copy(self, real):
-        """Same bits as slicing, converting and reordering the payload; at an odd
-        offset too, so the payload view is unaligned."""
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((9, 7)) + (0.0 if real else 1j * rng.standard_normal((9, 7)))
-        prefix = b"abc"
-        fh = io.BytesIO(prefix)
-        fh.seek(len(prefix))
-        _write_array(fh, np.asarray(data, dtype=np.complex128))
-        blob = fh.getvalue()
-        arr, end = _decode_array(blob, len(prefix))
-        assert end == len(blob)
-        stored = np.frombuffer(blob[len(prefix) + 32:], dtype="<f8" if real else "<c16")
-        expected = np.ascontiguousarray(
-            stored.reshape((9, 7), order="F").astype(np.complex128)
-        )
-        assert arr.tobytes() == expected.tobytes()
-        assert arr.dtype == np.complex128
-        assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
 
     def test_truncated_payload_reports_byte_counts(self, tmp_path):
         h = periodic_history(16, 4, seed=1)
@@ -571,6 +545,69 @@ class TestModelFormat:
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(IoFailure):
             read_model(tmp_path / "absent.bin")
+
+    @pytest.mark.parametrize("history, real", [
+        (lambda: periodic_history(32, 4, seed=3), False),
+        (lambda: simulate_wave_1d(WaveConfig(L=1.0, c=1.0, nx=64, nt=24, dt=2.0 / 24,
+                                             w0=GaussianBump(0.4, 0.05))), True),
+    ], ids=["periodic", "wave"])
+    def test_loaded_arrays_are_owned_c_ordered_copies(self, tmp_path, history, real):
+        """A complex model, and a rank-truncated wave model whose blocks
+        carry the real flag, load bit for bit into owned C-ordered arrays."""
+        model, _ = fit(history(), FitOptions(mode="least_squares", truncate_rank=True))
+        path = tmp_path / "m.bin"
+        write_model(model, path)
+        blob = path.read_bytes()
+        flags = [struct.unpack_from("<Q", blob, at.start() + 24)[0]
+                 for at in re.finditer(b"SCLROM01", blob)]
+        assert flags == [1 if real else 0] * 3
+        loaded = read_model(path)
+        for fitted, back in [(model.ohf.V, loaded.ohf.V), (model.ohf.Vhat, loaded.ohf.Vhat),
+                             (model.coeffs, loaded.coeffs)]:
+            assert back.dtype == np.complex128 and back.shape == fitted.shape
+            assert back.flags.c_contiguous and back.flags.owndata and back.flags.writeable
+            assert back.tobytes() == np.ascontiguousarray(fitted).tobytes()
+
+    def test_load_peaks_near_the_file_size(self, tmp_path):
+        """n=512, p=16 and 16384 steps of least-squares coefficients: a 4.25
+        MiB file, which loads into its arrays plus one column block rather
+        than beside a copy of the whole file."""
+        model, _ = fit(periodic_history(512, 16, seed=1), FitOptions(mode="least_squares"))
+        rng = np.random.default_rng(5)
+        model.coeffs = rng.standard_normal((16, 16384)) + 1j * rng.standard_normal((16, 16384))
+        path = tmp_path / "m.bin"
+        write_model(model, path)
+        size = path.stat().st_size
+        assert size > 4.25 * 2**20
+        assert _peak_bytes(lambda: read_model(path)) <= 1.25 * size
+
+    @pytest.fixture
+    def piped_model(self, tmp_path):
+        """A model file larger than a pipe buffer, and its replay operator."""
+        model, _ = fit(periodic_history(512, 16, seed=1), FitOptions(mode="least_squares"))
+        path = tmp_path / "m.bin"
+        write_model(model, path)
+        return path.read_bytes(), model.ohf.R
+
+    def test_pipe_model_loads(self, piped_model):
+        blob, R = piped_model
+        read_fd, thread = _feed_pipe(blob)
+        loaded = read_model(read_fd)
+        thread.join()
+        assert loaded.ohf.R.tobytes() == R.tobytes()
+
+    @pytest.mark.parametrize("cut, message", [
+        (1, "trailing bytes after payload arrays"),
+        (-16, "payload arrays unreadable: payload truncated: "
+              "expected 4096 bytes for 16x16, found 4080"),
+    ], ids=["trailing", "truncated"])
+    def test_malformed_pipe_model_names_the_fault(self, piped_model, cut, message):
+        blob = piped_model[0]
+        read_fd, thread = _feed_pipe(blob[:cut] if cut < 0 else blob + bytes(cut))
+        with pytest.raises(InvariantViolation) as exc:
+            read_model(read_fd)
+        thread.join()
+        assert str(exc.value) == message
 
 
 def _forge_vhat(model):
