@@ -178,17 +178,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    # options are checked inside the block, so that a fault of the file is
-    # still reported before them, as when the file was read first
+    opts = FitOptions(
+        mode="least_squares" if args.mode == "lsq" else "monomial",
+        epsilon=args.eps,
+        rank_tol=args.rank_tol,
+        truncate_rank=args.truncate_rank,
+        period=args.period,
+    )
     with _snapshot_columns(args.snapshots) as columns:
-        mode = "least_squares" if args.mode == "lsq" else "monomial"
-        opts = FitOptions(
-            mode=mode,
-            epsilon=args.eps,
-            rank_tol=args.rank_tol,
-            truncate_rank=args.truncate_rank,
-            period=args.period,
-        )
         if args.log_style == "paper":
             print(_banner_block(" Computing circular matrix representations in C[U[v1|vm]]:"))
         model, report = fit(columns, opts)

@@ -153,7 +153,7 @@ def almost_periodic_history(
     blocks, _ = _almost_periodic_columns(n, period, eps_pert, horizon, seed)
     clean = SnapshotHistory(model._joined(n, horizon, blocks))
     if eps_pert == 0.0:
-        return AlmostPeriodicPair(perturbed=SnapshotHistory(clean.data.copy()), clean=clean)
+        return AlmostPeriodicPair(perturbed=SnapshotHistory(np.copy(clean.data)), clean=clean)
     noise = np.empty((horizon, 2 * n))
     rng = np.random.default_rng([seed, 1])
     for start, stop in model._block_bounds(horizon):
@@ -284,7 +284,7 @@ def simulate_wave_1d(cfg: WaveConfig, return_velocity: bool = False):
     modes = _dst1(cfg.w0.evaluate(cfg.grid(), cfg.L)) * (2.0 / (nx + 1))
     angles = np.arange(nt + 1)[:, None] * theta  # (nt+1, nx): one step per row
     w_hist = _dst1(np.cos(angles) * modes)
-    history = SnapshotHistory(np.array(w_hist.T, dtype=np.complex128, order="C"))
+    history = SnapshotHistory(w_hist.T)
     if return_velocity:
         u_hist = _dst1(np.sin(angles) * (-omega * modes))
         return history, np.ascontiguousarray(u_hist.T)

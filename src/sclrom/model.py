@@ -297,7 +297,7 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
     # its columns are read first, in one read, and done before the next
     held = _block_of(T, m_sys - 1)[1]
     head = columns.read(held)
-    frame = SnapshotHistory(head[:, :m_sys].copy() if m_sys < T else head)
+    frame = SnapshotHistory(head[:, :m_sys])
     ohf = build_ohf(frame, rank_tol=opts.rank_tol, truncate=opts.truncate_rank)
     del frame
     m = ohf.m
@@ -319,9 +319,7 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
         # each block past the first ones is read over them
         block = head[:, start:stop] if stop <= held else columns.read(stop - start)
         if opts.mode != MODE_MONOMIAL:
-            # BLAS rounds V* data differently for other operand layouts, so
-            # the product takes the column-major one that binary files load in
-            coeffs[:, start:stop] = W_star @ (inv_scale * (V_star @ np.asfortranarray(block)))
+            coeffs[:, start:stop] = W_star @ (inv_scale * (V_star @ block))
         per_step += _gap_norms(_block_states(model, start, stop).T, block)
     model.epsilon_achieved = max(per_step)
     report = FitReport(

@@ -61,22 +61,26 @@ def _check_entries(name: str, count: int) -> None:
 class SnapshotHistory:
     """State snapshots of a discrete-time system, one per column.
 
-    Zero columns are accepted at construction (a simulator may legitimately
+    ``data`` is a column-major complex128 array, the layout of the column
+    matrix [v_1 .. v_m] and of binary files; any other array is copied into
+    it once, so every product sees one layout, whatever the source. Zero
+    columns are accepted at construction (a simulator may legitimately
     produce them); operations that require nonzero snapshots reject them
-    when reached. NaN and infinite entries are rejected at construction.
+    when reached. NaN and infinite entries are rejected at construction,
+    the first in column order named.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
+        data = np.asarray(self.data, dtype=np.complex128, order="F")
         if data.ndim != 2:
             raise DimensionMismatch(f"snapshot matrix must be 2-D, got ndim={data.ndim}")
         if data.shape[1] < 1:
             raise DimensionMismatch("snapshot history needs at least one column")
         finite = np.isfinite(data)
         if not finite.all():
-            row, col = (int(i) for i in np.argwhere(~finite)[0])
+            col, row = (int(i) for i in np.argwhere(~finite.T)[0])
             raise NonFiniteData(f"snapshot entry at (row {row}, column {col}) is non-finite")
         self.data = data
 
@@ -362,9 +366,7 @@ def build_ohf(
         first_col = V[:, 0] * s[0]  # first column of the rank-r core history
         m = rank
     else:
-        # a contiguous copy: the strided and the contiguous dot product round
-        # differently, and rho must not depend on the history's layout
-        first_col = np.ascontiguousarray(history.data[:, 0])
+        first_col = history.data[:, 0]
     if n < 2 * m:
         raise DimensionTooSmall(f"need n >= 2m, got n={n}, m={m}")
 
@@ -403,10 +405,7 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
         raise DimensionMismatch(
             f"factorization is (n={ohf.n}, m={ohf.m}) but history is (n={history.n}, m={history.m})"
         )
-    Vhat, V = ohf.Vhat, ohf.V
-    # strided and contiguous products and sums round differently, so the
-    # residuals take the column-major layout that binary files load in
-    data = np.asfortranarray(history.data)
+    Vhat, V, data = ohf.Vhat, ohf.V, history.data
     vhat1 = Vhat[:, 0]
     # T v_1 - rho vhat_1 = (vhat_1* v_1 - rho) vhat_1
     t_gap = np.vdot(vhat1, data[:, 0]) - ohf.rho

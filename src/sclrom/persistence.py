@@ -5,16 +5,20 @@ unsigned 64-bit little-endian integers (flag bit 0 marks purely real
 payloads; n and m are at least 1), then the matrix entries in
 column-major order, each entry two IEEE-754 binary64 little-endian values
 (real then imaginary; real-flagged files store only the real part).
-A binary snapshot file is read in column blocks, in order: each block
-goes straight from the file into one buffer that the reader reuses (a
-real payload is read at most 256 columns at a time and widened into it),
-and every block is checked to be finite, a failure naming the entry's
-row and column in the whole history. :func:`read_snapshots` reads every
-column into one column-major history in one copy; fitting and
-verification from the command line consume the blocks one at a time
-(:func:`_snapshot_columns`). On a regular file the declared size is
-checked against the file size before any payload is read; other inputs
-(a pipe) are checked for a short read and for trailing bytes instead.
+A history is column-major in memory too (:class:`sclrom.SnapshotHistory`),
+so a file and its history hold the entries in one order. A binary
+snapshot file is read in column blocks, in order: each block goes
+straight from the file into one buffer that the reader reuses (a real
+payload is read at most 256 columns at a time and widened into it), and
+every block is checked to be finite. A read raises at the first fault it
+meets in file order; a non-finite entry is named by its row and column
+in the whole history, the first in column order.
+:func:`read_snapshots` reads every column into one history in one copy;
+fitting and verification from the command line consume the blocks one
+at a time (:func:`_snapshot_columns`). On a regular file the declared
+size is checked against the file size before any payload is read; other
+inputs (a pipe) are checked for a short read and for trailing bytes
+instead.
 Writing streams the header, then the payload block by block: a
 column-major complex block is written with no copy, any other block with
 one copy that transposes it or keeps its real part. The header's real
@@ -36,10 +40,11 @@ ASCII digits, ``.eE+-``, commas, spaces and tabs, the whole file is
 converted by one ``np.loadtxt`` call: numpy's C reader converts each
 field with ``PyOS_string_to_double``, the correctly rounded routine
 behind ``float()``, accepts exactly the grammar's entries over that
-alphabet, and its float64 result is widened to complex in one copy. A
-file with any other row, or one that numpy's reader rejects, is checked
-row by row against the grammar and converted by ``complex()``, so the
-grammar, the values and the errors are the same on both paths.
+alphabet, and its float64 result is widened to a column-major complex
+history in one copy. A file with any other row, or one that numpy's
+reader rejects, is checked row by row against the grammar and converted
+by ``complex()``, so the grammar, the values and the errors are the same
+on both paths.
 
 Model files: a fixed-order UTF-8 manifest, a blank line, then three
 snapshot-encoded binary blocks holding V (n x m), Vhat (n x m), and the
@@ -241,12 +246,12 @@ class _BinaryColumns:
     into one buffer that later reads reuse (it grows to the widest read),
     and returns them as an (n, count) column-major view. A real payload is
     read at most 256 columns at a time into a float buffer and widened.
-    Every entry read is checked to be finite; a read that finds a
-    non-finite one raises. ``drain()``, for a block that ends its input,
-    reads and checks every column not read yet, then the end of the input;
-    its error names the first non-finite entry in row-major order, as a
-    check of the whole history would. Once a read has come up short or
-    ``drain()`` has raised, ``drain()`` does nothing.
+    Every entry read is checked to be finite. ``drain()``, for a block
+    that ends its input, reads and checks every column not read yet, then
+    the end of the input. Either raises at the first fault it meets, in
+    file order: a short read, or the first non-finite entry, named by its
+    row and its column in the whole history, which is the first in column
+    order.
     """
 
     def __init__(self, fh, head: bytes, path, offset: int):
@@ -265,28 +270,17 @@ class _BinaryColumns:
         self._bytes = 0  # payload bytes read
         self._buffer = None  # the reused (columns, n) complex buffer
         self._floats = None  # the reused (columns, n) buffer of a real payload
-        self._bad = None  # (row, column) of the first non-finite entry, row-major
-        self._failed = False
-
-    def _fail(self, exc: SclRomError) -> SclRomError:
-        self._failed = True
-        return exc
-
-    def _non_finite(self) -> NonFiniteData:
-        row, column = self._bad
-        return NonFiniteData(f"snapshot entry at (row {row}, column {column}) is non-finite")
 
     def _readinto(self, array: np.ndarray) -> None:
         try:
             got = self._fh.readinto(array)
         except OSError as exc:
-            raise self._fail(IoFailure(f"cannot read {self._path}: {exc}")) from exc
+            raise IoFailure(f"cannot read {self._path}: {exc}") from exc
         self._bytes += got
         if got != array.nbytes:
-            raise self._fail(_truncated(self._expected, self.n, self.m, self._bytes))
+            raise _truncated(self._expected, self.n, self.m, self._bytes)
 
-    def _next(self, count: int) -> np.ndarray:
-        """The next ``count`` columns as the rows of a C-ordered array."""
+    def read(self, count: int) -> np.ndarray:
         if self._buffer is None or len(self._buffer) < count:
             self._buffer = None  # free the smaller buffer first
             self._buffer = np.empty((count, self.n), dtype=np.complex128)
@@ -302,34 +296,23 @@ class _BinaryColumns:
             self._readinto(rows)
         finite = np.isfinite(rows)
         if not finite.all():
-            row, column = (int(i) for i in np.argwhere(~finite.T)[0])
-            bad = (row, self._at + column)
-            self._bad = bad if self._bad is None else min(self._bad, bad)
+            column, row = (int(i) for i in np.argwhere(~finite)[0])
+            raise NonFiniteData(
+                f"snapshot entry at (row {row}, column {self._at + column}) is non-finite"
+            )
         self._at += count
-        return rows
-
-    def read(self, count: int) -> np.ndarray:
-        rows = self._next(count)
-        if self._bad is not None:
-            raise self._non_finite()
         return rows.T
 
     def drain(self) -> None:
-        if self._failed:
-            return
         while self._at < self.m:
-            self._next(min(_BLOCK, self.m - self._at))
+            self.read(min(_BLOCK, self.m - self._at))
         if not self._regular:
             try:
                 trailing = self._fh.read(1)
             except OSError as exc:
-                raise self._fail(IoFailure(f"cannot read {self._path}: {exc}")) from exc
+                raise IoFailure(f"cannot read {self._path}: {exc}") from exc
             if trailing:
-                raise self._fail(DimensionMismatch(
-                    f"trailing data: more than the {self.end} bytes declared"
-                ))
-        if self._bad is not None:
-            raise self._fail(self._non_finite())
+                raise DimensionMismatch(f"trailing data: more than the {self.end} bytes declared")
 
 
 def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> None:
@@ -390,7 +373,7 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
         else:
             if real.shape == (n, m):
                 del lines, rows  # free the row strings before the widened copy
-                return SnapshotHistory(real.astype(np.complex128))
+                return SnapshotHistory(real)
     data = np.empty((n, m), dtype=np.complex128)
     for i, (number, row) in enumerate(rows):
         if _ROW_RE.fullmatch(row) is None:
@@ -401,6 +384,7 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
         # complex() strips less whitespace than the grammar allows, so
         # each field is stripped first
         data[i] = list(map(complex, map(str.strip, row.replace("i", "j").split(","))))
+    del lines, rows  # free the row strings before the column-major copy
     return SnapshotHistory(data)
 
 
@@ -428,11 +412,11 @@ def _snapshot_columns(path):
     binary file streamed in blocks (:class:`_BinaryColumns`), a CSV file
     read whole.
 
-    On leaving, the columns not read are read and checked, so every fault
-    of the file is reported, and reported first when the body raises a
-    SclRomError of its own (a read's non-finite entry included), as when
-    the file was read whole before any work began. Bytes after the block
-    are refused, on a regular file before any payload is read.
+    When the body completes, the columns it did not read are read and
+    checked, so a file is accepted only when all of it is sound. The first
+    fault met is the one reported: the body's own error, or the file's
+    first fault in file order. Bytes after the block are refused, on a
+    regular file before any payload is read.
     """
     try:
         fh = open(path, "rb")
@@ -452,23 +436,19 @@ def _snapshot_columns(path):
                 columns = _HeldColumns(_read_csv_file(fh, head).data)
         except OSError as exc:
             raise IoFailure(f"cannot read {path}: {exc}") from exc
-        try:
-            yield columns
-        except SclRomError:
-            columns.drain()
-            raise
+        yield columns
         columns.drain()
 
 
 def read_snapshots(path) -> SnapshotHistory:
     """Read a snapshot file: binary if it starts with the magic bytes, else CSV.
 
-    A binary file loads as a column-major history, a CSV file (one line per
-    state row) as a row-major one. A binary payload is read into the
-    history in one copy, a real one widened to complex a block at a time;
-    a CSV file whose rows are all real decimals over ASCII is converted by
-    one ``np.loadtxt`` call and widened in one copy, and any other CSV
-    file row by row through the entry grammar.
+    Either loads as a column-major history. A binary payload is read into
+    the history in one copy, a real one widened to complex a block at a
+    time; a CSV file (one line per state row) whose rows are all real
+    decimals over ASCII is converted by one ``np.loadtxt`` call, any other
+    CSV file row by row through the entry grammar, and either array is then
+    made column-major and complex in one copy.
     """
     with _snapshot_columns(path) as columns:
         data = columns.read(columns.m)

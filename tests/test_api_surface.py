@@ -17,6 +17,7 @@ REMOVED = {
     ohf: ["SvdTriple", "_shift_parts", "_vhat_products", "replay_operator"],
     ohf.SnapshotHistory: ["column", "dt_meta"],
     persistence: ["_decode_array"],
+    persistence._BinaryColumns: ["_fail", "_non_finite"],
     datagen: ["_joined"],
     cyclic.VectorSystem: ["from_vectors", "vector"],
 }

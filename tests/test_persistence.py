@@ -32,9 +32,48 @@ from sclrom import (
     write_model,
     write_snapshots,
 )
-from sclrom import persistence
+from sclrom import datagen, persistence
 from sclrom.cli import run_cli
 from sclrom.persistence import format_complex_entry, parse_complex_entry
+
+
+def _c_ordered(tmp_path, monkeypatch, real):
+    """A history of a C-ordered array, against that array."""
+    rng = np.random.default_rng(6)
+    data = rng.standard_normal((6, 5)) + (0 if real else 1j * rng.standard_normal((6, 5)))
+    return SnapshotHistory(data), data
+
+
+def _csv_file(tmp_path, monkeypatch, real):
+    """A CSV file written entry by entry: a real one takes the np.loadtxt
+    path, a complex one the entry grammar."""
+    _, data = _c_ordered(tmp_path, monkeypatch, real)
+    path = tmp_path / "h.csv"
+    path.write_text("6,5\n" + "".join(",".join(map(format_complex_entry, row)) + "\n"
+                                       for row in data))
+    return read_snapshots(path), data
+
+
+def _wave(tmp_path, monkeypatch, real):
+    """The wave history, against the transpose of its last DST: the
+    (steps, nx) float array of its displacements."""
+    transforms = []
+    dst1 = datagen._dst1
+    monkeypatch.setattr(datagen, "_dst1", lambda x: transforms.append(dst1(x)) or transforms[-1])
+    history = simulate_wave_1d(WaveConfig(nx=48, nt=30, dt=2 / 30))
+    return history, transforms[-1].T
+
+
+@pytest.mark.parametrize("make, real", [
+    (_c_ordered, False), (_c_ordered, True), (_csv_file, True), (_csv_file, False), (_wave, True),
+], ids=["c-ordered-complex", "c-ordered-real", "real-csv", "complex-csv", "wave"])
+def test_history_is_column_major_complex_and_bitwise(tmp_path, monkeypatch, make, real):
+    """Every source of a history, C-ordered or real as it may be, gives one
+    layout: a column-major complex128 array with the source's values."""
+    history, values = make(tmp_path, monkeypatch, real)
+    assert values.shape == history.data.shape and values.dtype == (float if real else complex)
+    assert history.data.dtype == np.complex128 and history.data.flags.f_contiguous
+    assert history.data.tobytes(order="F") == values.astype(np.complex128).tobytes(order="F")
 
 
 class TestCsvFormat:
@@ -193,14 +232,22 @@ def _header(n, m, flags=0):
 
 
 def _feed_pipe(blob):
-    """Read end of a pipe that a thread fills with ``blob``, then closes."""
+    """Read end of a pipe that a thread fills with ``blob``, then closes.
+
+    A reader may stop before the end, so the thread also ends when the read
+    end is closed first: a test closes the read end (or lets a reader that
+    took the descriptor close it) before it joins the thread.
+    """
     read_fd, write_fd = os.pipe()
 
     def feed():
-        with open(write_fd, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(write_fd, "wb") as fh:
+                fh.write(blob)
+        except BrokenPipeError:
+            pass
 
-    thread = threading.Thread(target=feed)
+    thread = threading.Thread(target=feed, daemon=True)
     thread.start()
     return read_fd, thread
 
@@ -360,7 +407,7 @@ class TestRealPayloadBits:
 
 class TestStreamedColumns:
     """Fitting and verification from the command line read binary snapshot
-    files block by block; every fault is reported as a whole read reports it."""
+    files block by block, and report the first fault met in file order."""
 
     def _history(self, tmp_path, columns=700):
         history = almost_periodic_history(16, 4, 1e-3, columns, seed=2)
@@ -368,12 +415,13 @@ class TestStreamedColumns:
         write_snapshots(history.perturbed, path)
         return history.perturbed.data, path
 
-    @pytest.mark.parametrize("command", ["read", "fit", "verify"])
-    def test_non_finite_entry_is_named_in_the_whole_history(self, tmp_path, capsys, command):
-        """Entries in two blocks are non-finite; as for a check of the whole
-        array, the first in row-major order is named, not the first read."""
+    @pytest.mark.parametrize("command", ["history", "read", "fit", "verify"])
+    def test_first_non_finite_in_column_order_is_named(self, tmp_path, capsys, command):
+        """Entries in two blocks are non-finite; a history in memory, a read
+        and a streamed command all name the first in column order, the
+        order of a binary file, and so the first that a stream meets."""
         data, path = self._history(tmp_path)
-        data = data.copy()
+        data = data.copy()  # C-ordered, so that the order named is not the memory's
         data[9, 20] = np.nan
         data[3, 650] = np.inf
         write_snapshots(SnapshotHistory(np.where(np.isfinite(data), data, 0)), path)
@@ -382,10 +430,10 @@ class TestStreamedColumns:
             offset = 32 + 16 * (column * 16 + row)
             blob[offset : offset + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(blob))
-        message = "snapshot entry at (row 3, column 650) is non-finite"
-        if command == "read":
+        message = "snapshot entry at (row 9, column 20) is non-finite"
+        if command in ("history", "read"):
             with pytest.raises(persistence.NonFiniteData, match=re.escape(message)):
-                read_snapshots(path)
+                SnapshotHistory(data) if command == "history" else read_snapshots(path)
             return
         model = tmp_path / "m.bin"
         write_model(fit(periodic_history(16, 4, seed=1), FitOptions(mode="least_squares"))[0],
@@ -410,23 +458,22 @@ class TestStreamedColumns:
         assert capsys.readouterr().err == (
             "sclrom verify: snapshot entry at (row 0, column 690) is non-finite\n")
 
-    @pytest.mark.parametrize("cut, message", [
-        (-16, "payload truncated: expected 179200 bytes for 16x700, found 179184"),
-        (1, "trailing data: more than the 179232 bytes declared"),
-    ], ids=["truncated", "trailing"])
-    def test_fault_of_a_piped_file_comes_before_a_fault_of_its_data(self, tmp_path, capsys,
-                                                                     cut, message):
-        """fit refuses a negative --eps only once the piped file is found sound."""
-        data, path = self._history(tmp_path)
-        blob = path.read_bytes()
-        read_fd, thread = _feed_pipe(blob[:cut] if cut < 0 else blob + bytes(cut))
+    def test_bad_option_is_named_before_a_piped_file_is_read(self, tmp_path, capsys):
+        """fit refuses a negative --eps before it opens the file, so the
+        truncated pipe, larger than a pipe buffer, is left unread."""
+        _, path = self._history(tmp_path)
+        read_fd, thread = _feed_pipe(path.read_bytes()[:-16])
         capsys.readouterr()
-        code = run_cli(["fit", f"/dev/fd/{read_fd}", "--mode", "lsq", "--eps", "-1",
-                        "--out", str(tmp_path / "m.bin")])
-        thread.join()
-        os.close(read_fd)
+        try:
+            code = run_cli(["fit", f"/dev/fd/{read_fd}", "--mode", "lsq", "--eps", "-1",
+                            "--out", str(tmp_path / "m.bin")])
+        finally:
+            os.close(read_fd)
+            thread.join(timeout=60)
+        assert not thread.is_alive()
         assert code == 2
-        assert capsys.readouterr().err == f"sclrom fit: {message}\n"
+        assert capsys.readouterr().err == "sclrom fit: epsilon must be nonnegative, got -1.0\n"
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestModelFormat:
