@@ -24,10 +24,11 @@ from .datagen import (
     _periodic_columns,
     simulate_wave_1d,
 )
-from .errors import ConfigInvalid, DimensionMismatch, SclRomError
+from .errors import ConfigInvalid, DimensionMismatch, IoFailure, SclRomError
 from .model import (
     FitOptions,
     SclRomModel,
+    _check_eps,
     _gap_norms,
     _joined,
     _replayed_columns,
@@ -199,6 +200,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_eps(args.eps)
     model = read_model(args.model)
     with _snapshot_columns(args.snapshots) as columns:
         report = verify_mimetic(model, columns, args.eps)
@@ -224,10 +226,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if not 0 <= args.t0 < args.t1:
+        raise ConfigInvalid(f"need 0 <= --t0 < --t1, got --t0 {args.t0} and --t1 {args.t1}")
     model = read_model(args.model)
-    if args.t1 <= args.t0 or args.t0 < 0:
-        print("predict: need 0 <= t0 < t1", file=sys.stderr)
-        return 2
     steps = args.t1 - args.t0
     _write_history(args.out, model.n, steps,
                    lambda: _replayed_columns(model, args.t0, args.t1), args.format)
@@ -236,21 +237,20 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_export_plot(args) -> int:
+    try:
+        components = [int(p) for p in args.components.split(",") if p.strip() != ""]
+        if min(components, default=0) < 0:
+            raise ValueError
+    except ValueError:
+        raise ConfigInvalid(f"bad --components {args.components!r}") from None
     history = read_snapshots(args.snapshots)
     model: SclRomModel | None = read_model(args.model) if args.model else None
     if model is not None and model.n != history.n:
         raise DimensionMismatch(
             f"model has state dimension {model.n} but history has {history.n}"
         )
-    try:
-        components = [int(p) for p in args.components.split(",") if p.strip() != ""]
-    except ValueError:
-        print(f"export-plot: bad --components {args.components!r}", file=sys.stderr)
-        return 2
-    for idx in components:
-        if idx < 0 or idx >= history.n:
-            print(f"export-plot: component {idx} out of range for n={history.n}", file=sys.stderr)
-            return 2
+    if max(components, default=0) >= history.n:
+        raise ConfigInvalid(f"component {max(components)} out of range for n={history.n}")
     header = ["step", "residual"] + [f"state{idx}" for idx in components]
     if model is not None:
         header += [f"model{idx}" for idx in components]
@@ -276,8 +276,7 @@ def _cmd_export_plot(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
     except OSError as exc:
-        print(f"export-plot: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise IoFailure(f"cannot write {args.out}: {exc}") from exc
     print(f"export-plot: wrote {args.out} ({history.m} steps)")
     return 0
 

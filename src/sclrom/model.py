@@ -330,6 +330,12 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
     return model, report
 
 
+def _check_eps(eps: float) -> None:
+    """ConfigInvalid unless the verification tolerance eps is nonnegative."""
+    if not eps >= 0.0:  # False for NaN too
+        raise ConfigInvalid(f"eps must be nonnegative, got {eps}")
+
+
 def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
     """Replay the model against training snapshots and compare step by step.
 
@@ -342,8 +348,7 @@ def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
     open snapshot file, as for :func:`fit`. A negative or NaN eps raises
     ConfigInvalid.
     """
-    if not eps >= 0.0:  # False for NaN too
-        raise ConfigInvalid(f"eps must be nonnegative, got {eps}")
+    _check_eps(eps)
     columns = _columns(history)
     if columns.n != model.n:
         raise DimensionMismatch(

@@ -3,10 +3,11 @@
 A snapshot history H = [v_1 .. v_m] in C^{n x m} with 2m <= n is split via
 its thin SVD V diag(s) W into a span part V diag(s_j/s_1) W and a complement
 part U diag(t_j) W with t_j = sqrt(1 - (s_j/s_1)^2), whose sum Vhat has
-orthonormal columns. The factorization carries the scalars kappa = s_1 and
-rho = v_1* v_1 / s_1 and the frames V and Vhat, which define the projectors
-K = V V* and T = vhat_1 vhat_1* and the unitary circular shift factor U
-advancing the Vhat columns cyclically, so that
+orthonormal columns. The factorization carries V, s, W and the scalar
+rho = v_1* v_1 / s_1, which determine it: kappa = s_1 and the frame Vhat
+are derived from them. V and Vhat define the projectors K = V V* and
+T = vhat_1 vhat_1* and the unitary circular shift factor U advancing the
+Vhat columns cyclically, so that
 
     T v_1 = rho vhat_1,   U vhat_j = vhat_{j+1 mod m},   K kappa vhat_j = v_j.
 
@@ -15,8 +16,9 @@ term), so they are held through the n x m frames and never formed as
 n x n matrices.
 
 Fitting and the model loader both build the factorization through
-:func:`checked_factorization`, which checks the frames and forms the
-replay operator, so that fitting yields only models that load.
+:func:`checked_factorization`, which blends Vhat from V, s and W, checks
+the frames and forms the replay operator, so that fitting yields only
+models that load, and a loaded model is the fitted one bit for bit.
 """
 from __future__ import annotations
 
@@ -95,22 +97,27 @@ class SnapshotHistory:
 
 @dataclass(eq=False)
 class OhfFactorization:
-    """Orthonormal history factor: frames, scalars, and the replay operator.
+    """Orthonormal history factor: the thin SVD and rho that determine it,
+    the frame Vhat and the replay operator derived from them.
 
-    ``R`` is the n x m replay operator that :func:`checked_factorization`
-    derives from V, Vhat, and rho. ``singular_values`` is None on instances
-    rebuilt from a model file (the file stores only V, Vhat, and coefficients).
-    ``W`` is the retained right SVD factor used by least-squares fitting;
-    it is not persisted.
+    ``V``, ``singular_values`` (s, positive and non-increasing) and ``W``
+    are the thin SVD V diag(s) W of the frame's history (of its rank-r core
+    after truncation, with W the identity), and ``rho`` = v_1* v_1 / s_1.
+    ``Vhat`` and the n x m replay operator ``R`` are what
+    :func:`checked_factorization` derives from them; kappa = s_1 is a
+    property, so no stored value can disagree with the spectrum.
     """
 
-    Vhat: np.ndarray
     V: np.ndarray
-    kappa: complex
+    singular_values: np.ndarray
+    W: np.ndarray
     rho: complex
+    Vhat: np.ndarray
     R: np.ndarray
-    singular_values: np.ndarray | None
-    W: np.ndarray | None = None
+
+    @property
+    def kappa(self) -> complex:
+        return complex(self.singular_values[0])
 
     @property
     def n(self) -> int:
@@ -256,11 +263,19 @@ def frame_residuals(
 
 
 def checked_factorization(
-    V: np.ndarray, Vhat: np.ndarray, kappa: complex, rho: complex,
-    singular_values: np.ndarray | None = None, W: np.ndarray | None = None,
+    V: np.ndarray, s: np.ndarray, W: np.ndarray, rho: complex
 ) -> OhfFactorization:
-    """The factorization of frames V, Vhat and scalars kappa, rho, once they
-    pass every check of a valid model: the one gate of fitting and loading.
+    """The factorization of the thin SVD V diag(s) W of a frame's history
+    and the scalar rho, once the frame they determine passes every check of
+    a valid model: the one gate of fitting and loading.
+
+    s must be positive (InvariantViolation naming s); its order is the
+    gate's ``V* Vhat row norms ordered`` below, as diag(M M*) = (s/s_1)^2
+    for any orthonormal V and unitary W. Vhat is blended from V, s and W:
+    the span part (V * s/s_1) @ W, with the complement part (U * t) @ W
+    added on the 2m rows where :func:`complement_basis` U is nonzero,
+    t_j = sqrt(1 - (s_j/s_1)^2). A GEMM row's bits do not depend on the
+    row count, and the rows below would add only signed zeros.
 
     Vhat must pass the checks of :class:`sclrom.cyclic.VectorSystem` and
     :func:`sclrom.cyclic.check_orthogonal_system` at 1e-8 (NotOrthogonal).
@@ -277,12 +292,18 @@ def checked_factorization(
     K H_t (rho vhat_1) = V M circ(c_t) g = R c_t for the step-t transition
     H_t = Vhat circ(c_t) Vhat*, as circulants commute. Each frame is
     conjugated once, and each product is one BLAS call on fixed operands,
-    so bit-identical frames give bit-identical R, and hence predictions.
-    Runs under ``np.errstate(all="ignore")``: huge entries read inf or NaN,
-    which the checks reject.
+    so bit-identical V, s and W give bit-identical Vhat and R, and hence
+    predictions. Runs under ``np.errstate(all="ignore")``: huge entries
+    read inf or NaN, which the checks reject.
     """
-    m = Vhat.shape[1]
+    m = V.shape[1]
+    if not (s > 0.0).all():  # NaN fails too
+        raise InvariantViolation("s: singular values must be positive")
     with np.errstate(all="ignore"):
+        ratios = s / s[0]
+        t_vals = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
+        Vhat = (V * ratios) @ W
+        Vhat[: 2 * m] += (complement_basis(V)[: 2 * m] * t_vals) @ W
         conj = Vhat.conj()
         g = rho * (conj.T @ Vhat[:, 0])
         vhat_gram, norms = _gram_and_norms(Vhat, conj)
@@ -305,14 +326,13 @@ def checked_factorization(
         residuals["V* Vhat rows orthogonal"] = float(np.linalg.norm(MM))
         gaps = np.append(np.diff(d), (abs(d[0] - 1.0), 0.0))  # np.max keeps a NaN
         residuals["V* Vhat row norms ordered"] = float(np.max(gaps))
-        rho_gap = abs(rho - kappa * np.vdot(M[:, 0], M[:, 0]).real)
+        rho_gap = abs(rho - s[0] * np.vdot(M[:, 0], M[:, 0]).real)
         residuals["rho consistent"] = float(rho_gap / abs(rho))
         for name, residual in residuals.items():
             if not residual <= _ORTHOGONALITY_TOL * max(1.0, float(m)):
                 raise InvariantViolation(f"{name}: residual {residual:.3e}")
         R = V @ (M @ circulant_matrix(g))
-    return OhfFactorization(Vhat=Vhat, V=V, kappa=kappa, rho=rho, R=R,
-                            singular_values=singular_values, W=W)
+    return OhfFactorization(V=V, singular_values=s, W=W, rho=rho, Vhat=Vhat, R=R)
 
 
 def build_ohf(
@@ -370,23 +390,17 @@ def build_ohf(
     if n < 2 * m:
         raise DimensionTooSmall(f"need n >= 2m, got n={n}, m={m}")
 
-    ratios = s / s[0]
-    t_vals = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
-    # the span part, with the complement part added on the 2m rows where
-    # complement_basis is nonzero: a GEMM row's bits do not depend on the
-    # row count, and the rows below would add only signed zeros
-    Vhat = (V * ratios) @ W
-    Vhat[: 2 * m] += (complement_basis(V)[: 2 * m] * t_vals) @ W
-
-    kappa = complex(s[0])
     rho = complex(np.vdot(first_col, first_col).real / s[0])
-    # vhat_1* v_1 must reproduce v_1* v_1 / s_1, which fails if v_1* v_1 overflows
-    direct = np.vdot(Vhat[:, 0], first_col)
-    if not (np.isfinite(rho) and abs(direct - rho) <= 1e-10 * abs(rho)):
+    if not np.isfinite(rho):
+        raise NumericalFailure(f"rho = v_1* v_1 / s_1 = {rho:.6e} is not finite")
+    ohf = checked_factorization(V, s.copy(), W, rho)
+    # vhat_1* v_1 must reproduce v_1* v_1 / s_1
+    direct = np.vdot(ohf.Vhat[:, 0], first_col)
+    if not abs(direct - rho) <= 1e-10 * abs(rho):
         raise NumericalFailure(
             f"first-column product {direct:.6e} does not reproduce rho = {rho:.6e}"
         )
-    return checked_factorization(V, Vhat, kappa, rho, s.copy(), W)
+    return ohf
 
 
 def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-10) -> OhfReport:

@@ -46,16 +46,18 @@ reader rejects, is checked row by row against the grammar and converted
 by ``complex()``, so the grammar, the values and the errors are the same
 on both paths.
 
-Model files: a fixed-order UTF-8 manifest, a blank line, then three
-snapshot-encoded binary blocks holding V (n x m), Vhat (n x m), and the
-coefficients (m x T). The loader reads each block through the snapshot
-reader, a column block at a time, into a C-ordered array (fitting's
-layout, so predictions are bit-identical across a save/load round trip):
-a load holds the arrays plus one block, and the file may be a pipe. The
-frames then pass :func:`sclrom.ohf.checked_factorization`, fitting's gate
-too, which re-validates every factorization invariant through residuals
-of the thin frames and rebuilds the replay operator from V, Vhat and rho
-(storing it would permit inconsistent files).
+Model files (version 2): a fixed-order UTF-8 manifest with rho, a blank
+line, then four snapshot-encoded binary blocks: the thin SVD V diag(s) W
+of the frame's history, V (n x m), s (m x 1, real) and W (m x m), and
+the coefficients (m x T). The loader reads each block through the
+snapshot reader, a column block at a time, into a C-ordered array
+(fitting's layout): a load holds the arrays plus one block, and the file
+may be a pipe. They then pass :func:`sclrom.ohf.checked_factorization`,
+fitting's gate too, which derives Vhat (by fitting's blend), kappa = s_1
+and the replay operator, and re-validates every factorization invariant;
+none of these is stored, so no file can hold one inconsistent with the
+rest, and the loaded model is the fitted one bit for bit. Earlier
+versions are refused (VersionUnsupported); refit their histories.
 """
 from __future__ import annotations
 
@@ -82,7 +84,7 @@ from .model import _BLOCK, SclRomModel, _block_bounds, _HeldColumns
 from .ohf import _MAX_ENTRIES, SnapshotHistory, checked_factorization
 
 SNAPSHOT_MAGIC = b"SCLROM01"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 _MODEL_HEADER_PREFIX = "SCLROM-MODEL v"
 _HEADER_BYTES = 32
 
@@ -456,7 +458,7 @@ def read_snapshots(path) -> SnapshotHistory:
 
 
 def write_model(model: SclRomModel, path) -> None:
-    """Write a fitted model: manifest, blank line, three binary blocks."""
+    """Write a fitted model: manifest, blank line, four binary blocks."""
     ohf = model.ohf
     manifest = "\n".join(
         [
@@ -464,17 +466,17 @@ def write_model(model: SclRomModel, path) -> None:
             f"n: {model.n}",
             f"m: {model.m}",
             f"T: {model.period}",
-            f"kappa: {format_float(ohf.kappa.real)} {format_float(ohf.kappa.imag)}",
             f"rho: {format_float(ohf.rho.real)} {format_float(ohf.rho.imag)}",
             f"epsilon_achieved: {format_float(model.epsilon_achieved)}",
-            "arrays: V Vhat coeffs",
+            "arrays: V s W coeffs",
         ]
     )
     try:
         with open(path, "wb") as fh:
             fh.write(manifest.encode("utf-8") + b"\n\n")
             _write_array(fh, ohf.V)
-            _write_array(fh, ohf.Vhat)
+            _write_array(fh, ohf.singular_values[:, None])
+            _write_array(fh, ohf.W)
             _write_array(fh, model.coeffs)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
@@ -507,7 +509,7 @@ def _read_array(fh, path, offset: int, name: str, shape: tuple[int, int]):
 
 
 def _read_manifest(fh):
-    """(offset of the first block, n, m, T, kappa, rho, epsilon_achieved)
+    """(offset of the first block, n, m, T, rho, epsilon_achieved)
     from the manifest of an open model file, read up to its blank line."""
     head = bytearray()
     while not head.endswith(b"\n\n"):
@@ -528,48 +530,52 @@ def _read_manifest(fh):
         n = int(_manifest_value(lines, 1, "n"))
         m = int(_manifest_value(lines, 2, "m"))
         period = int(_manifest_value(lines, 3, "T"))
-        kappa_re, kappa_im = (float(p) for p in _manifest_value(lines, 4, "kappa").split())
-        rho_re, rho_im = (float(p) for p in _manifest_value(lines, 5, "rho").split())
-        epsilon = float(_manifest_value(lines, 6, "epsilon_achieved"))
+        rho_re, rho_im = (float(p) for p in _manifest_value(lines, 4, "rho").split())
+        epsilon = float(_manifest_value(lines, 5, "epsilon_achieved"))
     except (ValueError, IndexError) as exc:
         raise InvariantViolation(f"malformed manifest: {exc}") from exc
-    if _manifest_value(lines, 7, "arrays") != "V Vhat coeffs":
+    if _manifest_value(lines, 6, "arrays") != "V s W coeffs":
         raise InvariantViolation("unexpected array list")
-    kappa, rho = complex(kappa_re, kappa_im), complex(rho_re, rho_im)
-    return len(head), n, m, period, kappa, rho, epsilon
+    return len(head), n, m, period, complex(rho_re, rho_im), epsilon
 
 
 def read_model(path) -> SclRomModel:
-    """Read a model file, re-validating it and rebuilding the replay operator.
+    """Read a model file, re-validating it and rebuilding Vhat and the
+    replay operator from V, s, W and rho.
 
     Each array is read by the snapshot reader, a column block at a time, so
     a load holds the arrays plus one block, and the file may be a pipe.
-    Raises VersionUnsupported for unknown format versions and
-    InvariantViolation when the stored arrays are inconsistent with the
-    manifest, hold non-finite numbers, or fail a check of
+    Raises VersionUnsupported for unknown format versions, earlier ones
+    included, and InvariantViolation when the stored arrays are
+    inconsistent with the manifest, hold non-finite numbers, s holds a
+    non-real entry, or the frame fails a check of
     :func:`sclrom.ohf.checked_factorization`; any other error of that gate
-    is reported as ``stored frames are inconsistent: ...``. No n x n
-    matrix is formed.
+    is reported as ``stored frames are inconsistent: ...``. The model is
+    the fitted one bit for bit, singular values, W and Vhat included. No
+    n x n matrix is formed.
     """
     try:
         with open(path, "rb") as fh:
-            offset, n, m, period, kappa, rho, epsilon = _read_manifest(fh)
+            offset, n, m, period, rho, epsilon = _read_manifest(fh)
             V, offset = _read_array(fh, path, offset, "V", (n, m))
-            Vhat, offset = _read_array(fh, path, offset, "Vhat", (n, m))
+            s, offset = _read_array(fh, path, offset, "s", (m, 1))
+            W, offset = _read_array(fh, path, offset, "W", (m, m))
             coeffs, _ = _read_array(fh, path, offset, "coeffs", (m, period))
             trailing = fh.read(1)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if trailing:
         raise InvariantViolation("trailing bytes after payload arrays")
-    for name, value in (("kappa", kappa), ("rho", rho), ("epsilon_achieved", epsilon)):
+    for name, value in (("rho", rho), ("epsilon_achieved", epsilon)):
         if not np.isfinite(value):
             raise InvariantViolation(f"{name} holds non-finite values")
     if not (rho.real > 0.0 and abs(rho.imag) <= 1e-10 * abs(rho)):
         raise InvariantViolation(f"rho {rho} is not real and positive")
+    if s.imag.any():
+        raise InvariantViolation("s holds non-real values")
 
     try:
-        ohf = checked_factorization(V, Vhat, kappa, rho)
+        ohf = checked_factorization(V, s[:, 0].real.copy(), W, rho)
     except InvariantViolation:
         raise
     except SclRomError as exc:

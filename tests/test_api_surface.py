@@ -32,5 +32,5 @@ def test_removed_names_stay_removed():
     present = [f"{owner.__name__}.{name}"
                for owner, names in REMOVED.items() for name in names if hasattr(owner, name)]
     assert present == []
-    assert "t_values" not in inspect.signature(ohf.OhfFactorization).parameters
+    assert {"t_values", "kappa"}.isdisjoint(inspect.signature(ohf.OhfFactorization).parameters)
     assert list(inspect.signature(persistence.read_snapshots).parameters) == ["path"]

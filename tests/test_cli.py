@@ -302,10 +302,10 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith(f"sclrom {command}: {name} "), err
 
-    @pytest.mark.parametrize("frame", ["V", "Vhat"])
+    @pytest.mark.parametrize("frame", ["V", "W"])
     def test_overflowing_model_frame_fails_verify_quietly(self, capsys, tmp_path, frame):
-        """The load checks overflow on a frame entry of 1e300; no numpy warning precedes
-        the error."""
+        """The load checks overflow on an entry of 1e300 in V or W; no numpy warning
+        precedes the error."""
         history = periodic_history(16, 4, seed=1)
         model, _ = fit(history, FitOptions(mode="monomial"))
         getattr(model.ohf, frame)[0, 0] = 1e300
@@ -327,6 +327,32 @@ class TestErrorPaths:
                            "--out", str(tmp_path / "p.csv"))
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("sclrom export-plot: "), err
+
+    @pytest.mark.parametrize("command, argv, message", [
+        ("verify", ["verify", "{absent}", "{absent}", "--eps", "-1"],
+         "eps must be nonnegative, got -1.0"),
+        ("predict", ["predict", "{absent}", "--t0", "5", "--t1", "3", "--out", "{out}"],
+         "need 0 <= --t0 < --t1, got --t0 5 and --t1 3"),
+        ("export-plot", ["export-plot", "{absent}", "--components", "x", "--out", "{out}"],
+         "bad --components 'x'"),
+        ("export-plot", ["export-plot", "{h}", "--components", "0,16", "--out", "{out}"],
+         "component 16 out of range for n=16"),
+        ("export-plot", ["export-plot", "{h}", "--out", "{dir}"], "cannot write {dir}: "),
+    ], ids=["verify-eps", "predict-window", "export-plot-components",
+            "export-plot-component-range", "export-plot-unwritable"])
+    def test_bad_option_is_named_before_a_file_is_opened(self, capsys, tmp_path, command, argv,
+                                                         message):
+        """A bad option is named even when the file it would apply to is absent;
+        each error is one stderr line from the CLI's one error handler."""
+        h, out = tmp_path / "h.bin", tmp_path / "out.bin"
+        write_snapshots(periodic_history(16, 4, seed=1), h)
+        paths = {"{absent}": str(tmp_path / "absent.bin"), "{h}": str(h), "{out}": str(out),
+                 "{dir}": str(tmp_path)}
+        code, stdout, err = run(capsys, *[paths.get(a, a) for a in argv])
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"sclrom {command}: {message.replace('{dir}', str(tmp_path))}"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, argv, size", [
         ("predict", ["predict", "{m}", "--t1", "100000000000"], 32 + 16 * 16 * 10**11),

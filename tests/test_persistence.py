@@ -25,14 +25,13 @@ from sclrom import (
     fit,
     periodic_history,
     predict,
-    random_orthonormal_columns,
     read_model,
     read_snapshots,
     simulate_wave_1d,
     write_model,
     write_snapshots,
 )
-from sclrom import datagen, persistence
+from sclrom import datagen, ohf, persistence
 from sclrom.cli import run_cli
 from sclrom.persistence import format_complex_entry, parse_complex_entry
 
@@ -500,7 +499,6 @@ class TestModelFormat:
         assert loaded.ohf.rho == fitted.ohf.rho
         assert loaded.epsilon_achieved == fitted.epsilon_achieved
         assert loaded.period == fitted.period
-        assert loaded.ohf.singular_values is None
 
     def test_mismatched_manifest_m_rejected(self, fitted, tmp_path):
         path = tmp_path / "m.bin"
@@ -516,15 +514,17 @@ class TestModelFormat:
         path = tmp_path / "m.bin"
         write_model(fitted, path)
         blob = path.read_bytes()
-        path.write_bytes(blob.replace(b"SCLROM-MODEL v1", b"SCLROM-MODEL v99", 1))
-        with pytest.raises(VersionUnsupported):
-            read_model(path)
+        # version 1 stored Vhat and kappa; it is refused, not misread
+        for version in (b"v99", b"v1"):
+            path.write_bytes(blob.replace(b"SCLROM-MODEL v2", b"SCLROM-MODEL " + version, 1))
+            with pytest.raises(VersionUnsupported, match=repr(version[1:].decode())):
+                read_model(path)
 
     def test_corrupted_frame_fails_revalidation(self, fitted, tmp_path):
         path = tmp_path / "m.bin"
         write_model(fitted, path)
         blob = bytearray(path.read_bytes())
-        # flip the sign/exponent byte of the first Vhat payload entry
+        # flip the sign/exponent byte of s_1, the first entry of the s block
         sep = bytes(blob).find(b"\n\n")
         first_block = sep + 2
         second_block = first_block + 32 + 32 * 4 * 16
@@ -535,7 +535,8 @@ class TestModelFormat:
             read_model(path)
 
     def test_non_orthogonal_frame_fails_orthogonality_gate(self, fitted, tmp_path):
-        fitted.ohf.Vhat[:, 1] += 1e-6 * fitted.ohf.Vhat[:, 0]
+        # the blend is linear in W, so this mixes the same Vhat columns
+        fitted.ohf.W[:, 1] += 1e-6 * fitted.ohf.W[:, 0]
         path = tmp_path / "m.bin"
         write_model(fitted, path)
         with pytest.raises(InvariantViolation) as exc:
@@ -544,14 +545,24 @@ class TestModelFormat:
 
     @pytest.mark.filterwarnings("error")
     def test_singular_frame_gram_rejected(self, fitted, tmp_path, capsys):
-        # two equal V columns: the Vhat orthogonality gate passes, but the
-        # Gram matrix of V is singular and has no Cholesky factor
+        # two equal V columns, and the W that diagonalises the Gram matrix of
+        # the span-plus-complement frame B: Vhat = B W has orthogonal columns,
+        # so the Vhat orthogonality gate passes, but the Gram matrix of V is
+        # singular and has no Cholesky factor
+        V, s = fitted.ohf.V.copy(), fitted.ohf.singular_values
+        V[:, 1] = V[:, 0]
+        ratios = s / s[0]
+        B = V * ratios + ohf.complement_basis(V) * np.sqrt(1.0 - ratios**2)
+        W = np.linalg.eigh(B.conj().T @ B)[1]
+        with pytest.raises(InvariantViolation) as exc:
+            ohf.checked_factorization(V, s, W, fitted.ohf.rho)
+        assert str(exc.value) == "K idempotent: Gram matrix of V is not positive definite"
+        # in a file, the same V fails loading before verification, quietly
         fitted.ohf.V[:, 1] = fitted.ohf.V[:, 0]
         path = tmp_path / "m.bin"
         write_model(fitted, path)
         with pytest.raises(InvariantViolation) as exc:
             read_model(path)
-        assert str(exc.value) == "K idempotent: Gram matrix of V is not positive definite"
         snapshots = tmp_path / "h.bin"
         write_snapshots(periodic_history(32, 4, seed=3), snapshots)
         capsys.readouterr()
@@ -570,17 +581,17 @@ class TestModelFormat:
             read_model(path)
         assert "header truncated" in str(exc.value)
 
-    @pytest.mark.parametrize("field", ["coeffs", "V", "Vhat", "kappa", "epsilon_achieved"])
+    @pytest.mark.parametrize("field", ["coeffs", "V", "s", "W", "epsilon_achieved"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_field_rejected(self, fitted, tmp_path, field, bad):
         if field == "coeffs":
             fitted.coeffs[1, 2] = bad
         elif field == "V":
             fitted.ohf.V[3, 0] = bad
-        elif field == "Vhat":
-            fitted.ohf.Vhat[3, 0] = bad
-        elif field == "kappa":
-            fitted.ohf.kappa = complex(bad, 0.0)
+        elif field == "s":
+            fitted.ohf.singular_values[2] = bad
+        elif field == "W":
+            fitted.ohf.W[3, 0] = bad
         else:
             fitted.epsilon_achieved = bad
         path = tmp_path / "m.bin"
@@ -607,16 +618,16 @@ class TestModelFormat:
         blob = path.read_bytes()
         flags = [struct.unpack_from("<Q", blob, at.start() + 24)[0]
                  for at in re.finditer(b"SCLROM01", blob)]
-        assert flags == [1 if real else 0] * 3
+        assert flags == [1 if real else 0, 1, 1 if real else 0, 1 if real else 0]
         loaded = read_model(path)
-        for fitted, back in [(model.ohf.V, loaded.ohf.V), (model.ohf.Vhat, loaded.ohf.Vhat),
+        for fitted, back in [(model.ohf.V, loaded.ohf.V), (model.ohf.W, loaded.ohf.W),
                              (model.coeffs, loaded.coeffs)]:
             assert back.dtype == np.complex128 and back.shape == fitted.shape
             assert back.flags.c_contiguous and back.flags.owndata and back.flags.writeable
             assert back.tobytes() == np.ascontiguousarray(fitted).tobytes()
 
     def test_load_peaks_near_the_file_size(self, tmp_path):
-        """n=512, p=16 and 16384 steps of least-squares coefficients: a 4.25
+        """n=512, p=16 and 16384 steps of least-squares coefficients: a 4.13
         MiB file, which loads into its arrays plus one column block rather
         than beside a copy of the whole file."""
         model, _ = fit(periodic_history(512, 16, seed=1), FitOptions(mode="least_squares"))
@@ -625,7 +636,7 @@ class TestModelFormat:
         path = tmp_path / "m.bin"
         write_model(model, path)
         size = path.stat().st_size
-        assert size > 4.25 * 2**20
+        assert size > 4.1 * 2**20
         assert _peak_bytes(lambda: read_model(path)) <= 1.25 * size
 
     @pytest.fixture
@@ -657,39 +668,50 @@ class TestModelFormat:
         assert str(exc.value) == message
 
 
-def _forge_vhat(model):
-    model.ohf.Vhat = random_orthonormal_columns(model.n, model.m, seed=99)
+def _scale_w(model):
+    model.ohf.W *= 1 + 1e-6
+
+
+def _swap_s(model):
+    model.ohf.singular_values[[1, 2]] = model.ohf.singular_values[[2, 1]]
 
 
 def _scale_rho(model):
     model.ohf.rho *= 1 + 1e-6
 
 
-def _swap_v_columns(model):
-    model.ohf.V[:, [1, 2]] = model.ohf.V[:, [2, 1]]
+def _negate_s(model):
+    model.ohf.singular_values[3] *= -1.0
 
 
 def _roundtrip(model, path):
+    """The loaded model is the fitted one bit for bit: its SVD, the frame
+    and replay operator derived from it, and kappa."""
     write_model(model, path)
     loaded = read_model(path)
-    assert loaded.ohf.R.tobytes() == model.ohf.R.tobytes()
+    for name in ("R", "singular_values", "W", "Vhat"):
+        assert getattr(loaded.ohf, name).tobytes() == getattr(model.ohf, name).tobytes(), name
+    assert loaded.ohf.kappa == model.ohf.kappa
 
 
 class TestLoadBindsVhatToV:
-    """Each doctored frame below passes the five frame residuals, so an
-    older loader accepted it; the residuals on M = V* Vhat reject it."""
+    """A file stores V, s, W and rho, and the loader derives Vhat from them
+    by the fit's blend. Each forged file below is refused, by the residual
+    or the check named. Swapped V columns, or swapped W rows, describe
+    another valid model, which loads."""
 
     @pytest.mark.parametrize("doctor, residual", [
-        (_forge_vhat, "V* Vhat rows orthogonal"),
+        (_scale_w, "Vhat columns orthonormal"),
         (_scale_rho, "rho consistent"),
-        (_swap_v_columns, "V* Vhat row norms ordered"),
-    ], ids=["forged-vhat", "scaled-rho", "swapped-v-columns"])
+        (_swap_s, "V* Vhat row norms ordered"),
+        (_negate_s, "s"),
+    ], ids=["scaled-w", "scaled-rho", "swapped-s", "non-positive-s"])
     def test_doctored_frame_rejected(self, tmp_path, doctor, residual):
         model, _ = fit(periodic_history(256, 8, seed=1), FitOptions(mode="least_squares"))
         doctor(model)
         path = tmp_path / "m.bin"
         write_model(model, path)
-        with pytest.raises(InvariantViolation, match=rf"^{re.escape(residual)}: residual "):
+        with pytest.raises(InvariantViolation, match=rf"^{re.escape(residual)}: "):
             read_model(path)
 
     @settings(max_examples=40, deadline=None,

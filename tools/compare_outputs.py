@@ -10,12 +10,18 @@ checkout's ``src`` with the BLAS thread count pinned to N (default 2, as
 the benchmark pins it). Both sides take their argv from CHANGE's workloads
 file and run in the same working directory, so that the paths printed on
 stdout agree. For each command it reports whether the exit code, stdout,
-stderr and output file match; for a differing snapshot, model or
-prediction file that both sides can read, it adds the largest difference
-of the stored arrays relative to the largest entry of PARENT's; for a
-model file, also that of its replayed period. Trailing singular directions
-are set by rounding alone, so two valid models of the same history may
-differ far more in their arrays than in the states they replay.
+stderr and output file match. Each child also reads every file it
+keeps with its own checkout's ``sclrom`` and saves what it read beside
+the file: the history of a snapshot or prediction file; for a model
+file, the frames V and Vhat, the coefficients and the replayed period.
+So a file format that differs between the checkouts is still compared
+through what each side reads from its own files. For a differing file
+that both sides could read, the report adds the largest difference of
+those arrays relative to the largest entry of PARENT's; for a model
+file, also that of its replayed period alone. Trailing singular
+directions are set by rounding alone, so two valid models of the same
+history may differ far more in their arrays than in the states they
+replay.
 
 Exits 0 when every command matches, 1 otherwise. Nothing under
 ``perfbench/`` is changed; all files go to a temporary directory that is
@@ -49,6 +55,28 @@ def _load_workloads(checkout: Path):
     return module.WORKLOADS
 
 
+def _save_read(path: str) -> None:
+    """Save beside ``path`` (as ``path + ".npz"``) the arrays that this
+    checkout's sclrom reads from it: ``data`` for a snapshot file; V,
+    Vhat, the coefficients and ``replayed`` (the states of one period)
+    for a model file. Nothing is saved for a file it cannot read."""
+    import numpy as np
+    from sclrom.errors import SclRomError
+    from sclrom.model import replay
+    from sclrom.persistence import read_model, read_snapshots
+
+    try:
+        if path.endswith("model.bin"):
+            model = read_model(path)
+            arrays = {"V": model.ohf.V, "Vhat": model.ohf.Vhat, "coeffs": model.coeffs,
+                      "replayed": replay(model, 0, model.period)}
+        else:
+            arrays = {"data": read_snapshots(path).data}
+    except SclRomError:
+        return
+    np.savez(path + ".npz", **arrays)
+
+
 def _child(args) -> int:
     """Run every command for one checkout; print one JSON list of results."""
     from sclrom.cli import run_cli
@@ -71,6 +99,7 @@ def _child(args) -> int:
                 if cmd.writes is not None and os.path.exists(cmd.writes):
                     kept = keep / f"{name}-{seed}-{index}-{Path(cmd.writes).name}"
                     shutil.copyfile(cmd.writes, kept)
+                    _save_read(str(kept))
                 results.append({
                     "label": f"{name} seed {seed} {cmd.name}",
                     "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(),
@@ -97,20 +126,14 @@ def _run_side(checkout: Path, workloads: Path, base: Path, label: str, args) -> 
 
 
 def _read(path: str):
-    """The arrays a snapshot or model file stores and, for a model, its
-    replayed period (else None), read with the change's sclrom; None when
-    the file is unreadable."""
-    from sclrom.errors import SclRomError
-    from sclrom.model import replay
-    from sclrom.persistence import read_model, read_snapshots
+    """The arrays that one side saved for its kept file ``path``, by name;
+    None when that side could not read the file."""
+    import numpy as np
 
-    try:
-        if path.endswith("model.bin"):
-            model = read_model(path)
-            return [model.ohf.V, model.ohf.Vhat, model.coeffs], replay(model, 0, model.period)
-        return [read_snapshots(path).data], None
-    except SclRomError:
+    if not os.path.exists(path + ".npz"):
         return None
+    with np.load(path + ".npz") as saved:
+        return {name: saved[name] for name in saved.files}
 
 
 def _max_relative(pairs) -> float:
@@ -126,13 +149,13 @@ def _max_relative(pairs) -> float:
 
 def _relative_difference(a_path: str, b_path: str) -> str:
     a, b = _read(a_path), _read(b_path)
-    if a is None or b is None or len(a[0]) != len(b[0]):
+    if a is None or b is None or a.keys() != b.keys():
         return "unreadable"
-    if any(x.shape != y.shape for x, y in zip(a[0], b[0])):
+    if any(a[name].shape != b[name].shape for name in a):
         return "shapes differ"
-    text = f"max relative difference {_max_relative(zip(a[0], b[0])):.3e}"
-    if a[1] is not None:
-        text += f", replayed period {_max_relative([(a[1], b[1])]):.3e}"
+    text = f"max relative difference {_max_relative((a[name], b[name]) for name in a):.3e}"
+    if "replayed" in a:
+        text += f", replayed period {_max_relative([(a['replayed'], b['replayed'])]):.3e}"
     return text
 
 
@@ -159,7 +182,6 @@ def main(argv=None) -> int:
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     parent, change = args.parent.resolve(), args.change.resolve()
-    sys.path.insert(0, str(change / "src"))
     base = Path(tempfile.mkdtemp(prefix="compare_outputs-"))
     try:
         sides = [_run_side(checkout, change, base, label, args)
