@@ -2,24 +2,22 @@
 
 An element of the group algebra C[Z/m] is a coefficient vector c on the
 powers of the m x m cyclic permutation matrix C_m; it is stored as a plain
-array (one column of a fitted model's coefficients) and becomes the
-circulant matrix sum_j c_j C_m^j only where a product needs it
-(:func:`circulant_matrix`). The compression X -> Vhat* X Vhat carries the
-shift factor of an orthonormal history factor onto C_m, which is what
+array (one column of a fitted model's coefficients) and never becomes the
+circulant matrix sum_j c_j C_m^j: a fitted frame's replay operator takes
+the coefficients as they are (:func:`sclrom.ohf.checked_factorization`).
+The compression X -> Vhat* X Vhat carries the shift factor of an
+orthonormal history factor onto C_m, which is what
 :func:`check_commuting_diagram` verifies degree by degree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cyclic import shift_factors
 from .errors import DimensionMismatch
-
-if TYPE_CHECKING:  # ohf builds its replay operator from circulant_matrix
-    from .ohf import OhfFactorization
+from .ohf import OhfFactorization
 
 
 def cyclic_shift_matrix(m: int) -> np.ndarray:
@@ -27,12 +25,6 @@ def cyclic_shift_matrix(m: int) -> np.ndarray:
     if m < 1:
         raise DimensionMismatch(f"order must be positive, got {m}")
     return np.roll(np.eye(m, dtype=np.complex128), 1, axis=0)
-
-
-def circulant_matrix(c: np.ndarray) -> np.ndarray:
-    """sum_j c_j C_m^j for a coefficient vector c of length m: entry (i, j) is c_{(i-j) mod m}."""
-    m = c.shape[0]
-    return c[(np.arange(m)[:, None] - np.arange(m)) % m]
 
 
 @dataclass

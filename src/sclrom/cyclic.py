@@ -106,21 +106,7 @@ def check_orthogonal_system(vs: VectorSystem, tol: float = DEFAULT_TOL) -> OrthR
     additionally requires every norm within ``tol`` of 1.
     """
     cols = vs.columns
-    return _gram_orthogonality(*_gram_and_norms(cols, cols.conj()), tol)
-
-
-def _gram_and_norms(cols: np.ndarray, conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrix cols* cols and the column norms of cols, from the
-    C-ordered copy ``conj = cols.conj()``, which this consumes.
-
-    The Gram matrix is the GEMM that ``cols.conj().T @ cols`` makes. The
-    norms are the sum that ``np.linalg.norm(cols, axis=0)`` makes of the
-    real parts of ``conj * cols``, here formed in the buffer of ``conj``.
-    Both keep their bits, from one n x m temporary instead of three.
-    """
-    gram = conj.T @ cols
-    np.multiply(conj, cols, out=conj)
-    return gram, np.sqrt(np.add.reduce(conj.real, axis=0))
+    return _gram_orthogonality(cols.conj().T @ cols, np.linalg.norm(cols, axis=0), tol)
 
 
 def _gram_orthogonality(gram: np.ndarray, norms: np.ndarray, tol: float) -> OrthReport:

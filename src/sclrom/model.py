@@ -5,10 +5,11 @@ coefficient vector per step; step t's transition matrix is the lift of
 that circulant through the frame, and predictions chain it between the
 input and output projectors:
 
-    x_t = K ( Vhat circ(c_{t mod T}) Vhat* ) (rho vhat_1) = R c_{t mod T}
+    x_t = K ( Vhat circ(c_{t mod T}) Vhat* ) (rho vhat_1) = V B c_{t mod T}
 
-with R the factorization's n x m replay operator, so one period of states
-is the single rank-m product of R and the m x T coefficient matrix.
+with R = V B = (rho/kappa) V diag(s) W the replay operator, held as V and
+the factorization's m x m matrix B, so one period of states is the rank-m
+product of V, B and the m x T coefficient matrix.
 
 Two coefficient modes exist: the closed-form monomial (kappa/rho) z^t,
 which reproduces exactly periodic training data to rounding, and a
@@ -152,8 +153,9 @@ def _columns(history):
 
 def _block_states(model: SclRomModel, start: int, stop: int) -> np.ndarray:
     """States of pinned block [start, stop) of the period: the C-ordered
-    (stop - start, n) product ``coeffs[:, start:stop].T @ R.T``."""
-    return model.coeffs[:, start:stop].T @ model.ohf.R.T
+    (stop - start, n) product ``(coeffs[:, start:stop].T @ B.T) @ V.T``."""
+    ohf = model.ohf
+    return (model.coeffs[:, start:stop].T @ ohf.B.T) @ ohf.V.T
 
 
 def _replayed_columns(model: SclRomModel, t0: int, t1: int):
@@ -204,33 +206,42 @@ def _joined(n: int, steps: int, blocks) -> np.ndarray:
 def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     """Model states for steps t0 <= t < t1, one per column, shape (n, t1 - t0).
 
-    Step t's state is R c_{t mod T}. The period is computed in pinned
+    Step t's state is V B c_{t mod T}. The period is computed in pinned
     column blocks of 256 steps (the last block of a period takes the
     remainder, up to 511 steps; a shorter period is one block): block
-    [a, b) is the single GEMM ``coeffs[:, a:b].T @ R.T``, a (b - a, n)
+    [a, b) is the product ``(coeffs[:, a:b].T @ B.T) @ V.T``, a (b - a, n)
     array with one state per contiguous row. A replay computes only the
     blocks that hold its steps, so a state's bits come from one product of
     one fixed shape and do not depend on the window: ``replay``,
     :func:`predict`, fit residuals, verification and the command-line
-    front end agree bitwise, and the loader rebuilds R from bit-identical
-    inputs, so they also agree after a save/load round trip. Memory is the
-    window plus one block.
+    front end agree bitwise, and the loader rebuilds B from bit-identical
+    inputs, so they also agree after a save/load round trip. A window that
+    lies in one block is returned as a writable column-major view of that
+    block's fresh states, with no second copy; any other window is copied
+    block by block into its own array, in the window plus one block of
+    memory.
     """
-    return _joined(model.n, t1 - t0, lambda: _replayed_columns(model, t0, t1))
+    runs = _replayed_columns(model, t0, t1)  # checks the window
+    T = model.period
+    phase = t0 % T
+    start, stop = _block_of(T, phase)
+    if t0 < t1 and phase + (t1 - t0) <= stop:
+        return _block_states(model, start, stop)[phase - start : phase - start + t1 - t0].T
+    return _joined(model.n, t1 - t0, lambda: runs)
 
 
 def predict(model: SclRomModel, t: int) -> np.ndarray:
-    """Model state at step t: K H_{t mod T} (rho vhat_1), evaluated as R c_{t mod T}.
+    """Model state at step t: K H_{t mod T} (rho vhat_1), evaluated as V B c_{t mod T}.
 
     rho vhat_1 equals T v_1 by the factorization identities; the replay
-    operator R folds the stored scalar rho together with K and the frame
-    (see :func:`sclrom.ohf.checked_factorization`). The state is an owned copy
-    of one column of :func:`replay`, so it is bitwise equal to the same
-    step of any replay window, before and after a save/load round trip.
-    Each call computes the pinned block of 256 to 511 steps that holds
-    t mod T (the whole period when it is shorter), in n times the block's
-    width of memory; use :func:`replay` for many steps. A negative step
-    raises ValueError.
+    operator R = V B folds the stored scalar rho together with K and the
+    frame (see :func:`sclrom.ohf.checked_factorization`). The state is an
+    owned copy of one column of :func:`replay`, so it is bitwise equal to
+    the same step of any replay window, before and after a save/load round
+    trip. Each call computes the pinned block of 256 to 511 steps that
+    holds t mod T (the whole period when it is shorter), in n times the
+    block's width of memory; use :func:`replay` for many steps. A negative
+    step raises ValueError.
     """
     return replay(model, t, t + 1)[:, 0].copy()
 

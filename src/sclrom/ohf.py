@@ -15,24 +15,23 @@ Every one of these operators has rank m (U is the identity plus a rank-m
 term), so they are held through the n x m frames and never formed as
 n x n matrices.
 
-Fitting and the model loader both build the factorization through
-:func:`checked_factorization`, which blends Vhat from V, s and W, checks
-the frames and forms the replay operator, so that fitting yields only
-models that load, and a loaded model is the fitted one bit for bit.
+Since V* Vhat = diag(s/s_1) W and circ(e_1) is the identity, the replay
+operator of every step is R = (rho/kappa) V diag(s) W: a model is V and
+the one m x m matrix B = (rho/kappa) diag(s) W. Fitting and the model
+loader both build the factorization through :func:`checked_factorization`,
+an m x m gate on V* V, W W*, s and rho that forms B, so that fitting
+yields only models that load, and a loaded model is the fitted one bit
+for bit. Vhat is blended only on demand, for the checks of the
+factorization identities.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .circulant import circulant_matrix
-from .cyclic import (
-    _check_columns,
-    _gram_and_norms,
-    _gram_orthogonality,
-    shift_factors,
-)
+from .cyclic import _check_columns, _gram_orthogonality, shift_factors
 from .errors import (
     ConfigInvalid,
     DegenerateHistory,
@@ -98,22 +97,25 @@ class SnapshotHistory:
 @dataclass(eq=False)
 class OhfFactorization:
     """Orthonormal history factor: the thin SVD and rho that determine it,
-    the frame Vhat and the replay operator derived from them.
+    and the m x m replay core and gate residuals derived from them.
 
     ``V``, ``singular_values`` (s, positive and non-increasing) and ``W``
     are the thin SVD V diag(s) W of the frame's history (of its rank-r core
     after truncation, with W the identity), and ``rho`` = v_1* v_1 / s_1.
-    ``Vhat`` and the n x m replay operator ``R`` are what
-    :func:`checked_factorization` derives from them; kappa = s_1 is a
-    property, so no stored value can disagree with the spectrum.
+    ``B`` = (rho/kappa) diag(s) W, with which the replay operator is
+    R = V B, and ``residuals``, the m x m residuals by name, are what
+    :func:`checked_factorization` derives from them. kappa = s_1 and the
+    frame ``Vhat`` are derived on demand, so no stored value can disagree
+    with the spectrum; until Vhat is asked for, V is the one n x m array
+    held.
     """
 
     V: np.ndarray
     singular_values: np.ndarray
     W: np.ndarray
     rho: complex
-    Vhat: np.ndarray
-    R: np.ndarray
+    B: np.ndarray
+    residuals: dict[str, float]
 
     @property
     def kappa(self) -> complex:
@@ -121,11 +123,33 @@ class OhfFactorization:
 
     @property
     def n(self) -> int:
-        return self.Vhat.shape[0]
+        return self.V.shape[0]
 
     @property
     def m(self) -> int:
-        return self.Vhat.shape[1]
+        return self.V.shape[1]
+
+    @cached_property
+    def Vhat(self) -> np.ndarray:
+        """The orthonormal frame, blended from V, s and W on first use and
+        kept.
+
+        The span part (V * s/s_1) @ W, with the complement part (U * t) @ W
+        added on the 2m rows where :func:`complement_basis` U is nonzero,
+        t_j = sqrt(1 - (s_j/s_1)^2). A GEMM row's bits do not depend on the
+        row count, and the rows below would add only signed zeros. So
+        bit-identical V, s and W give a bit-identical Vhat. Neither fitting
+        nor loading reads it: the checks of :func:`verify_ohf` and
+        :func:`sclrom.check_commuting_diagram` do.
+        """
+        V, s, W = self.V, self.singular_values, self.W
+        m = V.shape[1]
+        with np.errstate(all="ignore"):
+            ratios = s / s[0]
+            t_vals = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
+            Vhat = (V * ratios) @ W
+            Vhat[: 2 * m] += (complement_basis(V)[: 2 * m] * t_vals) @ W
+        return Vhat
 
 
 @dataclass
@@ -178,16 +202,6 @@ def thin_svd(
             np.ascontiguousarray(W, dtype=np.complex128))
 
 
-def _gram_factor(G: np.ndarray) -> np.ndarray | None:
-    """Upper-triangular R with R* R = G, the conjugate transpose of the
-    Cholesky factor of G; None when G is not numerically positive definite.
-    """
-    try:
-        return np.linalg.cholesky(G).conj().T
-    except np.linalg.LinAlgError:
-        return None
-
-
 def complement_basis(V: np.ndarray) -> np.ndarray:
     """m orthonormal columns orthogonal to range(V), supported on the first
     2m rows, a deterministic function of V.
@@ -224,41 +238,27 @@ def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:
     return float(np.linalg.norm(RB @ M @ RB.conj().T))
 
 
-def frame_residuals(
-    V: np.ndarray, Vhat: np.ndarray, vhat_gram: np.ndarray, v_gram: np.ndarray
+def _gate_residuals(
+    v_gram: np.ndarray, s: np.ndarray, W: np.ndarray, rho: complex
 ) -> dict[str, float]:
-    """Frobenius residuals of the factorization invariants, from the frames
-    and their Gram matrices G = Vhat* Vhat (``vhat_gram``) and G_V = V* V
-    (``v_gram``).
+    """The m x m residuals of :func:`checked_factorization`, by name, from
+    the Gram matrix ``v_gram`` = V* V, s, W and rho:
 
-    Each value equals its dense n x n counterpart up to rounding. Past the
-    Grams the work is m x m, through the Cholesky factors R with R* R = G
-    and R_V* R_V = G_V, which stand in for the R of a thin QR:
+    - ``V columns orthonormal`` = ||V* V - 1||_F;
+    - ``W rows orthonormal`` = ||W W* - 1||_F;
+    - ``s non-increasing`` = max_j ((s_{j+1}/s_1)^2 - (s_j/s_1)^2), or 0;
+    - ``rho consistent`` = |rho - sum_j s_j^2 |W_j1|^2 / s_1| / |rho|, as
+      v_1 = V diag(s) W e_1 gives v_1* v_1 = sum_j s_j^2 |W_j1|^2.
 
-    - ||Vhat* Vhat - 1|| and ||V* V - 1||;
-    - ||U* U - 1|| for the shift factor U of Vhat (:func:`_unitarity_residual`);
-    - ||K^2 - K|| = ||R_V (V* V - 1) R_V*||;
-    - ||T^2 - T|| = |(||vhat_1||^2 - 1)| ||vhat_1||^2.
-
-    A Gram matrix that is not positive definite belongs to a frame with
-    dependent columns, which no valid model file holds: InvariantViolation,
-    naming the residual that needed the factor. Huge entries give inf or
-    NaN residuals; :func:`checked_factorization` calls this under its
-    ``np.errstate`` and rejects them.
+    np.max keeps a NaN, so a NaN input reads NaN.
     """
-    eye = np.eye(V.shape[1])
-    R, R_V = _gram_factor(vhat_gram), _gram_factor(v_gram)
-    for name, factor, frame in (("shift factor unitary", R, "Vhat"), ("K idempotent", R_V, "V")):
-        if factor is None:
-            raise InvariantViolation(f"{name}: Gram matrix of {frame} is not positive definite")
-    V_gap = v_gram - eye
-    vhat1_sq = float(np.vdot(Vhat[:, 0], Vhat[:, 0]).real)
+    eye = np.eye(W.shape[0])
+    ratios = (s / s[0]) ** 2
     return {
-        "Vhat columns orthonormal": float(np.linalg.norm(vhat_gram - eye)),
-        "V columns orthonormal": float(np.linalg.norm(V_gap)),
-        "shift factor unitary": _unitarity_residual(vhat_gram, R),
-        "K idempotent": float(np.linalg.norm(R_V @ V_gap @ R_V.conj().T)),
-        "T idempotent": abs(vhat1_sq - 1.0) * vhat1_sq,
+        "V columns orthonormal": float(np.linalg.norm(v_gram - eye)),
+        "W rows orthonormal": float(np.linalg.norm(W @ W.conj().T - eye)),
+        "s non-increasing": float(np.max(np.append(np.diff(ratios), 0.0))),
+        "rho consistent": float(abs(rho - np.dot(s**2, np.abs(W[:, 0]) ** 2) / s[0]) / abs(rho)),
     }
 
 
@@ -266,73 +266,53 @@ def checked_factorization(
     V: np.ndarray, s: np.ndarray, W: np.ndarray, rho: complex
 ) -> OhfFactorization:
     """The factorization of the thin SVD V diag(s) W of a frame's history
-    and the scalar rho, once the frame they determine passes every check of
-    a valid model: the one gate of fitting and loading.
+    and the scalar rho, once they pass every check of a valid model: the
+    one gate of fitting and loading. Every check is m x m past the Gram
+    matrix V* V.
 
-    s must be positive (InvariantViolation naming s); its order is the
-    gate's ``V* Vhat row norms ordered`` below, as diag(M M*) = (s/s_1)^2
-    for any orthonormal V and unitary W. Vhat is blended from V, s and W:
-    the span part (V * s/s_1) @ W, with the complement part (U * t) @ W
-    added on the 2m rows where :func:`complement_basis` U is nonzero,
-    t_j = sqrt(1 - (s_j/s_1)^2). A GEMM row's bits do not depend on the
-    row count, and the rows below would add only signed zeros.
+    V needs n >= 2m rows, the room of the complement that the derived Vhat
+    blends in (DimensionTooSmall), and s must be positive
+    (InvariantViolation naming s). V must pass the checks of
+    :class:`sclrom.cyclic.VectorSystem` and
+    :func:`sclrom.cyclic.check_orthogonal_system` at 1e-8 (NotOrthogonal),
+    read from its Gram matrix. Then each residual of
+    :func:`_gate_residuals` must be at most 1e-8 max(1, m), written
+    ``not <=`` so that NaN fails (InvariantViolation naming it). They are
+    kept by name on the result as ``residuals``.
 
-    Vhat must pass the checks of :class:`sclrom.cyclic.VectorSystem` and
-    :func:`sclrom.cyclic.check_orthogonal_system` at 1e-8 (NotOrthogonal).
-    Then the five :func:`frame_residuals`, and three residuals of
-    M = V* Vhat that tie Vhat to V and rho (a fitted frame has
-    M = diag(s/s_1) W with W unitary, and v_1 = kappa V M e_1), must each be
-    at most 1e-8 max(1, m), written ``not <=`` so that NaN fails
-    (InvariantViolation naming it): ``V* Vhat rows orthogonal`` =
-    ||offdiag(M M*)||_F, ``V* Vhat row norms ordered`` =
-    max(|d_1 - 1|, max_j (d_{j+1} - d_j)^+) for d = diag(M M*), and
-    ``rho consistent`` = |rho - kappa ||M e_1||^2| / |rho|.
-
-    R = V M circ(g) with g = rho Vhat* vhat_1 is the replay operator:
-    K H_t (rho vhat_1) = V M circ(c_t) g = R c_t for the step-t transition
-    H_t = Vhat circ(c_t) Vhat*, as circulants commute. Each frame is
-    conjugated once, and each product is one BLAS call on fixed operands,
-    so bit-identical V, s and W give bit-identical Vhat and R, and hence
-    predictions. Runs under ``np.errstate(all="ignore")``: huge entries
-    read inf or NaN, which the checks reject.
+    With V orthonormal, W unitary and 0 < s_j <= s_1, the blend Vhat of
+    :attr:`OhfFactorization.Vhat` is orthonormal, M = V* Vhat =
+    diag(s/s_1) W and g = rho Vhat* vhat_1 = rho e_1, so the replay
+    operator V M circ(g) of the step-t transition H_t = Vhat circ(c_t)
+    Vhat* (K H_t (rho vhat_1) = V M circ(c_t) g, as circulants commute) is
+    R = (rho/kappa) V diag(s) W = V B. Only the m x m B is formed; a block
+    of states is (c^T B^T) V^T, see :func:`sclrom.model.replay`. B is one
+    elementwise product of fixed operands, so bit-identical V, s, W and
+    rho give bit-identical B, and hence predictions. Runs under
+    ``np.errstate(all="ignore")``: huge entries read inf or NaN, which the
+    checks reject.
     """
-    m = V.shape[1]
+    n, m = V.shape
+    if n < 2 * m:
+        raise DimensionTooSmall(f"complement of an m={m} frame needs n >= {2 * m}, got n={n}")
     if not (s > 0.0).all():  # NaN fails too
         raise InvariantViolation("s: singular values must be positive")
     with np.errstate(all="ignore"):
-        ratios = s / s[0]
-        t_vals = np.sqrt(np.maximum(0.0, 1.0 - ratios**2))
-        Vhat = (V * ratios) @ W
-        Vhat[: 2 * m] += (complement_basis(V)[: 2 * m] * t_vals) @ W
-        conj = Vhat.conj()
-        g = rho * (conj.T @ Vhat[:, 0])
-        vhat_gram, norms = _gram_and_norms(Vhat, conj)
-        del conj
-        _check_columns(Vhat.shape, norms)
-        orth = _gram_orthogonality(vhat_gram, norms, _ORTHOGONALITY_TOL)
+        v_gram = V.conj().T @ V
+        norms = np.sqrt(v_gram.diagonal().real)
+        _check_columns(V.shape, norms)
+        orth = _gram_orthogonality(v_gram, norms, _ORTHOGONALITY_TOL)
         if not orth.is_orthogonal:
             raise NotOrthogonal(
-                f"Vhat max relative cross product {orth.max_cross:.3e} "
+                f"V max relative cross product {orth.max_cross:.3e} "
                 f"exceeds tol {_ORTHOGONALITY_TOL:.1e}"
             )
-        V_conj = V.conj()
-        v_gram = V_conj.T @ V
-        M = V_conj.T @ Vhat
-        del V_conj
-        residuals = frame_residuals(V, Vhat, vhat_gram, v_gram)
-        MM = M @ M.conj().T
-        d = MM.diagonal().real.copy()
-        np.fill_diagonal(MM, 0.0)
-        residuals["V* Vhat rows orthogonal"] = float(np.linalg.norm(MM))
-        gaps = np.append(np.diff(d), (abs(d[0] - 1.0), 0.0))  # np.max keeps a NaN
-        residuals["V* Vhat row norms ordered"] = float(np.max(gaps))
-        rho_gap = abs(rho - s[0] * np.vdot(M[:, 0], M[:, 0]).real)
-        residuals["rho consistent"] = float(rho_gap / abs(rho))
+        residuals = _gate_residuals(v_gram, s, W, rho)
         for name, residual in residuals.items():
             if not residual <= _ORTHOGONALITY_TOL * max(1.0, float(m)):
                 raise InvariantViolation(f"{name}: residual {residual:.3e}")
-        R = V @ (M @ circulant_matrix(g))
-    return OhfFactorization(V=V, singular_values=s, W=W, rho=rho, Vhat=Vhat, R=R)
+        B = (s * (rho / s[0]))[:, None] * W
+    return OhfFactorization(V=V, singular_values=s, W=W, rho=rho, B=B, residuals=residuals)
 
 
 def build_ohf(
@@ -341,6 +321,11 @@ def build_ohf(
     truncate: bool = False,
 ) -> OhfFactorization:
     """Construct the orthonormal history factor of a snapshot history.
+
+    The thin SVD and rho pass the m x m gate of
+    :func:`checked_factorization`, then one first-column check: vhat_1* v_1
+    must reproduce rho, from the span part of vhat_1 alone, so neither the
+    complement nor Vhat is formed.
 
     Parameters
     ----------
@@ -364,7 +349,7 @@ def build_ohf(
         If the numerical rank is below m and ``truncate`` is not set, or
         the history is numerically zero.
     NotOrthogonal
-        If the Vhat columns fail :func:`sclrom.cyclic.check_orthogonal_system`
+        If the V columns fail :func:`sclrom.cyclic.check_orthogonal_system`
         at 1e-8, the tolerance the model loader applies.
     InvariantViolation
         If a residual of :func:`checked_factorization` fails its gate, so
@@ -394,8 +379,9 @@ def build_ohf(
     if not np.isfinite(rho):
         raise NumericalFailure(f"rho = v_1* v_1 / s_1 = {rho:.6e} is not finite")
     ohf = checked_factorization(V, s.copy(), W, rho)
-    # vhat_1* v_1 must reproduce v_1* v_1 / s_1
-    direct = np.vdot(ohf.Vhat[:, 0], first_col)
+    # vhat_1* v_1 must reproduce v_1* v_1 / s_1; the complement part of
+    # vhat_1 is orthogonal to v_1 in range(V), so its span part V M e_1 serves
+    direct = np.vdot(V @ (s / s[0] * W[:, 0]), first_col)
     if not abs(direct - rho) <= 1e-10 * abs(rho):
         raise NumericalFailure(
             f"first-column product {direct:.6e} does not reproduce rho = {rho:.6e}"
@@ -432,9 +418,12 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     col_norms = np.linalg.norm(data, axis=0)
     k_residual = float(np.max(np.linalg.norm(recon - data, axis=0) / col_norms))
     G = Vhat.conj().T @ Vhat
-    R = _gram_factor(G)
-    if R is None:
-        raise NotOrthogonal("Vhat columns are linearly dependent: Gram matrix not positive definite")
+    try:  # R* R = G, for the thin QR factor of Vhat
+        R = np.linalg.cholesky(G).conj().T
+    except np.linalg.LinAlgError:
+        raise NotOrthogonal(
+            "Vhat columns are linearly dependent: Gram matrix not positive definite"
+        ) from None
     unitary_residual = _unitarity_residual(G, R)
     passed = max(t_residual, shift_residual, k_residual, unitary_residual) <= tol
     return OhfReport(t_residual, shift_residual, k_residual, unitary_residual, passed)

@@ -53,11 +53,15 @@ the coefficients (m x T). The loader reads each block through the
 snapshot reader, a column block at a time, into a C-ordered array
 (fitting's layout): a load holds the arrays plus one block, and the file
 may be a pipe. They then pass :func:`sclrom.ohf.checked_factorization`,
-fitting's gate too, which derives Vhat (by fitting's blend), kappa = s_1
-and the replay operator, and re-validates every factorization invariant;
-none of these is stored, so no file can hold one inconsistent with the
-rest, and the loaded model is the fitted one bit for bit. Earlier
-versions are refused (VersionUnsupported); refit their histories.
+fitting's m x m gate too: V* V and W W* within 1e-8 max(1, m) of the
+identity, s positive and non-increasing, and rho consistent with s and
+the first column of W. It forms the m x m matrix B = (rho/kappa) diag(s) W
+of the replay operator R = (rho/kappa) V diag(s) W = V B. Neither B nor
+kappa = s_1 is stored, and the frame Vhat is derived from V, s and W
+only when asked for (by fitting's blend), so no file can hold one
+inconsistent with the rest, and the loaded model is the fitted one bit
+for bit. Earlier versions are refused (VersionUnsupported); refit their
+histories.
 """
 from __future__ import annotations
 
@@ -540,8 +544,8 @@ def _read_manifest(fh):
 
 
 def read_model(path) -> SclRomModel:
-    """Read a model file, re-validating it and rebuilding Vhat and the
-    replay operator from V, s, W and rho.
+    """Read a model file, re-validating it and rebuilding the replay
+    operator from V, s, W and rho.
 
     Each array is read by the snapshot reader, a column block at a time, so
     a load holds the arrays plus one block, and the file may be a pipe.
@@ -551,8 +555,9 @@ def read_model(path) -> SclRomModel:
     non-real entry, or the frame fails a check of
     :func:`sclrom.ohf.checked_factorization`; any other error of that gate
     is reported as ``stored frames are inconsistent: ...``. The model is
-    the fitted one bit for bit, singular values, W and Vhat included. No
-    n x n matrix is formed.
+    the fitted one bit for bit, singular values, W, B and the derived Vhat
+    included, and reports the gate's residuals as ``model.ohf.residuals``.
+    No array but the stored ones and the m x m B is formed.
     """
     try:
         with open(path, "rb") as fh:

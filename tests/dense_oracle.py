@@ -19,6 +19,12 @@ def circulant(c):
     return sum(c[j] * np.roll(np.eye(m, dtype=np.complex128), j, axis=0) for j in range(m))
 
 
+def circulant_matrix(c):
+    """sum_j c_j C_m^j gathered in one indexing step: entry (i, j) is c_{(i-j) mod m}."""
+    m = c.shape[0]
+    return c[(np.arange(m)[:, None] - np.arange(m)) % m]
+
+
 def cyclic_convolution(a, b):
     """Coefficients of circ(a) circ(b): (a * b)_k = sum_j a_j b_{(k - j) mod m}."""
     m = len(a)
@@ -123,16 +129,22 @@ def dense_predict(model, t):
     return K @ (transition_matrix(model, t) @ start)
 
 
-def dense_load_residuals(V, Vhat):
-    """The five model-load residuals, named as the loader reports them."""
-    K, T, U = dense_factors(V, Vhat)
-    m, n = V.shape[1], V.shape[0]
+def dense_load_residuals(V, s, W, rho):
+    """The four residuals of the model gate, named as the loader reports
+    them, from their defining formulas: the Gram matrices of V and of the
+    rows of W, the squared ratios s_j/s_1 one pair at a time, and rho
+    against the first snapshot v_1 = sum_j s_j W_j1 v_j formed as an
+    n-vector. The gate reads v_1* v_1 as sum_j s_j^2 |W_j1|^2, which is
+    equal only while V is orthonormal."""
+    m = V.shape[1]
+    eye = np.eye(m)
+    ratios = [(s[j] / s[0]) ** 2 for j in range(m)]
+    v1 = sum(s[j] * W[j, 0] * V[:, j] for j in range(m))
     return {
-        "Vhat columns orthonormal": float(np.linalg.norm(Vhat.conj().T @ Vhat - np.eye(m))),
-        "V columns orthonormal": float(np.linalg.norm(V.conj().T @ V - np.eye(m))),
-        "shift factor unitary": float(np.linalg.norm(U.conj().T @ U - np.eye(n))),
-        "K idempotent": float(np.linalg.norm(K @ K - K)),
-        "T idempotent": float(np.linalg.norm(T @ T - T)),
+        "V columns orthonormal": float(np.linalg.norm(V.conj().T @ V - eye)),
+        "W rows orthonormal": float(np.linalg.norm(W @ W.conj().T - eye)),
+        "s non-increasing": max([ratios[j + 1] - ratios[j] for j in range(m - 1)] + [0.0]),
+        "rho consistent": abs(rho - np.vdot(v1, v1).real / s[0]) / abs(rho),
     }
 
 
@@ -205,10 +217,10 @@ def one_shot_coefficients(ohf, data, mode):
     return ohf.W.conj().T @ (inv_scale[:, None] * (ohf.V.conj().T @ np.asfortranarray(data)))
 
 
-def one_shot_states(coeffs, R):
-    """One period of states as the single product coeffs.T @ R.T: a (T, n)
-    array, one state per row."""
-    return coeffs.T @ R.T
+def one_shot_states(coeffs, ohf):
+    """One period of states as the single product (coeffs.T @ B.T) @ V.T of
+    the replay operator R = V B: a (T, n) array, one state per row."""
+    return (coeffs.T @ ohf.B.T) @ ohf.V.T
 
 
 def one_shot_residuals(states, data):

@@ -60,7 +60,7 @@ def test_blocked_fit_equals_the_one_shot_oracle(tmp_path_factory, period, extra,
     history = almost_periodic_history(n, period, 1e-3, steps, seed).perturbed
     model, report = fit(history, FitOptions(mode=mode, period=period))
     coeffs = one_shot_coefficients(model.ohf, history.data, mode)
-    states = one_shot_states(coeffs, model.ohf.R)
+    states = one_shot_states(coeffs, model.ohf)
     residuals = one_shot_residuals(states, history.data)
     assert model.coeffs.tobytes() == coeffs.tobytes()
     assert replay(model, 0, steps).T.tobytes() == states.tobytes()

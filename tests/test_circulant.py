@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from dense_oracle import (
     circulant,
+    circulant_matrix,
     compress,
     cyclic_convolution,
     dense_factors,
@@ -22,7 +23,6 @@ from sclrom import (
     fit,
     periodic_history,
 )
-from sclrom.circulant import circulant_matrix
 
 
 class TestCyclicShiftMatrix:

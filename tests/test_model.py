@@ -1,4 +1,5 @@
 """Tests for model fitting, prediction, and the replay verification."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -204,6 +205,28 @@ class TestReplay:
         model, _ = fit(periodic_history(32, 4, seed=8))
         state = predict(model, 1)
         assert state.flags.owndata and state.flags.c_contiguous
+
+    @pytest.mark.parametrize("t0, t1", [(0, 1), (5, 256), (256, 600), (300, 511), (856, 1200)])
+    def test_window_in_one_block_is_its_fresh_states(self, t0, t1):
+        """A 600-step period is the blocks [0, 256) and [256, 600). A window
+        inside one of them, wrapped or not, is a view of that block's fresh
+        states: writable, column-major, bitwise predict, and made with no
+        second copy, so the replay peaks near the block alone."""
+        history = almost_periodic_history(256, 4, 1e-3, 600, seed=3).perturbed
+        model, _ = fit(history, FitOptions(mode="least_squares", period=4))
+        start = 0 if t0 % 600 < 256 else 256
+        block_bytes = ((256 if start == 0 else 600) - start) * 256 * 16
+        tracemalloc.start()
+        try:
+            window = replay(model, t0, t1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes + window.nbytes / 2 + 2**16, (peak, block_bytes)
+        assert window.shape == (256, t1 - t0)
+        assert window.flags.f_contiguous and window.flags.writeable
+        for j, t in enumerate(range(t0, t1)):
+            assert window[:, j].tobytes() == predict(model, t).tobytes(), t
 
     @pytest.mark.parametrize("t0, t1", [(-1, 2), (3, 2)])
     def test_bad_window_rejected(self, t0, t1):

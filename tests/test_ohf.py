@@ -23,10 +23,13 @@ from sclrom import (
     fit,
     periodic_history,
     random_orthonormal_columns,
+    read_model,
+    replay,
     simulate_wave_1d,
     thin_svd,
     verify_mimetic,
     verify_ohf,
+    write_model,
 )
 from sclrom.ohf import complement_basis, pin_column_phases
 
@@ -338,13 +341,17 @@ class TestBuildOhf:
         np.testing.assert_allclose(T @ data[:, 0], [2, 0, 0, 0], atol=1e-14)
 
     @pytest.mark.parametrize("m", [8, 16, 32, 66])
-    def test_replay_operator_equals_rolled_circulant_bitwise(self, m):
-        """R = V (V* Vhat) circ(g), with circ(g) stacked from rolled copies of g."""
+    def test_replay_operator_is_the_closed_form(self, m):
+        """V B, with B = (rho/kappa) diag(s) W, is the replay operator
+        R = V (V* Vhat) circ(g) of the derived frame, with circ(g) stacked
+        from rolled copies of g = rho Vhat* vhat_1, to rounding."""
         ohf = build_ohf(periodic_history(2 * m + 4, m, seed=m))
         g = ohf.rho * (ohf.Vhat.conj().T @ ohf.Vhat[:, 0])
         circ = np.column_stack([np.roll(g, k) for k in range(m)])
         expected = ohf.V @ ((ohf.V.conj().T @ ohf.Vhat) @ circ)
-        assert ohf.R.tobytes() == expected.tobytes()
+        closed = ohf.rho / ohf.kappa * (ohf.V * ohf.singular_values) @ ohf.W
+        for R in (ohf.V @ ohf.B, closed):
+            assert np.linalg.norm(R - expected) <= 1e-14 * np.linalg.norm(expected)
 
     def test_periodic_history_verifies(self):
         h = periodic_history(16, 4, seed=7)
@@ -404,31 +411,73 @@ class TestBuildOhf:
             build_ohf(SnapshotHistory(np.eye(5, 3, dtype=complex)))
 
     def test_non_orthogonal_vhat_rejected_at_fit(self, monkeypatch):
-        # complement columns still orthogonal to range(V) (so rho checks
-        # out) but not to each other, so the Vhat columns drift
-        def skewed_complement(V):
-            cols = complement_basis(V)
-            cols[:, 1] += cols[:, 0]
-            return cols
+        # V columns mixed, so the Vhat blended from them is not orthogonal:
+        # the gate refuses V before any Vhat is formed
+        def skewed_svd(history, rank_tol=None):
+            V, s, W = thin_svd(history, rank_tol)
+            V[:, 1] += 1e-6 * V[:, 0]
+            return V, s, W
 
-        monkeypatch.setattr(sclrom.ohf, "complement_basis", skewed_complement)
-        with pytest.raises(NotOrthogonal):
+        monkeypatch.setattr(sclrom.ohf, "thin_svd", skewed_svd)
+        with pytest.raises(NotOrthogonal, match="^V max relative cross product 1.000e-06 "):
             build_ohf(periodic_history(16, 4, seed=7))
 
-    def test_fit_refuses_a_frame_that_load_refuses(self, monkeypatch):
-        # complement columns scaled by 1 + 1e-6: orthogonal, and rho still
-        # checks out, but the Vhat column norms drift past the load gate
-        monkeypatch.setattr(sclrom.ohf, "complement_basis",
-                            lambda V: complement_basis(V) * (1 + 1e-6))
+    def test_fit_refuses_a_frame_that_load_refuses(self, monkeypatch, tmp_path):
+        # V scaled by 1 + 1e-6: orthogonal, and rho still checks out, but the
+        # V column norms drift past the gate that fitting and loading share
         rng = np.random.default_rng(0)
 
         def gaussian(rows, cols):
             return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
         history = SnapshotHistory(gaussian(32, 3) @ gaussian(3, 6))
-        with pytest.raises(InvariantViolation) as exc:
-            fit(history, FitOptions(mode="least_squares", truncate_rank=True))
-        assert str(exc.value) == "Vhat columns orthonormal: residual 1.823e-06"
+        opts = FitOptions(mode="least_squares", truncate_rank=True)
+        model, _ = fit(history, opts)
+        model.ohf.V *= 1 + 1e-6
+        path = tmp_path / "m.bin"
+        write_model(model, path)
+        with pytest.raises(InvariantViolation) as loading:
+            read_model(path)
+
+        def scaled_svd(history, rank_tol=None):
+            V, s, W = thin_svd(history, rank_tol)
+            return V * (1 + 1e-6), s, W
+
+        monkeypatch.setattr(sclrom.ohf, "thin_svd", scaled_svd)
+        with pytest.raises(InvariantViolation) as fitting:
+            fit(history, opts)
+        message = "V columns orthonormal: residual 3.464e-06"
+        assert str(fitting.value) == str(loading.value) == message
+
+    @pytest.mark.parametrize("forged", [
+        lambda U: U + np.roll(U, 1, axis=1) * (np.arange(U.shape[1]) == 1),
+        lambda U: U * (1 + 1e-6),
+    ], ids=["skewed", "scaled"])
+    def test_fit_and_load_never_call_complement_basis(self, monkeypatch, tmp_path, forged):
+        """The gate is m x m, so a forged complement_basis (column 0 added
+        to column 1, or every column scaled by 1 + 1e-6) is never called by
+        fitting, saving, loading or replay, which go on bit for bit. The
+        Vhat derived on demand is the first to call it, and verify_ohf then
+        sees the forged frame."""
+        history = periodic_history(16, 4, seed=7)
+        model, _ = fit(history, FitOptions(mode="least_squares"))
+        assert verify_ohf(model.ohf, history).passed
+        path = tmp_path / "m.bin"
+        calls = []
+
+        def spy(V):
+            calls.append(V.shape)
+            return forged(complement_basis(V))
+
+        monkeypatch.setattr(sclrom.ohf, "complement_basis", spy)
+        forged_model, _ = fit(history, FitOptions(mode="least_squares"))
+        write_model(forged_model, path)
+        loaded = read_model(path)
+        states = replay(loaded, 0, 8)
+        assert calls == []
+        assert states.tobytes() == replay(model, 0, 8).tobytes()
+        assert not verify_ohf(loaded.ohf, history).passed
+        assert calls == [(16, 4)]
 
     def test_degenerate_history_reports_rank(self):
         col = np.arange(1.0, 9.0)

@@ -17,6 +17,7 @@ from sclrom import (
     GaussianBump,
     InvariantViolation,
     IoFailure,
+    NotOrthogonal,
     ParseError,
     SnapshotHistory,
     VersionUnsupported,
@@ -535,34 +536,30 @@ class TestModelFormat:
             read_model(path)
 
     def test_non_orthogonal_frame_fails_orthogonality_gate(self, fitted, tmp_path):
-        # the blend is linear in W, so this mixes the same Vhat columns
+        # the blend is linear in W, so this would mix the same Vhat columns
         fitted.ohf.W[:, 1] += 1e-6 * fitted.ohf.W[:, 0]
         path = tmp_path / "m.bin"
         write_model(fitted, path)
-        with pytest.raises(InvariantViolation) as exc:
+        with pytest.raises(InvariantViolation, match=r"^W rows orthonormal: residual "):
             read_model(path)
-        assert "stored frames are inconsistent" in str(exc.value)
 
     @pytest.mark.filterwarnings("error")
     def test_singular_frame_gram_rejected(self, fitted, tmp_path, capsys):
-        # two equal V columns, and the W that diagonalises the Gram matrix of
-        # the span-plus-complement frame B: Vhat = B W has orthogonal columns,
-        # so the Vhat orthogonality gate passes, but the Gram matrix of V is
-        # singular and has no Cholesky factor
-        V, s = fitted.ohf.V.copy(), fitted.ohf.singular_values
+        # two equal V columns: the Gram matrix of V is singular, which the
+        # relative orthogonality check of V refuses
+        V, s, W = fitted.ohf.V.copy(), fitted.ohf.singular_values, fitted.ohf.W
         V[:, 1] = V[:, 0]
-        ratios = s / s[0]
-        B = V * ratios + ohf.complement_basis(V) * np.sqrt(1.0 - ratios**2)
-        W = np.linalg.eigh(B.conj().T @ B)[1]
-        with pytest.raises(InvariantViolation) as exc:
+        message = "V max relative cross product 1.000e+00 exceeds tol 1.0e-08"
+        with pytest.raises(NotOrthogonal) as exc:
             ohf.checked_factorization(V, s, W, fitted.ohf.rho)
-        assert str(exc.value) == "K idempotent: Gram matrix of V is not positive definite"
+        assert str(exc.value) == message
         # in a file, the same V fails loading before verification, quietly
         fitted.ohf.V[:, 1] = fitted.ohf.V[:, 0]
         path = tmp_path / "m.bin"
         write_model(fitted, path)
         with pytest.raises(InvariantViolation) as exc:
             read_model(path)
+        assert str(exc.value) == f"stored frames are inconsistent: {message}"
         snapshots = tmp_path / "h.bin"
         write_snapshots(periodic_history(32, 4, seed=3), snapshots)
         capsys.readouterr()
@@ -641,18 +638,19 @@ class TestModelFormat:
 
     @pytest.fixture
     def piped_model(self, tmp_path):
-        """A model file larger than a pipe buffer, and its replay operator."""
+        """A model file larger than a pipe buffer, and the m x m B of its
+        replay operator."""
         model, _ = fit(periodic_history(512, 16, seed=1), FitOptions(mode="least_squares"))
         path = tmp_path / "m.bin"
         write_model(model, path)
-        return path.read_bytes(), model.ohf.R
+        return path.read_bytes(), model.ohf.B
 
     def test_pipe_model_loads(self, piped_model):
-        blob, R = piped_model
+        blob, B = piped_model
         read_fd, thread = _feed_pipe(blob)
         loaded = read_model(read_fd)
         thread.join()
-        assert loaded.ohf.R.tobytes() == R.tobytes()
+        assert loaded.ohf.B.tobytes() == B.tobytes()
 
     @pytest.mark.parametrize("cut, message", [
         (1, "trailing bytes after payload arrays"),
@@ -672,6 +670,10 @@ def _scale_w(model):
     model.ohf.W *= 1 + 1e-6
 
 
+def _scale_v(model):
+    model.ohf.V *= 1 + 1e-6
+
+
 def _swap_s(model):
     model.ohf.singular_values[[1, 2]] = model.ohf.singular_values[[2, 1]]
 
@@ -685,27 +687,29 @@ def _negate_s(model):
 
 
 def _roundtrip(model, path):
-    """The loaded model is the fitted one bit for bit: its SVD, the frame
-    and replay operator derived from it, and kappa."""
+    """The loaded model is the fitted one bit for bit: its SVD, the replay
+    matrix B and the frame derived from it, kappa, and the gate's residuals."""
     write_model(model, path)
     loaded = read_model(path)
-    for name in ("R", "singular_values", "W", "Vhat"):
+    for name in ("B", "singular_values", "W", "Vhat"):
         assert getattr(loaded.ohf, name).tobytes() == getattr(model.ohf, name).tobytes(), name
     assert loaded.ohf.kappa == model.ohf.kappa
+    assert loaded.ohf.residuals == model.ohf.residuals
 
 
 class TestLoadBindsVhatToV:
-    """A file stores V, s, W and rho, and the loader derives Vhat from them
-    by the fit's blend. Each forged file below is refused, by the residual
-    or the check named. Swapped V columns, or swapped W rows, describe
-    another valid model, which loads."""
+    """A file stores V, s, W and rho, and the loader checks them by the
+    fit's m x m gate, from which Vhat is derived. Each forged file below is
+    refused, by the residual or the check named. Swapped V columns, or
+    swapped W rows, describe another valid model, which loads."""
 
     @pytest.mark.parametrize("doctor, residual", [
-        (_scale_w, "Vhat columns orthonormal"),
+        (_scale_w, "W rows orthonormal"),
         (_scale_rho, "rho consistent"),
-        (_swap_s, "V* Vhat row norms ordered"),
+        (_swap_s, "s non-increasing"),
         (_negate_s, "s"),
-    ], ids=["scaled-w", "scaled-rho", "swapped-s", "non-positive-s"])
+        (_scale_v, "V columns orthonormal"),
+    ], ids=["scaled-w", "scaled-rho", "swapped-s", "non-positive-s", "scaled-v"])
     def test_doctored_frame_rejected(self, tmp_path, doctor, residual):
         model, _ = fit(periodic_history(256, 8, seed=1), FitOptions(mode="least_squares"))
         doctor(model)

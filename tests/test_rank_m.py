@@ -26,7 +26,7 @@ from sclrom import (
     verify_ohf,
     write_model,
 )
-from sclrom.ohf import frame_residuals
+from sclrom.ohf import _gate_residuals
 
 
 @st.composite
@@ -51,8 +51,9 @@ def _scaled(A, delta, reverse=False):
     return A * (scale[::-1] if reverse else scale)
 
 
-def _frame_residuals(V, Vhat):
-    return frame_residuals(V, Vhat, Vhat.conj().T @ Vhat, V.conj().T @ V)
+def _residuals(V, s, W, rho):
+    """The model gate's m x m residuals of V, s, W and rho, by name."""
+    return _gate_residuals(V.conj().T @ V, s, W, rho)
 
 
 def _assert_matches_dense(thin, dense):
@@ -97,13 +98,23 @@ def test_replay_columns_equal_predict_bitwise(tmp_path_factory, case, mode, data
 @settings(max_examples=60, deadline=None)
 @given(histories(), st.floats(1e-9, 0.5))
 def test_load_residuals_match_dense(case, delta):
+    """The gate's residuals, as the factorization keeps them, and on
+    forgeries: W rows scaled, s reversed and rho scaled, with V orthonormal;
+    then V columns scaled. The dense rho reads v_1 through V, so it carries
+    V's rounding of about 1e-15, which the gate's m-term sum does not; on
+    scaled V columns it is not compared."""
     history, deficient = case
     ohf = build_ohf(history, truncate=deficient)
-    for V, Vhat in (
-        (ohf.V, ohf.Vhat),
-        (_scaled(ohf.V, delta, reverse=True), _scaled(ohf.Vhat, delta)),
-    ):
-        _assert_matches_dense(_frame_residuals(V, Vhat), dense_load_residuals(V, Vhat))
+    V, s, W, rho = ohf.V, ohf.singular_values, ohf.W, ohf.rho
+    assert ohf.residuals == _residuals(V, s, W, rho)
+    for forged in ((V, s, W, rho), (V, s, _scaled(W.T, delta).T, rho),
+                   (V, s[::-1].copy(), W, rho), (V, s, W, rho * (1.0 + delta)),
+                   (_scaled(V, delta, reverse=True), s, W, rho)):
+        thin, dense = _residuals(*forged), dense_load_residuals(*forged)
+        thin_rho, dense_rho = thin.pop("rho consistent"), dense.pop("rho consistent")
+        if forged[0] is V:
+            assert abs(thin_rho - dense_rho) <= 1e-6 * dense_rho + 1e-14, (thin_rho, dense_rho)
+        _assert_matches_dense(thin, dense)
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,13 +167,17 @@ def test_diagram_check_memory_stays_thin():
 
 
 def test_scaled_frame_fails_only_the_unitary_checks():
+    """V columns scaled fail V's check alone; W columns past the first
+    scaled fail W's alone (rho reads the first column of W only)."""
     h = periodic_history(32, 6, seed=2)
     ohf = build_ohf(h)
-    residuals = _frame_residuals(ohf.V, _scaled(ohf.Vhat, 1e-3))
-    assert residuals["shift factor unitary"] > 1e-3
-    assert residuals["Vhat columns orthonormal"] > 1e-3
-    assert residuals["V columns orthonormal"] <= 1e-13
-    assert residuals["K idempotent"] <= 1e-13
+    V, s, W, rho = ohf.V, ohf.singular_values, ohf.W, ohf.rho
+    scale = np.append(1.0, 1.0 + 1e-3 * np.linspace(-1.0, 1.0, 5))
+    for forged, failing in (((_scaled(V, 1e-3), s, W, rho), "V columns orthonormal"),
+                            ((V, s, W * scale, rho), "W rows orthonormal")):
+        residuals = _residuals(*forged)
+        assert residuals.pop(failing) > 1e-3
+        assert max(residuals.values()) <= 1e-13, residuals
 
 
 @pytest.mark.parametrize("mode", ["monomial", "least_squares"])
