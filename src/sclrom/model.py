@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigInvalid, DimensionMismatch, InsufficientData
-from .ohf import OhfFactorization, SnapshotHistory, _check_entries, build_ohf
+from .ohf import OhfFactorization, SnapshotHistory, _check_entries, _checked_history, build_ohf
 
 MODE_MONOMIAL = "monomial"
 MODE_LEAST_SQUARES = "least_squares"
@@ -63,7 +63,7 @@ class SclRomModel:
     """Fitted reduced model: frame + per-step circulant coefficients."""
 
     ohf: OhfFactorization
-    coeffs: np.ndarray  # (m, T), column t holds the step-t element
+    coeffs: np.ndarray  # (m, T) column-major, column t holds the step-t element
     epsilon_achieved: float
 
     @property
@@ -290,7 +290,7 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
     to its whole-period form. ``history`` is a SnapshotHistory, or the
     columns of an open snapshot file, which the command-line front end
     streams this way in O(n (period + 512)) memory besides the m x T
-    coefficients.
+    coefficients, which are column-major like V and W.
 
     Returns the model and a report; a missed epsilon target is flagged in
     the report rather than raised.
@@ -304,23 +304,22 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
         raise InsufficientData(f"period must be positive, got {m_sys}")
     if m_sys > T:
         raise InsufficientData(f"period {m_sys} exceeds the {T} available snapshots")
-    # the frame is built before any coefficient, so the blocks that hold
-    # its columns are read first, in one read, and done before the next
+    # the frame is built first, from the blocks that hold its columns, read
+    # in one read; the reader (or the history) has checked them finite
     held = _block_of(T, m_sys - 1)[1]
     head = columns.read(held)
-    frame = SnapshotHistory(head[:, :m_sys])
-    ohf = build_ohf(frame, rank_tol=opts.rank_tol, truncate=opts.truncate_rank)
-    del frame
+    ohf = build_ohf(_checked_history(head[:, :m_sys]), rank_tol=opts.rank_tol,
+                    truncate=opts.truncate_rank)
     m = ohf.m
 
     if opts.mode == MODE_MONOMIAL:
-        coeffs = np.zeros((m, T), dtype=np.complex128)
+        coeffs = np.zeros((m, T), dtype=np.complex128, order="F")
         t = np.arange(T)
         coeffs[t % m, t] = ohf.kappa / ohf.rho
     else:
         # min_c ||rho * CH c - v_{t+1}|| with CH = V diag(s_j/s_1) W, solved
         # through the pseudo-inverse assembled from the stored SVD factors
-        coeffs = np.empty((m, T), dtype=np.complex128)
+        coeffs = np.empty((m, T), dtype=np.complex128, order="F")
         V_star, W_star = ohf.V.conj().T, ohf.W.conj().T
         inv_scale = (ohf.kappa / (ohf.rho * ohf.singular_values))[:, None]
 

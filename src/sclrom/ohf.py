@@ -58,6 +58,15 @@ def _check_entries(name: str, count: int) -> None:
         )
 
 
+def _check_finite(data: np.ndarray, first_column: int = 0) -> None:
+    """NonFiniteData naming the first non-finite entry of the (n, k) ``data``
+    in column order, its columns numbered from ``first_column``."""
+    finite = np.isfinite(data.T)
+    if not finite.all():
+        column, row = (int(i) for i in np.argwhere(~finite)[0] + (first_column, 0))
+        raise NonFiniteData(f"snapshot entry at (row {row}, column {column}) is non-finite")
+
+
 @dataclass(eq=False)
 class SnapshotHistory:
     """State snapshots of a discrete-time system, one per column.
@@ -79,10 +88,7 @@ class SnapshotHistory:
             raise DimensionMismatch(f"snapshot matrix must be 2-D, got ndim={data.ndim}")
         if data.shape[1] < 1:
             raise DimensionMismatch("snapshot history needs at least one column")
-        finite = np.isfinite(data)
-        if not finite.all():
-            col, row = (int(i) for i in np.argwhere(~finite.T)[0])
-            raise NonFiniteData(f"snapshot entry at (row {row}, column {col}) is non-finite")
+        _check_finite(data)
         self.data = data
 
     @property
@@ -92,6 +98,14 @@ class SnapshotHistory:
     @property
     def m(self) -> int:
         return self.data.shape[1]
+
+
+def _checked_history(data: np.ndarray) -> SnapshotHistory:
+    """The history of column-major complex128 ``data`` whose every entry a
+    reader has checked, made without scanning them again."""
+    history = object.__new__(SnapshotHistory)
+    history.data = data
+    return history
 
 
 @dataclass(eq=False)
@@ -104,10 +118,10 @@ class OhfFactorization:
     after truncation, with W the identity), and ``rho`` = v_1* v_1 / s_1.
     ``B`` = (rho/kappa) diag(s) W, with which the replay operator is
     R = V B, and ``residuals``, the m x m residuals by name, are what
-    :func:`checked_factorization` derives from them. kappa = s_1 and the
-    frame ``Vhat`` are derived on demand, so no stored value can disagree
-    with the spectrum; until Vhat is asked for, V is the one n x m array
-    held.
+    :func:`checked_factorization` derives from them; V, W and B are
+    column-major, fitted or loaded. kappa = s_1 and the frame ``Vhat`` are
+    derived on demand, so no stored value can disagree with the spectrum;
+    until Vhat is asked for, V is the one n x m array held.
     """
 
     V: np.ndarray
@@ -184,9 +198,9 @@ def thin_svd(
     A history whose imaginary part is all zero (either sign) takes LAPACK's
     real SVD, in about 60% of the complex one's time; its factors are
     pinned while real (each column times +-1, exactly) and become complex
-    in the one C-ordered copy made of each factor. With ``rank_tol``, only the r
-    leading directions with s_j > rank_tol * s_1 are kept, and the copies
-    hold those alone (r = 0 for a zero history).
+    in the one column-major copy made of each factor. With ``rank_tol``,
+    only the r leading directions with s_j > rank_tol * s_1 are kept, and
+    the copies hold those alone (r = 0 for a zero history).
     """
     data = history.data
     real = not data.imag.any()
@@ -198,8 +212,8 @@ def thin_svd(
         rank = int(np.count_nonzero(S > rank_tol * S[0])) if S[0] > 0.0 else 0
         V, S, W = V[:, :rank], S[:rank], W[:rank]
     pin_column_phases(V, W)
-    return (np.ascontiguousarray(V, dtype=np.complex128), S,
-            np.ascontiguousarray(W, dtype=np.complex128))
+    return (np.asarray(V, dtype=np.complex128, order="F"), S,
+            np.asarray(W, dtype=np.complex128, order="F"))
 
 
 def complement_basis(V: np.ndarray) -> np.ndarray:
@@ -367,7 +381,7 @@ def build_ohf(
             )
         if rank == 0:
             raise DegenerateHistory("history is numerically zero", rank=0)
-        W = np.eye(rank, dtype=np.complex128)
+        W = np.eye(rank, dtype=np.complex128, order="F")
         first_col = V[:, 0] * s[0]  # first column of the rank-r core history
         m = rank
     else:

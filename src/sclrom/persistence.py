@@ -5,25 +5,17 @@ unsigned 64-bit little-endian integers (flag bit 0 marks purely real
 payloads; n and m are at least 1), then the matrix entries in
 column-major order, each entry two IEEE-754 binary64 little-endian values
 (real then imaginary; real-flagged files store only the real part).
-A history is column-major in memory too (:class:`sclrom.SnapshotHistory`),
-so a file and its history hold the entries in one order. A binary
-snapshot file is read in column blocks, in order: each block goes
-straight from the file into one buffer that the reader reuses (a real
-payload is read at most 256 columns at a time and widened into it), and
-every block is checked to be finite. A read raises at the first fault it
-meets in file order; a non-finite entry is named by its row and column
-in the whole history, the first in column order.
-:func:`read_snapshots` reads every column into one history in one copy;
-fitting and verification from the command line consume the blocks one
-at a time (:func:`_snapshot_columns`). On a regular file the declared
-size is checked against the file size before any payload is read; other
-inputs (a pipe) are checked for a short read and for trailing bytes
-instead.
-Writing streams the header, then the payload block by block: a
-column-major complex block is written with no copy, any other block with
-one copy that transposes it or keeps its real part. The header's real
-flag is decided first, by a pass over the blocks that stops at the first
-one with an imaginary part that is not +0.0; the output is never read
+Histories and model arrays are column-major in memory too, so a file and
+its arrays hold the entries in one order. A binary block is read in
+column blocks straight into one reused buffer and checked finite as it
+is read (:class:`_BinaryColumns`), raising at the first fault met in
+file order: :func:`read_snapshots` reads every column at once, fitting
+and verification from the command line one block at a time
+(:func:`_snapshot_columns`). On a regular file the declared size is
+checked against the file size before any payload is read; a pipe is
+checked for a short read and for trailing bytes instead. Writing streams
+the header, its real flag decided first (:func:`_real_pass`), then the
+payload block by block (:func:`_write_blocks`); the output is never read
 back, so it may be a pipe.
 
 Snapshot CSV layout: first line ``n,m`` (both at least 1), then one line
@@ -49,19 +41,19 @@ on both paths.
 Model files (version 2): a fixed-order UTF-8 manifest with rho, a blank
 line, then four snapshot-encoded binary blocks: the thin SVD V diag(s) W
 of the frame's history, V (n x m), s (m x 1, real) and W (m x m), and
-the coefficients (m x T). The loader reads each block through the
-snapshot reader, a column block at a time, into a C-ordered array
-(fitting's layout): a load holds the arrays plus one block, and the file
-may be a pipe. They then pass :func:`sclrom.ohf.checked_factorization`,
-fitting's m x m gate too: V* V and W W* within 1e-8 max(1, m) of the
-identity, s positive and non-increasing, and rho consistent with s and
-the first column of W. It forms the m x m matrix B = (rho/kappa) diag(s) W
-of the replay operator R = (rho/kappa) V diag(s) W = V B. Neither B nor
-kappa = s_1 is stored, and the frame Vhat is derived from V, s and W
-only when asked for (by fitting's blend), so no file can hold one
-inconsistent with the rest, and the loaded model is the fitted one bit
-for bit. Earlier versions are refused (VersionUnsupported); refit their
-histories.
+the coefficients (m x T), column-major like the blocks, so a complex
+array is written from its own memory and each is loaded by one read of
+the snapshot reader, whose buffer becomes the array; the file may be a
+pipe, and its manifest is read in bounded lines (:func:`_read_manifest`).
+The arrays then pass :func:`sclrom.ohf.checked_factorization`, fitting's
+m x m gate too: V* V and W W* within 1e-8 max(1, m) of the identity, s
+positive and non-increasing, and rho consistent with s and the first
+column of W. It forms the m x m matrix B = (rho/kappa) diag(s) W of the
+replay operator R = (rho/kappa) V diag(s) W = V B. Neither B nor
+kappa = s_1 is stored, and Vhat is derived from V, s and W only when
+asked for (by fitting's blend), so no file can hold one inconsistent
+with the rest, and the loaded model is the fitted one bit for bit.
+Earlier versions are refused (VersionUnsupported); refit their histories.
 """
 from __future__ import annotations
 
@@ -85,11 +77,13 @@ from .errors import (
     VersionUnsupported,
 )
 from .model import _BLOCK, SclRomModel, _block_bounds, _HeldColumns
-from .ohf import _MAX_ENTRIES, SnapshotHistory, checked_factorization
+from .ohf import (_MAX_ENTRIES, SnapshotHistory, _check_finite, _checked_history,
+                  checked_factorization)
 
 SNAPSHOT_MAGIC = b"SCLROM01"
 MODEL_FORMAT_VERSION = 2
 _MODEL_HEADER_PREFIX = "SCLROM-MODEL v"
+_MANIFEST_LINE_BYTES = 1024  # the longest line a model writes is under 100
 _HEADER_BYTES = 32
 
 # One entry with the whitespace that str.strip() removes (re's \s is the
@@ -174,8 +168,9 @@ def _prepended(first, rest):
 def _write_blocks(fh, n: int, m: int, real: bool, chunks) -> None:
     """Write one binary block: the header, then the C-ordered buffer of
     each column block's transpose. That buffer is the block's own when it
-    is column-major and complex; any other block costs one copy, which
-    transposes it or keeps only its real part.
+    is column-major and complex, as a history's and a model's arrays are;
+    any other block costs one copy, which transposes it or keeps only its
+    real part.
     """
     fh.write(SNAPSHOT_MAGIC + struct.pack("<QQQ", n, m, 1 if real else 0))
     for block in chunks:
@@ -272,10 +267,9 @@ class _BinaryColumns:
             raise DimensionMismatch(f"header declares {n}x{m}, beyond the size of one array")
         self.n, self.m = n, m
         self._fh, self._path, self._real, self._expected = fh, path, real, expected
-        self._at = 0  # columns read
-        self._bytes = 0  # payload bytes read
-        self._buffer = None  # the reused (columns, n) complex buffer
-        self._floats = None  # the reused (columns, n) buffer of a real payload
+        self._at = self._bytes = 0  # columns and payload bytes read
+        # the reused (columns, n) buffers: complex, and float for a real payload
+        self._buffer = self._floats = None
 
     def _readinto(self, array: np.ndarray) -> None:
         try:
@@ -300,12 +294,7 @@ class _BinaryColumns:
                 rows[start : start + len(floats)] = floats
         else:
             self._readinto(rows)
-        finite = np.isfinite(rows)
-        if not finite.all():
-            column, row = (int(i) for i in np.argwhere(~finite)[0])
-            raise NonFiniteData(
-                f"snapshot entry at (row {row}, column {self._at + column}) is non-finite"
-            )
+        _check_finite(rows.T, self._at)
         self._at += count
         return rows.T
 
@@ -458,23 +447,21 @@ def read_snapshots(path) -> SnapshotHistory:
     """
     with _snapshot_columns(path) as columns:
         data = columns.read(columns.m)
-    return SnapshotHistory(data)
+    return _checked_history(data)  # every entry was checked as it was read
 
 
 def write_model(model: SclRomModel, path) -> None:
     """Write a fitted model: manifest, blank line, four binary blocks."""
     ohf = model.ohf
-    manifest = "\n".join(
-        [
-            f"{_MODEL_HEADER_PREFIX}{MODEL_FORMAT_VERSION}",
-            f"n: {model.n}",
-            f"m: {model.m}",
-            f"T: {model.period}",
-            f"rho: {format_float(ohf.rho.real)} {format_float(ohf.rho.imag)}",
-            f"epsilon_achieved: {format_float(model.epsilon_achieved)}",
-            "arrays: V s W coeffs",
-        ]
-    )
+    manifest = "\n".join([
+        f"{_MODEL_HEADER_PREFIX}{MODEL_FORMAT_VERSION}",
+        f"n: {model.n}",
+        f"m: {model.m}",
+        f"T: {model.period}",
+        f"rho: {format_float(ohf.rho.real)} {format_float(ohf.rho.imag)}",
+        f"epsilon_achieved: {format_float(model.epsilon_achieved)}",
+        "arrays: V s W coeffs",
+    ])
     try:
         with open(path, "wb") as fh:
             fh.write(manifest.encode("utf-8") + b"\n\n")
@@ -494,17 +481,15 @@ def _manifest_value(lines: list[str], index: int, key: str) -> str:
 
 def _read_array(fh, path, offset: int, name: str, shape: tuple[int, int]):
     """(array, offset of the next block) for the model array ``name`` at
-    byte ``offset``: its header is checked against the manifest's ``shape``,
-    then its pinned column blocks are read into a C-ordered array."""
+    byte ``offset``, its header checked against the manifest's ``shape``:
+    one read of every column, whose column-major buffer is the array."""
     try:
         columns = _BinaryColumns(fh, fh.read(_HEADER_BYTES), path, offset)
         if (columns.n, columns.m) != shape:
             raise InvariantViolation(
                 f"{name} has shape {(columns.n, columns.m)}, manifest says {shape}"
             )
-        array = np.empty(shape, dtype=np.complex128)
-        for start, stop in _block_bounds(columns.m):
-            array[:, start:stop] = columns.read(stop - start)
+        array = columns.read(columns.m)
     except NonFiniteData:
         raise InvariantViolation(f"{name} holds non-finite values") from None
     except (BadMagic, DimensionMismatch) as exc:
@@ -513,21 +498,25 @@ def _read_array(fh, path, offset: int, name: str, shape: tuple[int, int]):
 
 
 def _read_manifest(fh):
-    """(offset of the first block, n, m, T, rho, epsilon_achieved)
-    from the manifest of an open model file, read up to its blank line."""
+    """(offset of the first block, n, m, T, rho, epsilon_achieved) from the
+    manifest of an open model file, read up to its blank line in lines of at
+    most _MANIFEST_LINE_BYTES; a first line that is not the model header
+    fails at once, so a snapshot file is refused after one short read."""
     head = bytearray()
     while not head.endswith(b"\n\n"):
-        line = fh.readline()
+        line = fh.readline(_MANIFEST_LINE_BYTES)
+        if not head and not line.startswith(_MODEL_HEADER_PREFIX.encode()):
+            raise InvariantViolation(f"first line must start with {_MODEL_HEADER_PREFIX!r}")
         if not line:
             raise InvariantViolation("missing manifest separator")
+        if len(line) == _MANIFEST_LINE_BYTES and not line.endswith(b"\n"):
+            raise InvariantViolation(f"manifest line longer than {_MANIFEST_LINE_BYTES} bytes")
         head += line
     try:
         lines = head[:-2].decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise InvariantViolation("manifest is not valid UTF-8") from None
-    if not lines or not lines[0].startswith(_MODEL_HEADER_PREFIX):
-        raise InvariantViolation(f"first line must start with {_MODEL_HEADER_PREFIX!r}")
-    version = lines[0][len(_MODEL_HEADER_PREFIX) :]
+    version = lines[0][len(_MODEL_HEADER_PREFIX) :]  # the prefix was checked on reading
     if version != str(MODEL_FORMAT_VERSION):
         raise VersionUnsupported(f"format version {version!r} is not supported")
     try:
@@ -547,17 +536,15 @@ def read_model(path) -> SclRomModel:
     """Read a model file, re-validating it and rebuilding the replay
     operator from V, s, W and rho.
 
-    Each array is read by the snapshot reader, a column block at a time, so
-    a load holds the arrays plus one block, and the file may be a pipe.
-    Raises VersionUnsupported for unknown format versions, earlier ones
-    included, and InvariantViolation when the stored arrays are
-    inconsistent with the manifest, hold non-finite numbers, s holds a
-    non-real entry, or the frame fails a check of
+    Each array is loaded by one read of the snapshot reader, with no copy,
+    and the file may be a pipe. Raises VersionUnsupported for unknown
+    format versions, earlier ones included, and InvariantViolation when the
+    stored arrays are inconsistent with the manifest, hold non-finite
+    numbers, s holds a non-real entry, or the frame fails a check of
     :func:`sclrom.ohf.checked_factorization`; any other error of that gate
     is reported as ``stored frames are inconsistent: ...``. The model is
     the fitted one bit for bit, singular values, W, B and the derived Vhat
     included, and reports the gate's residuals as ``model.ohf.residuals``.
-    No array but the stored ones and the m x m B is formed.
     """
     try:
         with open(path, "rb") as fh:

@@ -132,7 +132,8 @@ class TestRealSvd:
         if rank_tol is not None:
             Vo, so, Wo = Vo[:, :rank], so[:rank], Wo[:rank]
         assert s.size == so.size
-        assert V.dtype == W.dtype == np.complex128 and V.flags.c_contiguous
+        assert V.dtype == W.dtype == np.complex128
+        assert V.flags.f_contiguous and W.flags.f_contiguous
         assert not V.imag.any() and not np.signbit(V.imag).any()
         assert not W.imag.any()
         scale = so[0]

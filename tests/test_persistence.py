@@ -1,5 +1,6 @@
 """Tests for the snapshot and model file formats."""
 import io
+import itertools
 import os
 import re
 import struct
@@ -225,6 +226,19 @@ def _peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _refusal(fn):
+    """(the InvariantViolation that a call raises, its tracemalloc peak in bytes)."""
+    raised = []
+
+    def call():
+        with pytest.raises(InvariantViolation) as exc:
+            fn()
+        raised.append(exc.value)
+
+    peak = _peak_bytes(call)
+    return raised[0], peak
 
 
 def _header(n, m, flags=0):
@@ -475,6 +489,33 @@ class TestStreamedColumns:
         assert capsys.readouterr().err == "sclrom fit: epsilon must be nonnegative, got -1.0\n"
         assert not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("format", ["binary", "csv"])
+    def test_each_entry_is_checked_finite_once(self, tmp_path, monkeypatch, format):
+        """A read hands each entry to np.isfinite once, and so does a fit
+        streamed from a binary file; a fit of a history in memory, whose
+        entries were checked when it was made, hands it rho alone."""
+        data, _ = self._history(tmp_path, columns=300)
+        path = tmp_path / "h.txt"
+        write_snapshots(SnapshotHistory(data), path, format=format)
+        checked = []
+        isfinite = np.isfinite
+
+        def counted(x, *args, **kwargs):
+            checked.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counted)
+        history = read_snapshots(path)
+        assert sum(checked) == data.size
+        checked.clear()
+        fit(history, FitOptions(mode="least_squares", period=4))
+        assert checked == [1]
+        if format == "binary":
+            checked.clear()
+            with persistence._snapshot_columns(path) as columns:
+                fit(columns, FitOptions(mode="least_squares", period=4))
+            assert sum(checked) == data.size + 1
+
 
 class TestModelFormat:
     @pytest.fixture
@@ -606,9 +647,11 @@ class TestModelFormat:
         (lambda: simulate_wave_1d(WaveConfig(L=1.0, c=1.0, nx=64, nt=24, dt=2.0 / 24,
                                              w0=GaussianBump(0.4, 0.05))), True),
     ], ids=["periodic", "wave"])
-    def test_loaded_arrays_are_owned_c_ordered_copies(self, tmp_path, history, real):
+    def test_loaded_arrays_are_column_major_like_the_fitted(self, tmp_path, history, real):
         """A complex model, and a rank-truncated wave model whose blocks
-        carry the real flag, load bit for bit into owned C-ordered arrays."""
+        carry the real flag, load bit for bit into writable column-major
+        arrays of their own, the layout that fitting gives V, W, B and the
+        coefficients."""
         model, _ = fit(history(), FitOptions(mode="least_squares", truncate_rank=True))
         path = tmp_path / "m.bin"
         write_model(model, path)
@@ -617,16 +660,54 @@ class TestModelFormat:
                  for at in re.finditer(b"SCLROM01", blob)]
         assert flags == [1 if real else 0, 1, 1 if real else 0, 1 if real else 0]
         loaded = read_model(path)
-        for fitted, back in [(model.ohf.V, loaded.ohf.V), (model.ohf.W, loaded.ohf.W),
-                             (model.coeffs, loaded.coeffs)]:
+        pairs = [(model.ohf.V, loaded.ohf.V), (model.ohf.W, loaded.ohf.W),
+                 (model.ohf.B, loaded.ohf.B), (model.coeffs, loaded.coeffs)]
+        for fitted, back in pairs:
             assert back.dtype == np.complex128 and back.shape == fitted.shape
-            assert back.flags.c_contiguous and back.flags.owndata and back.flags.writeable
-            assert back.tobytes() == np.ascontiguousarray(fitted).tobytes()
+            assert fitted.flags.f_contiguous and back.flags.f_contiguous
+            assert back.flags.writeable
+            assert back.tobytes(order="A") == fitted.tobytes(order="A")
+        for (_, one), (_, other) in itertools.combinations(pairs, 2):
+            assert not np.shares_memory(one, other)
+
+    def test_write_copies_no_array(self, tmp_path):
+        """V, W and the coefficients are column-major, the layout of the
+        file's blocks, so each is written from its own memory: the peak is
+        far below the 2 MiB of V (n=4096, m=32)."""
+        model, _ = fit(periodic_history(4096, 32, seed=1))
+        assert _peak_bytes(lambda: write_model(model, tmp_path / "m.bin")) < model.ohf.V.nbytes / 10
+
+    @pytest.mark.parametrize("format", ["binary", "csv"])
+    def test_non_model_file_fails_at_its_first_line(self, tmp_path, format):
+        """A 16 MiB snapshot file, binary (all zeros, no line break) or CSV,
+        is refused for its first line after one short read."""
+        path = tmp_path / "h"
+        with open(path, "wb") as fh:
+            if format == "binary":
+                fh.write(b"SCLROM01" + struct.pack("<QQQ", 1024, 1024, 0))
+                fh.truncate(32 + 1024 * 1024 * 16)
+            else:
+                fh.write(b"2048,4096\n")
+                for _ in range(2048):
+                    fh.write(b"0," * 4095 + b"0\n")
+        assert path.stat().st_size >= 16 * 2**20
+        error, peak = _refusal(lambda: read_model(path))
+        assert str(error) == "first line must start with 'SCLROM-MODEL v'"
+        assert peak < 2**20
+
+    def test_manifest_lines_are_bounded(self, fitted, tmp_path):
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        manifest, _, payload = path.read_bytes().partition(b"\n\n")
+        path.write_bytes(manifest + b" " * (2 * 2**20) + b"\n\n" + payload)
+        error, peak = _refusal(lambda: read_model(path))
+        assert str(error) == "manifest line longer than 1024 bytes"
+        assert peak < 2**20
 
     def test_load_peaks_near_the_file_size(self, tmp_path):
         """n=512, p=16 and 16384 steps of least-squares coefficients: a 4.13
-        MiB file, which loads into its arrays plus one column block rather
-        than beside a copy of the whole file."""
+        MiB file, which loads into its arrays rather than beside a copy of
+        the whole file."""
         model, _ = fit(periodic_history(512, 16, seed=1), FitOptions(mode="least_squares"))
         rng = np.random.default_rng(5)
         model.coeffs = rng.standard_normal((16, 16384)) + 1j * rng.standard_normal((16, 16384))
