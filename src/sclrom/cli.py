@@ -24,7 +24,7 @@ from .datagen import (
     _periodic_columns,
     simulate_wave_1d,
 )
-from .errors import ConfigInvalid, DimensionMismatch, IoFailure, SclRomError
+from .errors import ConfigInvalid, DimensionMismatch, SclRomError
 from .model import (
     FitOptions,
     SclRomModel,
@@ -40,6 +40,7 @@ from .ohf import SnapshotHistory
 from .persistence import (
     _snapshot_columns,
     _write_columns,
+    _write_output,
     format_complex_entry,
     read_model,
     read_snapshots,
@@ -272,11 +273,7 @@ def _cmd_export_plot(args) -> int:
         if model is not None:
             fields += [format_complex_entry(value) for value in plotted[:, k]]
         rows.append(",".join(fields))
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {args.out}: {exc}") from exc
+    _write_output(args.out, (f"{row}\n".encode() for row in rows))
     print(f"export-plot: wrote {args.out} ({history.m} steps)")
     return 0
 

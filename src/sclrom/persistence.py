@@ -15,8 +15,18 @@ and verification from the command line one block at a time
 checked against the file size before any payload is read; a pipe is
 checked for a short read and for trailing bytes instead. Writing streams
 the header, its real flag decided first (:func:`_real_pass`), then the
-payload block by block (:func:`_write_blocks`); the output is never read
+payload block by block (:func:`_block_buffers`); the output is never read
 back, so it may be a pipe.
+
+Every output file, binary, CSV, model or plot table, is written by
+:func:`_write_output`. A pipe, FIFO or device is written in order. A
+regular file is opened without truncation and rewritten in place, so a
+rewrite of the same size frees and allocates no block: zeros go where
+the opening bytes (the magic, the model header prefix or the CSV
+``n,m`` line) belong, then the rest, then the file is cut to its new
+length, and the opening bytes are written last. A rewrite interrupted
+after its first byte therefore leaves a file that every reader refuses,
+not an old tail. Nothing is promised across a power loss.
 
 Snapshot CSV layout: first line ``n,m`` (both at least 1), then one line
 per state row with entries rendered as ``a``, ``a+bi``, or ``a-bi`` using
@@ -84,6 +94,7 @@ SNAPSHOT_MAGIC = b"SCLROM01"
 MODEL_FORMAT_VERSION = 2
 _MODEL_HEADER_PREFIX = "SCLROM-MODEL v"
 _MANIFEST_LINE_BYTES = 1024  # the longest line a model writes is under 100
+_MANIFEST_LINES = 7  # the header and six keyed lines, before the blank line
 _HEADER_BYTES = 32
 
 # One entry with the whitespace that str.strip() removes (re's \s is the
@@ -165,19 +176,71 @@ def _prepended(first, rest):
     yield from rest
 
 
-def _write_blocks(fh, n: int, m: int, real: bool, chunks) -> None:
-    """Write one binary block: the header, then the C-ordered buffer of
-    each column block's transpose. That buffer is the block's own when it
-    is column-major and complex, as a history's and a model's arrays are;
-    any other block costs one copy, which transposes it or keeps only its
-    real part.
+def _untruncated(path, flags: int) -> int:
+    """The opener of ``open(path, "wb")`` without ``O_TRUNC``: the same
+    file, link or device, and the same mode 0o666 & ~umask for a new file."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_output(path, buffers, size: int | None = None) -> None:
+    """Write the bytes-like ``buffers`` to ``path`` in order, the first of
+    them the file's opening bytes (a magic, a header prefix or a first
+    line), which no reader accepts in any other form.
+
+    A pipe, FIFO or device is written in order. A regular file is
+    rewritten in place, so its blocks are not freed and allocated again:
+    zeros where the opening bytes go, then every other buffer, then the
+    file is cut to its new length, and the opening bytes are written last.
+    On any exception the file is cut at the bytes written so far, and its
+    opening bytes are still zeros, so an interrupted rewrite leaves a file
+    that every reader refuses, never an old tail. When ``size`` is given,
+    a regular file without room for that many bytes (counting the blocks
+    it already holds) is refused before any byte is written and left
+    empty, so a payload too large to store fails without filling the
+    disk. Nothing is promised across a power loss.
     """
-    fh.write(SNAPSHOT_MAGIC + struct.pack("<QQQ", n, m, 1 if real else 0))
+    buffers = iter(buffers)
+    try:
+        with open(path, "wb", opener=_untruncated) as fh:
+            info = os.fstat(fh.fileno())
+            # writelines drops each buffer once written, so the next one
+            # is made without it
+            if not stat.S_ISREG(info.st_mode):
+                fh.writelines(buffers)
+                return
+            try:
+                if size is not None:
+                    disk = os.fstatvfs(fh.fileno())
+                    free = disk.f_bavail * disk.f_frsize + info.st_blocks * 512
+                    if size > free:
+                        raise IoFailure(f"cannot write {path}: {size} bytes needed, {free} free")
+                head = next(buffers)
+                fh.write(bytes(len(head)))
+                fh.writelines(buffers)
+                fh.truncate()
+            except BaseException:
+                fh.truncate()
+                raise
+            fh.seek(0)
+            fh.write(head)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _block_buffers(n: int, m: int, real: bool, chunks):
+    """The buffers of one binary block, the magic first: the header, then
+    the C-ordered buffer of each column block's transpose. That buffer is
+    the block's own when it is column-major and complex, as a history's
+    and a model's arrays are; any other block costs one copy, which
+    transposes it or keeps only its real part.
+    """
+    yield SNAPSHOT_MAGIC
+    yield struct.pack("<QQQ", n, m, 1 if real else 0)
     for block in chunks:
         if real:
-            fh.write(np.ascontiguousarray(block.real.T, dtype="<f8"))
+            yield np.ascontiguousarray(block.real.T, dtype="<f8")
         else:
-            fh.write(np.ascontiguousarray(block.T, dtype="<c16"))
+            yield np.ascontiguousarray(block.T, dtype="<c16")
         del block  # the next block is made without this one
 
 
@@ -187,31 +250,15 @@ def _column_blocks(data: np.ndarray):
     return lambda: (data[:, start:stop] for start, stop in _block_bounds(data.shape[1]))
 
 
-def _write_array(fh, data: np.ndarray) -> None:
-    """Write ``data`` as one binary block, from its pinned column blocks."""
-    _write_blocks(fh, *data.shape, *_real_pass(_column_blocks(data)))
-
-
 def _write_columns(path, n: int, m: int, blocks) -> None:
     """Write a binary snapshot file of n x m entries from the column
-    blocks that the callable ``blocks`` yields (see :func:`_real_pass`).
-
-    A regular file must have room for the whole payload on its file
-    system, so that a history too large to store fails before its first
-    byte is written instead of filling the disk.
+    blocks that the callable ``blocks`` yields (see :func:`_real_pass`),
+    through :func:`_write_output`, which checks that a regular file has
+    room for the whole payload before its first byte is written.
     """
     real, chunks = _real_pass(blocks)
     size = _HEADER_BYTES + n * m * (8 if real else 16)
-    try:
-        with open(path, "wb") as fh:
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                disk = os.fstatvfs(fh.fileno())
-                free = disk.f_bavail * disk.f_frsize
-                if size > free:
-                    raise IoFailure(f"cannot write {path}: {size} bytes needed, {free} free")
-            _write_blocks(fh, n, m, real, chunks)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_output(path, _block_buffers(n, m, real, chunks), size)
 
 
 def _parse_header(head: bytes, offset: int) -> tuple[int, int, bool]:
@@ -315,25 +362,29 @@ def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> N
 
     A binary file is written in the pinned column blocks of
     :func:`sclrom.replay`, so a history in any layout costs at most one
-    block of copy."""
+    block of copy; a CSV file one row at a time. Either is written by
+    :func:`_write_output`: a regular file is rewritten in place, its
+    opening bytes (the magic, or the ``n,m`` line) written last."""
     if format not in ("binary", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    data = history.data
     if format == "binary":
-        _write_columns(path, history.n, history.m, _column_blocks(data))
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{history.n},{history.m}\n")
-            # a real payload has no imaginary part to print
-            if _payload_is_real(data):
-                for row in data.real:
-                    fh.write(_real_row_text(row))
-            else:
-                for row in data:
-                    fh.write(",".join(map(format_complex_entry, row.tolist())) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        _write_columns(path, history.n, history.m, _column_blocks(history.data))
+    else:
+        _write_output(path, _csv_buffers(history))
+
+
+def _csv_buffers(history: SnapshotHistory):
+    """The lines of a CSV snapshot file, encoded: ``n,m``, then one per
+    state row."""
+    data = history.data
+    yield f"{history.n},{history.m}\n".encode()
+    # a real payload has no imaginary part to print
+    if _payload_is_real(data):
+        for row in data.real:
+            yield _real_row_text(row).encode()
+    else:
+        for row in data:
+            yield (",".join(map(format_complex_entry, row.tolist())) + "\n").encode()
 
 
 def _read_csv_snapshots(text: str) -> SnapshotHistory:
@@ -451,7 +502,13 @@ def read_snapshots(path) -> SnapshotHistory:
 
 
 def write_model(model: SclRomModel, path) -> None:
-    """Write a fitted model: manifest, blank line, four binary blocks."""
+    """Write a fitted model: manifest, blank line, four binary blocks,
+    through :func:`_write_output`, whose opening bytes are the header
+    prefix ``SCLROM-MODEL v``."""
+    _write_output(path, _model_buffers(model))
+
+
+def _model_buffers(model: SclRomModel):
     ohf = model.ohf
     manifest = "\n".join([
         f"{_MODEL_HEADER_PREFIX}{MODEL_FORMAT_VERSION}",
@@ -462,15 +519,10 @@ def write_model(model: SclRomModel, path) -> None:
         f"epsilon_achieved: {format_float(model.epsilon_achieved)}",
         "arrays: V s W coeffs",
     ])
-    try:
-        with open(path, "wb") as fh:
-            fh.write(manifest.encode("utf-8") + b"\n\n")
-            _write_array(fh, ohf.V)
-            _write_array(fh, ohf.singular_values[:, None])
-            _write_array(fh, ohf.W)
-            _write_array(fh, model.coeffs)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    yield _MODEL_HEADER_PREFIX.encode()
+    yield manifest[len(_MODEL_HEADER_PREFIX) :].encode("utf-8") + b"\n\n"
+    for array in (ohf.V, ohf.singular_values[:, None], ohf.W, model.coeffs):
+        yield from _block_buffers(*array.shape, *_real_pass(_column_blocks(array)))
 
 
 def _manifest_value(lines: list[str], index: int, key: str) -> str:
@@ -500,25 +552,36 @@ def _read_array(fh, path, offset: int, name: str, shape: tuple[int, int]):
 def _read_manifest(fh):
     """(offset of the first block, n, m, T, rho, epsilon_achieved) from the
     manifest of an open model file, read up to its blank line in lines of at
-    most _MANIFEST_LINE_BYTES; a first line that is not the model header
-    fails at once, so a snapshot file is refused after one short read."""
+    most _MANIFEST_LINE_BYTES. A first line that is not the model header of
+    this format version fails at once, so a snapshot file is refused after
+    one short read, and so is an eighth line that is not the blank one."""
+    prefix = _MODEL_HEADER_PREFIX.encode()
     head = bytearray()
     while not head.endswith(b"\n\n"):
         line = fh.readline(_MANIFEST_LINE_BYTES)
-        if not head and not line.startswith(_MODEL_HEADER_PREFIX.encode()):
+        if not head and not line.startswith(prefix):
             raise InvariantViolation(f"first line must start with {_MODEL_HEADER_PREFIX!r}")
         if not line:
             raise InvariantViolation("missing manifest separator")
         if len(line) == _MANIFEST_LINE_BYTES and not line.endswith(b"\n"):
             raise InvariantViolation(f"manifest line longer than {_MANIFEST_LINE_BYTES} bytes")
+        if not head:
+            try:
+                version = line[len(prefix) :].rstrip(b"\n").decode("utf-8")
+            except UnicodeDecodeError:
+                raise InvariantViolation("manifest is not valid UTF-8") from None
+            if version != str(MODEL_FORMAT_VERSION):
+                raise VersionUnsupported(f"format version {version!r} is not supported")
+        elif head.count(b"\n") == _MANIFEST_LINES and line != b"\n":
+            raise InvariantViolation(
+                f"expected a blank line after {_MANIFEST_LINES} manifest lines, "
+                f"found {line[:40]!r}"
+            )
         head += line
     try:
         lines = head[:-2].decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise InvariantViolation("manifest is not valid UTF-8") from None
-    version = lines[0][len(_MODEL_HEADER_PREFIX) :]  # the prefix was checked on reading
-    if version != str(MODEL_FORMAT_VERSION):
-        raise VersionUnsupported(f"format version {version!r} is not supported")
     try:
         n = int(_manifest_value(lines, 1, "n"))
         m = int(_manifest_value(lines, 2, "m"))

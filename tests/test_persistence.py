@@ -704,6 +704,35 @@ class TestModelFormat:
         assert str(error) == "manifest line longer than 1024 bytes"
         assert peak < 2**20
 
+    def test_manifest_line_count_is_bounded(self, tmp_path):
+        """A 16 MiB file of short lines after the header, with no blank line,
+        is refused at its eighth line, long before the end of the file."""
+        path = tmp_path / "m.bin"
+        with open(path, "wb") as fh:
+            fh.write(b"SCLROM-MODEL v2\n" + b"x\n" * (8 * 2**20))
+        error, peak = _refusal(lambda: read_model(path))
+        assert str(error) == "expected a blank line after 7 manifest lines, found b'x\\n'"
+        assert peak < 2**20
+
+    def test_extra_manifest_line_is_refused(self, fitted, tmp_path):
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        blob = path.read_bytes()
+        line = b"arrays: V s W coeffs\n"
+        path.write_bytes(blob.replace(line, line + b"extra: junk\n", 1))
+        error, _ = _refusal(lambda: read_model(path))
+        assert str(error) == "expected a blank line after 7 manifest lines, found b'extra: junk\\n'"
+
+    def test_unsupported_version_is_named_before_the_line_count(self, fitted, tmp_path):
+        """Version 1 had an eighth manifest line (kappa); it is refused for
+        its version, at its first line."""
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        blob = path.read_bytes().replace(b"SCLROM-MODEL v2\n", b"SCLROM-MODEL v1\n", 1)
+        path.write_bytes(blob.replace(b"arrays:", b"kappa: 1\narrays:", 1))
+        with pytest.raises(VersionUnsupported, match="'1'"):
+            read_model(path)
+
     def test_load_peaks_near_the_file_size(self, tmp_path):
         """n=512, p=16 and 16384 steps of least-squares coefficients: a 4.13
         MiB file, which loads into its arrays rather than beside a copy of
