@@ -57,10 +57,6 @@ class IoFailure(SclRomError):
     """File could not be read or written."""
 
 
-class BadMagic(SclRomError):
-    """File does not start with the expected magic bytes."""
-
-
 class ParseError(SclRomError):
     """Text input violates the snapshot CSV grammar."""
 

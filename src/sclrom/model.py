@@ -234,7 +234,7 @@ def predict(model: SclRomModel, t: int) -> np.ndarray:
     """Model state at step t: K H_{t mod T} (rho vhat_1), evaluated as V B c_{t mod T}.
 
     rho vhat_1 equals T v_1 by the factorization identities; the replay
-    operator R = V B folds the stored scalar rho together with K and the
+    operator R = V B folds the derived scalar rho together with K and the
     frame (see :func:`sclrom.ohf.checked_factorization`). The state is an
     owned copy of one column of :func:`replay`, so it is bitwise equal to
     the same step of any replay window, before and after a save/load round
@@ -347,16 +347,17 @@ def _check_eps(eps: float) -> None:
 
 
 def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
-    """Replay the model against training snapshots and compare step by step.
+    """Replay the model against a snapshot history and compare step by step.
 
-    max_residual = max over 0 <= k < min(T, columns) of
+    max_residual = max over every column k of the history of
     ||predict(model, k) - v_{k+1}||_2, the quantity printed by the
-    verification log of the command-line front end. The states come from
-    the pinned blocks of :func:`replay`, one block of states and snapshots
-    at a time, bitwise equal to ``predict``; an overflowing residual reads
-    inf and fails. ``history`` is a SnapshotHistory or the columns of an
-    open snapshot file, as for :func:`fit`. A negative or NaN eps raises
-    ConfigInvalid.
+    verification log of the command-line front end; past the period T,
+    step k replays phase k mod T, as :func:`replay` does. The states come
+    from the pinned blocks of :func:`replay`, one block of states and
+    snapshots at a time, bitwise equal to ``predict``; an overflowing
+    residual reads inf and fails. ``history`` is a SnapshotHistory or the
+    columns of an open snapshot file, as for :func:`fit`. A negative or
+    NaN eps raises ConfigInvalid.
     """
     _check_eps(eps)
     columns = _columns(history)
@@ -364,13 +365,14 @@ def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
         raise DimensionMismatch(
             f"model has state dimension {model.n} but history has {columns.n}"
         )
-    steps = min(model.period, columns.m)
     residuals: list[float] = []
-    for start, stop in _block_bounds(model.period):
-        if start >= steps:
-            break
-        count = min(stop, steps) - start
-        residuals += _gap_norms(_block_states(model, start, stop)[:count].T, columns.read(count))
+    for lap in range(0, columns.m, model.period):
+        for start, stop in _block_bounds(model.period):
+            count = min(stop, columns.m - lap) - start
+            if count <= 0:
+                break
+            residuals += _gap_norms(_block_states(model, start, stop)[:count].T,
+                                    columns.read(count))
     per_step = list(enumerate(residuals))
     max_residual = max(residuals, default=0.0)
     return MimeticReport(

@@ -3,9 +3,9 @@
 A snapshot history H = [v_1 .. v_m] in C^{n x m} with 2m <= n is split via
 its thin SVD V diag(s) W into a span part V diag(s_j/s_1) W and a complement
 part U diag(t_j) W with t_j = sqrt(1 - (s_j/s_1)^2), whose sum Vhat has
-orthonormal columns. The factorization carries V, s, W and the scalar
-rho = v_1* v_1 / s_1, which determine it: kappa = s_1 and the frame Vhat
-are derived from them. V and Vhat define the projectors K = V V* and
+orthonormal columns. The thin SVD V, s, W determines the factorization:
+kappa = s_1, rho = vhat_1* v_1 = sum_j s_j^2 |W_j1|^2 / s_1 and the frame
+Vhat are derived from it. V and Vhat define the projectors K = V V* and
 T = vhat_1 vhat_1* and the unitary circular shift factor U advancing the
 Vhat columns cyclically, so that
 
@@ -19,9 +19,9 @@ Since V* Vhat = diag(s/s_1) W and circ(e_1) is the identity, the replay
 operator of every step is R = (rho/kappa) V diag(s) W: a model is V and
 the one m x m matrix B = (rho/kappa) diag(s) W. Fitting and the model
 loader both build the factorization through :func:`checked_factorization`,
-an m x m gate on V* V, W W*, s and rho that forms B, so that fitting
-yields only models that load, and a loaded model is the fitted one bit
-for bit. Vhat is blended only on demand, for the checks of the
+an m x m gate on V* V, W W* and s that derives rho and forms B, so that
+fitting yields only models that load, and a loaded model is the fitted
+one bit for bit. Vhat is blended only on demand, for the checks of the
 factorization identities.
 """
 from __future__ import annotations
@@ -110,14 +110,15 @@ def _checked_history(data: np.ndarray) -> SnapshotHistory:
 
 @dataclass(eq=False)
 class OhfFactorization:
-    """Orthonormal history factor: the thin SVD and rho that determine it,
-    and the m x m replay core and gate residuals derived from them.
+    """Orthonormal history factor: the thin SVD that determines it, and
+    the scalar rho, m x m replay core and gate residuals derived from it.
 
     ``V``, ``singular_values`` (s, positive and non-increasing) and ``W``
     are the thin SVD V diag(s) W of the frame's history (of its rank-r core
-    after truncation, with W the identity), and ``rho`` = v_1* v_1 / s_1.
-    ``B`` = (rho/kappa) diag(s) W, with which the replay operator is
-    R = V B, and ``residuals``, the m x m residuals by name, are what
+    after truncation, with W the identity). ``rho`` =
+    sum_j s_j^2 |W_j1|^2 / s_1 (= v_1* v_1 / s_1), ``B`` =
+    (rho/kappa) diag(s) W, with which the replay operator is R = V B, and
+    ``residuals``, the m x m residuals by name, are what
     :func:`checked_factorization` derives from them; V, W and B are
     column-major, fitted or loaded. kappa = s_1 and the frame ``Vhat`` are
     derived on demand, so no stored value can disagree with the spectrum;
@@ -252,17 +253,13 @@ def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:
     return float(np.linalg.norm(RB @ M @ RB.conj().T))
 
 
-def _gate_residuals(
-    v_gram: np.ndarray, s: np.ndarray, W: np.ndarray, rho: complex
-) -> dict[str, float]:
+def _gate_residuals(v_gram: np.ndarray, s: np.ndarray, W: np.ndarray) -> dict[str, float]:
     """The m x m residuals of :func:`checked_factorization`, by name, from
-    the Gram matrix ``v_gram`` = V* V, s, W and rho:
+    the Gram matrix ``v_gram`` = V* V, s and W:
 
     - ``V columns orthonormal`` = ||V* V - 1||_F;
     - ``W rows orthonormal`` = ||W W* - 1||_F;
-    - ``s non-increasing`` = max_j ((s_{j+1}/s_1)^2 - (s_j/s_1)^2), or 0;
-    - ``rho consistent`` = |rho - sum_j s_j^2 |W_j1|^2 / s_1| / |rho|, as
-      v_1 = V diag(s) W e_1 gives v_1* v_1 = sum_j s_j^2 |W_j1|^2.
+    - ``s non-increasing`` = max_j ((s_{j+1}/s_1)^2 - (s_j/s_1)^2), or 0.
 
     np.max keeps a NaN, so a NaN input reads NaN.
     """
@@ -272,17 +269,13 @@ def _gate_residuals(
         "V columns orthonormal": float(np.linalg.norm(v_gram - eye)),
         "W rows orthonormal": float(np.linalg.norm(W @ W.conj().T - eye)),
         "s non-increasing": float(np.max(np.append(np.diff(ratios), 0.0))),
-        "rho consistent": float(abs(rho - np.dot(s**2, np.abs(W[:, 0]) ** 2) / s[0]) / abs(rho)),
     }
 
 
-def checked_factorization(
-    V: np.ndarray, s: np.ndarray, W: np.ndarray, rho: complex
-) -> OhfFactorization:
-    """The factorization of the thin SVD V diag(s) W of a frame's history
-    and the scalar rho, once they pass every check of a valid model: the
-    one gate of fitting and loading. Every check is m x m past the Gram
-    matrix V* V.
+def checked_factorization(V: np.ndarray, s: np.ndarray, W: np.ndarray) -> OhfFactorization:
+    """The factorization of the thin SVD V diag(s) W of a frame's history,
+    once it passes every check of a valid model: the one gate of fitting
+    and loading. Every check is m x m past the Gram matrix V* V.
 
     V needs n >= 2m rows, the room of the complement that the derived Vhat
     blends in (DimensionTooSmall), and s must be positive
@@ -294,17 +287,20 @@ def checked_factorization(
     ``not <=`` so that NaN fails (InvariantViolation naming it). They are
     kept by name on the result as ``residuals``.
 
-    With V orthonormal, W unitary and 0 < s_j <= s_1, the blend Vhat of
-    :attr:`OhfFactorization.Vhat` is orthonormal, M = V* Vhat =
-    diag(s/s_1) W and g = rho Vhat* vhat_1 = rho e_1, so the replay
-    operator V M circ(g) of the step-t transition H_t = Vhat circ(c_t)
-    Vhat* (K H_t (rho vhat_1) = V M circ(c_t) g, as circulants commute) is
-    R = (rho/kappa) V diag(s) W = V B. Only the m x m B is formed; a block
-    of states is (c^T B^T) V^T, see :func:`sclrom.model.replay`. B is one
-    elementwise product of fixed operands, so bit-identical V, s, W and
-    rho give bit-identical B, and hence predictions. Runs under
-    ``np.errstate(all="ignore")``: huge entries read inf or NaN, which the
-    checks reject.
+    rho = vhat_1* v_1 is derived as sum_j s_j^2 |W_j1|^2 / s_1, since
+    v_1 = V diag(s) W e_1 and the span part of vhat_1 is
+    V diag(s/s_1) W e_1; a non-finite rho (an overflowing spectrum) raises
+    NumericalFailure naming it. With V orthonormal, W unitary and
+    0 < s_j <= s_1, the blend Vhat of :attr:`OhfFactorization.Vhat` is
+    orthonormal, M = V* Vhat = diag(s/s_1) W and g = rho Vhat* vhat_1 =
+    rho e_1, so the replay operator V M circ(g) of the step-t transition
+    H_t = Vhat circ(c_t) Vhat* (K H_t (rho vhat_1) = V M circ(c_t) g, as
+    circulants commute) is R = (rho/kappa) V diag(s) W = V B. Only the
+    m x m B is formed; a block of states is (c^T B^T) V^T, see
+    :func:`sclrom.model.replay`. rho and B are elementwise expressions of
+    fixed operands, so bit-identical V, s and W give bit-identical rho and
+    B, and hence predictions. Runs under ``np.errstate(all="ignore")``:
+    huge entries read inf or NaN, which the checks reject.
     """
     n, m = V.shape
     if n < 2 * m:
@@ -321,10 +317,15 @@ def checked_factorization(
                 f"V max relative cross product {orth.max_cross:.3e} "
                 f"exceeds tol {_ORTHOGONALITY_TOL:.1e}"
             )
-        residuals = _gate_residuals(v_gram, s, W, rho)
+        residuals = _gate_residuals(v_gram, s, W)
         for name, residual in residuals.items():
             if not residual <= _ORTHOGONALITY_TOL * max(1.0, float(m)):
                 raise InvariantViolation(f"{name}: residual {residual:.3e}")
+        rho = complex(np.dot(s**2, np.abs(W[:, 0]) ** 2) / s[0])
+        if not np.isfinite(rho):
+            raise NumericalFailure(
+                f"rho = sum_j s_j^2 |W_j1|^2 / s_1 = {rho.real:.6e} is not finite"
+            )
         B = (s * (rho / s[0]))[:, None] * W
     return OhfFactorization(V=V, singular_values=s, W=W, rho=rho, B=B, residuals=residuals)
 
@@ -336,10 +337,11 @@ def build_ohf(
 ) -> OhfFactorization:
     """Construct the orthonormal history factor of a snapshot history.
 
-    The thin SVD and rho pass the m x m gate of
-    :func:`checked_factorization`, then one first-column check: vhat_1* v_1
-    must reproduce rho, from the span part of vhat_1 alone, so neither the
-    complement nor Vhat is formed.
+    The thin SVD passes the m x m gate of :func:`checked_factorization`,
+    which derives rho from it, then one first-column check compares the
+    SVD with the data: vhat_1* v_1, with v_1 the first snapshot, must
+    reproduce rho to 1e-10, from the span part of vhat_1 alone, so neither
+    the complement nor Vhat is formed.
 
     Parameters
     ----------
@@ -389,16 +391,13 @@ def build_ohf(
     if n < 2 * m:
         raise DimensionTooSmall(f"need n >= 2m, got n={n}, m={m}")
 
-    rho = complex(np.vdot(first_col, first_col).real / s[0])
-    if not np.isfinite(rho):
-        raise NumericalFailure(f"rho = v_1* v_1 / s_1 = {rho:.6e} is not finite")
-    ohf = checked_factorization(V, s.copy(), W, rho)
-    # vhat_1* v_1 must reproduce v_1* v_1 / s_1; the complement part of
-    # vhat_1 is orthogonal to v_1 in range(V), so its span part V M e_1 serves
+    ohf = checked_factorization(V, s.copy(), W)
+    # the complement part of vhat_1 is orthogonal to v_1 in range(V), so
+    # its span part V M e_1 serves
     direct = np.vdot(V @ (s / s[0] * W[:, 0]), first_col)
-    if not abs(direct - rho) <= 1e-10 * abs(rho):
+    if not abs(direct - ohf.rho) <= 1e-10 * abs(ohf.rho):
         raise NumericalFailure(
-            f"first-column product {direct:.6e} does not reproduce rho = {rho:.6e}"
+            f"first-column product {direct:.6e} does not reproduce rho = {ohf.rho:.6e}"
         )
     return ohf
 

@@ -48,22 +48,25 @@ reader rejects, is checked row by row against the grammar and converted
 by ``complex()``, so the grammar, the values and the errors are the same
 on both paths.
 
-Model files (version 2): a fixed-order UTF-8 manifest with rho, a blank
-line, then four snapshot-encoded binary blocks: the thin SVD V diag(s) W
-of the frame's history, V (n x m), s (m x 1, real) and W (m x m), and
-the coefficients (m x T), column-major like the blocks, so a complex
-array is written from its own memory and each is loaded by one read of
-the snapshot reader, whose buffer becomes the array; the file may be a
+Model files (version 3): a three-line UTF-8 manifest (the header
+``SCLROM-MODEL v3``, ``m:`` and ``epsilon_achieved:``), a blank line,
+then four snapshot-encoded binary blocks: the thin SVD V diag(s) W of
+the frame's history, V (n x m), s (m x 1, real) and W (m x m), and the
+coefficients (m x T), column-major like the blocks, so a complex array
+is written from its own memory and each is loaded by one read of the
+snapshot reader, whose buffer becomes the array; the file may be a
 pipe, and its manifest is read in bounded lines (:func:`_read_manifest`).
-The arrays then pass :func:`sclrom.ohf.checked_factorization`, fitting's
-m x m gate too: V* V and W W* within 1e-8 max(1, m) of the identity, s
-positive and non-increasing, and rho consistent with s and the first
-column of W. It forms the m x m matrix B = (rho/kappa) diag(s) W of the
-replay operator R = (rho/kappa) V diag(s) W = V B. Neither B nor
-kappa = s_1 is stored, and Vhat is derived from V, s and W only when
-asked for (by fitting's blend), so no file can hold one inconsistent
-with the rest, and the loaded model is the fitted one bit for bit.
-Earlier versions are refused (VersionUnsupported); refit their histories.
+Each block's header is checked against m before its payload is read; n
+and T are read from the headers of V and of the coefficients. The arrays
+then pass :func:`sclrom.ohf.checked_factorization`, fitting's m x m gate
+too: V* V and W W* within 1e-8 max(1, m) of the identity, s positive and
+non-increasing. It derives rho = sum_j s_j^2 |W_j1|^2 / s_1 and forms
+the m x m matrix B = (rho/kappa) diag(s) W of the replay operator
+R = (rho/kappa) V diag(s) W = V B. Neither rho, B nor kappa = s_1 is
+stored, and Vhat is derived from V, s and W only when asked for (by
+fitting's blend), so no file can hold one inconsistent with the rest,
+and the loaded model is the fitted one bit for bit. Earlier versions
+are refused (VersionUnsupported); refit their histories.
 """
 from __future__ import annotations
 
@@ -77,7 +80,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import (
-    BadMagic,
     DimensionMismatch,
     InvariantViolation,
     IoFailure,
@@ -91,10 +93,10 @@ from .ohf import (_MAX_ENTRIES, SnapshotHistory, _check_finite, _checked_history
                   checked_factorization)
 
 SNAPSHOT_MAGIC = b"SCLROM01"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 _MODEL_HEADER_PREFIX = "SCLROM-MODEL v"
 _MANIFEST_LINE_BYTES = 1024  # the longest line a model writes is under 100
-_MANIFEST_LINES = 7  # the header and six keyed lines, before the blank line
+_MANIFEST_LINES = 3  # the header and two keyed lines, before the blank line
 _HEADER_BYTES = 32
 
 # One entry with the whitespace that str.strip() removes (re's \s is the
@@ -265,7 +267,7 @@ def _parse_header(head: bytes, offset: int) -> tuple[int, int, bool]:
     """(n, m, real) from a block header read at byte ``offset`` of its file,
     checked for the magic bytes, its own length and dimensions of at least 1."""
     if head[:8] != SNAPSHOT_MAGIC:
-        raise BadMagic(f"expected {SNAPSHOT_MAGIC!r} at byte {offset}")
+        raise DimensionMismatch(f"expected {SNAPSHOT_MAGIC!r} at byte {offset}")
     if len(head) < _HEADER_BYTES:
         raise DimensionMismatch(
             f"header truncated: expected {_HEADER_BYTES} bytes at byte {offset}, "
@@ -512,12 +514,8 @@ def _model_buffers(model: SclRomModel):
     ohf = model.ohf
     manifest = "\n".join([
         f"{_MODEL_HEADER_PREFIX}{MODEL_FORMAT_VERSION}",
-        f"n: {model.n}",
         f"m: {model.m}",
-        f"T: {model.period}",
-        f"rho: {format_float(ohf.rho.real)} {format_float(ohf.rho.imag)}",
         f"epsilon_achieved: {format_float(model.epsilon_achieved)}",
-        "arrays: V s W coeffs",
     ])
     yield _MODEL_HEADER_PREFIX.encode()
     yield manifest[len(_MODEL_HEADER_PREFIX) :].encode("utf-8") + b"\n\n"
@@ -531,30 +529,31 @@ def _manifest_value(lines: list[str], index: int, key: str) -> str:
     return lines[index][len(key) + 2 :]
 
 
-def _read_array(fh, path, offset: int, name: str, shape: tuple[int, int]):
+def _read_array(fh, path, offset: int, name: str, shape: tuple[int | None, int | None]):
     """(array, offset of the next block) for the model array ``name`` at
-    byte ``offset``, its header checked against the manifest's ``shape``:
-    one read of every column, whose column-major buffer is the array."""
+    byte ``offset``, its header checked against ``shape``, whose None
+    dimension is the header's to give: one read of every column, whose
+    column-major buffer is the array."""
     try:
         columns = _BinaryColumns(fh, fh.read(_HEADER_BYTES), path, offset)
-        if (columns.n, columns.m) != shape:
+        if any(want not in (None, got) for want, got in zip(shape, (columns.n, columns.m))):
             raise InvariantViolation(
                 f"{name} has shape {(columns.n, columns.m)}, manifest says {shape}"
             )
         array = columns.read(columns.m)
     except NonFiniteData:
         raise InvariantViolation(f"{name} holds non-finite values") from None
-    except (BadMagic, DimensionMismatch) as exc:
+    except DimensionMismatch as exc:
         raise InvariantViolation(f"payload arrays unreadable: {exc}") from exc
     return array, columns.end
 
 
 def _read_manifest(fh):
-    """(offset of the first block, n, m, T, rho, epsilon_achieved) from the
-    manifest of an open model file, read up to its blank line in lines of at
-    most _MANIFEST_LINE_BYTES. A first line that is not the model header of
-    this format version fails at once, so a snapshot file is refused after
-    one short read, and so is an eighth line that is not the blank one."""
+    """(offset of the first block, m, epsilon_achieved) from the manifest of
+    an open model file, read up to its blank line in lines of at most
+    _MANIFEST_LINE_BYTES. A first line that is not the model header of this
+    format version fails at once, so a snapshot file is refused after one
+    short read, and so is a fourth line that is not the blank one."""
     prefix = _MODEL_HEADER_PREFIX.encode()
     head = bytearray()
     while not head.endswith(b"\n\n"):
@@ -583,54 +582,49 @@ def _read_manifest(fh):
     except UnicodeDecodeError:
         raise InvariantViolation("manifest is not valid UTF-8") from None
     try:
-        n = int(_manifest_value(lines, 1, "n"))
-        m = int(_manifest_value(lines, 2, "m"))
-        period = int(_manifest_value(lines, 3, "T"))
-        rho_re, rho_im = (float(p) for p in _manifest_value(lines, 4, "rho").split())
-        epsilon = float(_manifest_value(lines, 5, "epsilon_achieved"))
-    except (ValueError, IndexError) as exc:
+        m = int(_manifest_value(lines, 1, "m"))
+        epsilon = float(_manifest_value(lines, 2, "epsilon_achieved"))
+    except ValueError as exc:
         raise InvariantViolation(f"malformed manifest: {exc}") from exc
-    if _manifest_value(lines, 6, "arrays") != "V s W coeffs":
-        raise InvariantViolation("unexpected array list")
-    return len(head), n, m, period, complex(rho_re, rho_im), epsilon
+    return len(head), m, epsilon
 
 
 def read_model(path) -> SclRomModel:
     """Read a model file, re-validating it and rebuilding the replay
-    operator from V, s, W and rho.
+    operator from V, s and W.
 
     Each array is loaded by one read of the snapshot reader, with no copy,
-    and the file may be a pipe. Raises VersionUnsupported for unknown
-    format versions, earlier ones included, and InvariantViolation when the
-    stored arrays are inconsistent with the manifest, hold non-finite
-    numbers, s holds a non-real entry, or the frame fails a check of
+    and the file may be a pipe. m comes from the manifest, n from the
+    header of V and the period T from that of the coefficients. Raises
+    VersionUnsupported for unknown format versions, earlier ones included,
+    and InvariantViolation when an array's header disagrees with m, an
+    array or epsilon_achieved holds non-finite numbers, s holds a non-real
+    entry, or the frame fails a check of
     :func:`sclrom.ohf.checked_factorization`; any other error of that gate
-    is reported as ``stored frames are inconsistent: ...``. The model is
-    the fitted one bit for bit, singular values, W, B and the derived Vhat
-    included, and reports the gate's residuals as ``model.ohf.residuals``.
+    (a non-finite rho, say) is reported as
+    ``stored frames are inconsistent: ...``. The model is the fitted one
+    bit for bit, singular values, W, rho, B and the derived Vhat included,
+    and reports the gate's residuals as ``model.ohf.residuals``.
     """
     try:
         with open(path, "rb") as fh:
-            offset, n, m, period, rho, epsilon = _read_manifest(fh)
-            V, offset = _read_array(fh, path, offset, "V", (n, m))
+            offset, m, epsilon = _read_manifest(fh)
+            V, offset = _read_array(fh, path, offset, "V", (None, m))
             s, offset = _read_array(fh, path, offset, "s", (m, 1))
             W, offset = _read_array(fh, path, offset, "W", (m, m))
-            coeffs, _ = _read_array(fh, path, offset, "coeffs", (m, period))
+            coeffs, _ = _read_array(fh, path, offset, "coeffs", (m, None))
             trailing = fh.read(1)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     if trailing:
         raise InvariantViolation("trailing bytes after payload arrays")
-    for name, value in (("rho", rho), ("epsilon_achieved", epsilon)):
-        if not np.isfinite(value):
-            raise InvariantViolation(f"{name} holds non-finite values")
-    if not (rho.real > 0.0 and abs(rho.imag) <= 1e-10 * abs(rho)):
-        raise InvariantViolation(f"rho {rho} is not real and positive")
+    if not np.isfinite(epsilon):
+        raise InvariantViolation("epsilon_achieved holds non-finite values")
     if s.imag.any():
         raise InvariantViolation("s holds non-real values")
 
     try:
-        ohf = checked_factorization(V, s[:, 0].real.copy(), W, rho)
+        ohf = checked_factorization(V, s[:, 0].real.copy(), W)
     except InvariantViolation:
         raise
     except SclRomError as exc:

@@ -129,23 +129,26 @@ def dense_predict(model, t):
     return K @ (transition_matrix(model, t) @ start)
 
 
-def dense_load_residuals(V, s, W, rho):
-    """The four residuals of the model gate, named as the loader reports
+def dense_load_residuals(V, s, W):
+    """The three residuals of the model gate, named as the loader reports
     them, from their defining formulas: the Gram matrices of V and of the
-    rows of W, the squared ratios s_j/s_1 one pair at a time, and rho
-    against the first snapshot v_1 = sum_j s_j W_j1 v_j formed as an
-    n-vector. The gate reads v_1* v_1 as sum_j s_j^2 |W_j1|^2, which is
-    equal only while V is orthonormal."""
+    rows of W, and the squared ratios s_j/s_1 one pair at a time."""
     m = V.shape[1]
     eye = np.eye(m)
     ratios = [(s[j] / s[0]) ** 2 for j in range(m)]
-    v1 = sum(s[j] * W[j, 0] * V[:, j] for j in range(m))
     return {
         "V columns orthonormal": float(np.linalg.norm(V.conj().T @ V - eye)),
         "W rows orthonormal": float(np.linalg.norm(W @ W.conj().T - eye)),
         "s non-increasing": max([ratios[j + 1] - ratios[j] for j in range(m - 1)] + [0.0]),
-        "rho consistent": abs(rho - np.vdot(v1, v1).real / s[0]) / abs(rho),
     }
+
+
+def dense_rho(V, s, W):
+    """rho = v_1* v_1 / s_1, with the first snapshot v_1 = sum_j s_j W_j1 v_j
+    formed as an n-vector. The gate reads v_1* v_1 as sum_j s_j^2 |W_j1|^2,
+    which is equal only while V is orthonormal."""
+    v1 = sum(s[j] * W[j, 0] * V[:, j] for j in range(V.shape[1]))
+    return np.vdot(v1, v1).real / s[0]
 
 
 def dense_verify_residuals(ohf, history):

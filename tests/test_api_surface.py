@@ -8,7 +8,8 @@ from sclrom import circulant, cyclic, datagen, model, ohf, persistence
 REMOVED = {
     sclrom: ["ControlTuple", "SvdTriple", "circulant_to_matrix", "orthogonal_projector",
              "project_span", "transition_matrix", "CirculantElement", "monomial_element",
-             "compress", "lift", "detect_period", "PeriodReport", "complement_basis"],
+             "compress", "lift", "detect_period", "PeriodReport", "complement_basis",
+             "BadMagic"],
     circulant: ["ControlTuple", "MANIFOLD_TAGS", "circulant_to_matrix", "project_span",
                 "CirculantElement", "monomial_element", "compress", "lift", "circulant_matrix"],
     cyclic: ["orthogonal_projector"],

@@ -67,8 +67,8 @@ def test_every_frame_consumer_keeps_its_bits_in_either_layout(workload, monkeypa
 
     gate = ohf_module.checked_factorization
 
-    def c_ordered(V, s, W, rho):
-        return gate(np.ascontiguousarray(V), s, np.ascontiguousarray(W), rho)
+    def c_ordered(V, s, W):
+        return gate(np.ascontiguousarray(V), s, np.ascontiguousarray(W))
 
     monkeypatch.setattr(ohf_module, "checked_factorization", c_ordered)
     other, other_report = fit(history, opts)

@@ -21,7 +21,9 @@ from sclrom import (
     replay,
     verify_mimetic,
     write_model,
+    write_snapshots,
 )
+from sclrom.persistence import _snapshot_columns
 
 
 def full_matrix_residuals(model, history):
@@ -285,7 +287,8 @@ class TestVerifyMimetic:
         self, n, period, extra, seed, fit_order, verify_order
     ):
         """Residuals keep every bit, whatever the layouts of the fitted and
-        the verified history, also on the column slice verify_mimetic takes."""
+        the verified history, also on the columns past the fitted period,
+        which verify_mimetic replays from the start of the period again."""
         period = min(period, n // 2)
         steps = period + extra
         data = almost_periodic_history(n, period, 1e-3, steps + 3, seed=seed).perturbed.data
@@ -293,10 +296,33 @@ class TestVerifyMimetic:
         train = SnapshotHistory(np.array(data[:, :steps], order=fit_order))
         model, fit_report = fit(train, FitOptions(mode="least_squares", period=period))
         report = verify_mimetic(model, history, 1.0)
-        direct = [np.linalg.norm(predict(model, t) - train.data[:, t]) for t in range(steps)]
-        assert np.array(fit_report.per_step).tobytes() == np.array(direct).tobytes()
-        assert [k for k, _ in report.per_step] == list(range(steps))
+        direct = [np.linalg.norm(predict(model, t) - data[:, t]) for t in range(steps + 3)]
+        assert np.array(fit_report.per_step).tobytes() == np.array(direct[:steps]).tobytes()
+        assert [k for k, _ in report.per_step] == list(range(steps + 3))
         assert np.array([r for _, r in report.per_step]).tobytes() == np.array(direct).tobytes()
+
+    @pytest.mark.parametrize("columns", [5, 16, 20, 600])
+    def test_every_column_is_verified(self, tmp_path, columns):
+        """A history longer than the model's period of 8 is checked on every
+        column, step k against phase k mod 8 as replay wraps it, in memory
+        and streamed from a file: columns 8 and on are scaled and shifted,
+        so verification fails, and each residual is the gap that replay
+        gives."""
+        h = periodic_history(64, 8, seed=1)
+        model, _ = fit(h)
+        data = h.data[:, np.arange(columns) % 8]
+        data[:, 8:] = 3.0 * data[:, 8:] + 0.5
+        states = replay(model, 0, columns)
+        gaps = [np.linalg.norm(states[:, k] - data[:, k]) for k in range(columns)]
+        path = tmp_path / "h.bin"
+        write_snapshots(SnapshotHistory(data), path)
+        with _snapshot_columns(path) as streamed:
+            reports = [verify_mimetic(model, SnapshotHistory(data), 1e-10),
+                       verify_mimetic(model, streamed, 1e-10)]
+        for report in reports:
+            assert [k for k, _ in report.per_step] == list(range(columns))
+            assert np.array([r for _, r in report.per_step]).tobytes() == np.array(gaps).tobytes()
+            assert report.passed == (columns <= 8)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("scale, overflows", [(1e154, False), (1.5e154, True), (1e155, True)],

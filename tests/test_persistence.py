@@ -556,9 +556,10 @@ class TestModelFormat:
         path = tmp_path / "m.bin"
         write_model(fitted, path)
         blob = path.read_bytes()
-        # version 1 stored Vhat and kappa; it is refused, not misread
-        for version in (b"v99", b"v1"):
-            path.write_bytes(blob.replace(b"SCLROM-MODEL v2", b"SCLROM-MODEL " + version, 1))
+        # version 1 stored Vhat and kappa, version 2 rho, n and T; they are
+        # refused, not misread
+        for version in (b"v99", b"v1", b"v2"):
+            path.write_bytes(blob.replace(b"SCLROM-MODEL v3", b"SCLROM-MODEL " + version, 1))
             with pytest.raises(VersionUnsupported, match=repr(version[1:].decode())):
                 read_model(path)
 
@@ -592,7 +593,7 @@ class TestModelFormat:
         V[:, 1] = V[:, 0]
         message = "V max relative cross product 1.000e+00 exceeds tol 1.0e-08"
         with pytest.raises(NotOrthogonal) as exc:
-            ohf.checked_factorization(V, s, W, fitted.ohf.rho)
+            ohf.checked_factorization(V, s, W)
         assert str(exc.value) == message
         # in a file, the same V fails loading before verification, quietly
         fitted.ohf.V[:, 1] = fitted.ohf.V[:, 0]
@@ -706,31 +707,32 @@ class TestModelFormat:
 
     def test_manifest_line_count_is_bounded(self, tmp_path):
         """A 16 MiB file of short lines after the header, with no blank line,
-        is refused at its eighth line, long before the end of the file."""
+        is refused at its fourth line, long before the end of the file."""
         path = tmp_path / "m.bin"
         with open(path, "wb") as fh:
-            fh.write(b"SCLROM-MODEL v2\n" + b"x\n" * (8 * 2**20))
+            fh.write(b"SCLROM-MODEL v3\n" + b"x\n" * (8 * 2**20))
         error, peak = _refusal(lambda: read_model(path))
-        assert str(error) == "expected a blank line after 7 manifest lines, found b'x\\n'"
+        assert str(error) == "expected a blank line after 3 manifest lines, found b'x\\n'"
         assert peak < 2**20
 
     def test_extra_manifest_line_is_refused(self, fitted, tmp_path):
         path = tmp_path / "m.bin"
         write_model(fitted, path)
         blob = path.read_bytes()
-        line = b"arrays: V s W coeffs\n"
-        path.write_bytes(blob.replace(line, line + b"extra: junk\n", 1))
+        path.write_bytes(blob.replace(b"\n\n", b"\nextra: junk\n\n", 1))
         error, _ = _refusal(lambda: read_model(path))
-        assert str(error) == "expected a blank line after 7 manifest lines, found b'extra: junk\\n'"
+        assert str(error) == "expected a blank line after 3 manifest lines, found b'extra: junk\\n'"
 
     def test_unsupported_version_is_named_before_the_line_count(self, fitted, tmp_path):
-        """Version 1 had an eighth manifest line (kappa); it is refused for
-        its version, at its first line."""
+        """Version 2 had seven manifest lines (n, T, rho and the array list
+        besides m and epsilon_achieved); it is refused for its version, at
+        its first line."""
         path = tmp_path / "m.bin"
         write_model(fitted, path)
-        blob = path.read_bytes().replace(b"SCLROM-MODEL v2\n", b"SCLROM-MODEL v1\n", 1)
-        path.write_bytes(blob.replace(b"arrays:", b"kappa: 1\narrays:", 1))
-        with pytest.raises(VersionUnsupported, match="'1'"):
+        payload = path.read_bytes().partition(b"\n\n")[2]
+        path.write_bytes(b"SCLROM-MODEL v2\nn: 32\nm: 4\nT: 4\nrho: 1 0\nepsilon_achieved: 0\n"
+                         b"arrays: V s W coeffs\n\n" + payload)
+        with pytest.raises(VersionUnsupported, match="'2'"):
             read_model(path)
 
     def test_load_peaks_near_the_file_size(self, tmp_path):
@@ -788,38 +790,34 @@ def _swap_s(model):
     model.ohf.singular_values[[1, 2]] = model.ohf.singular_values[[2, 1]]
 
 
-def _scale_rho(model):
-    model.ohf.rho *= 1 + 1e-6
-
-
 def _negate_s(model):
     model.ohf.singular_values[3] *= -1.0
 
 
 def _roundtrip(model, path):
     """The loaded model is the fitted one bit for bit: its SVD, the replay
-    matrix B and the frame derived from it, kappa, and the gate's residuals."""
+    matrix B and the frame derived from it, kappa, rho, and the gate's
+    residuals."""
     write_model(model, path)
     loaded = read_model(path)
     for name in ("B", "singular_values", "W", "Vhat"):
         assert getattr(loaded.ohf, name).tobytes() == getattr(model.ohf, name).tobytes(), name
-    assert loaded.ohf.kappa == model.ohf.kappa
+    assert loaded.ohf.kappa == model.ohf.kappa and loaded.ohf.rho == model.ohf.rho
     assert loaded.ohf.residuals == model.ohf.residuals
 
 
 class TestLoadBindsVhatToV:
-    """A file stores V, s, W and rho, and the loader checks them by the
-    fit's m x m gate, from which Vhat is derived. Each forged file below is
+    """A file stores V, s and W, and the loader checks them by the fit's
+    m x m gate, from which rho and Vhat are derived. Each forged file below is
     refused, by the residual or the check named. Swapped V columns, or
     swapped W rows, describe another valid model, which loads."""
 
     @pytest.mark.parametrize("doctor, residual", [
         (_scale_w, "W rows orthonormal"),
-        (_scale_rho, "rho consistent"),
         (_swap_s, "s non-increasing"),
         (_negate_s, "s"),
         (_scale_v, "V columns orthonormal"),
-    ], ids=["scaled-w", "scaled-rho", "swapped-s", "non-positive-s", "scaled-v"])
+    ], ids=["scaled-w", "swapped-s", "non-positive-s", "scaled-v"])
     def test_doctored_frame_rejected(self, tmp_path, doctor, residual):
         model, _ = fit(periodic_history(256, 8, seed=1), FitOptions(mode="least_squares"))
         doctor(model)

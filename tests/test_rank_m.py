@@ -6,6 +6,7 @@ import pytest
 from dense_oracle import (
     dense_diagram_residuals,
     dense_load_residuals,
+    dense_rho,
     dense_predict,
     dense_verify_residuals,
 )
@@ -51,9 +52,9 @@ def _scaled(A, delta, reverse=False):
     return A * (scale[::-1] if reverse else scale)
 
 
-def _residuals(V, s, W, rho):
-    """The model gate's m x m residuals of V, s, W and rho, by name."""
-    return _gate_residuals(V.conj().T @ V, s, W, rho)
+def _residuals(V, s, W):
+    """The model gate's m x m residuals of V, s and W, by name."""
+    return _gate_residuals(V.conj().T @ V, s, W)
 
 
 def _assert_matches_dense(thin, dense):
@@ -99,22 +100,19 @@ def test_replay_columns_equal_predict_bitwise(tmp_path_factory, case, mode, data
 @given(histories(), st.floats(1e-9, 0.5))
 def test_load_residuals_match_dense(case, delta):
     """The gate's residuals, as the factorization keeps them, and on
-    forgeries: W rows scaled, s reversed and rho scaled, with V orthonormal;
-    then V columns scaled. The dense rho reads v_1 through V, so it carries
-    V's rounding of about 1e-15, which the gate's m-term sum does not; on
-    scaled V columns it is not compared."""
+    forgeries: W rows scaled and s reversed, with V orthonormal; then V
+    columns scaled. The derived rho matches v_1* v_1 / s_1 read through the
+    n-vector v_1, which carries V's rounding of about 1e-15 that the gate's
+    m-term sum does not."""
     history, deficient = case
     ohf = build_ohf(history, truncate=deficient)
-    V, s, W, rho = ohf.V, ohf.singular_values, ohf.W, ohf.rho
-    assert ohf.residuals == _residuals(V, s, W, rho)
-    for forged in ((V, s, W, rho), (V, s, _scaled(W.T, delta).T, rho),
-                   (V, s[::-1].copy(), W, rho), (V, s, W, rho * (1.0 + delta)),
-                   (_scaled(V, delta, reverse=True), s, W, rho)):
-        thin, dense = _residuals(*forged), dense_load_residuals(*forged)
-        thin_rho, dense_rho = thin.pop("rho consistent"), dense.pop("rho consistent")
-        if forged[0] is V:
-            assert abs(thin_rho - dense_rho) <= 1e-6 * dense_rho + 1e-14, (thin_rho, dense_rho)
-        _assert_matches_dense(thin, dense)
+    V, s, W = ohf.V, ohf.singular_values, ohf.W
+    assert ohf.residuals == _residuals(V, s, W)
+    reference = dense_rho(V, s, W)
+    assert abs(ohf.rho - reference) <= 1e-12 * reference, (ohf.rho, reference)
+    for forged in ((V, s, W), (V, s, _scaled(W.T, delta).T),
+                   (V, s[::-1].copy(), W), (_scaled(V, delta, reverse=True), s, W)):
+        _assert_matches_dense(_residuals(*forged), dense_load_residuals(*forged))
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,13 +166,13 @@ def test_diagram_check_memory_stays_thin():
 
 def test_scaled_frame_fails_only_the_unitary_checks():
     """V columns scaled fail V's check alone; W columns past the first
-    scaled fail W's alone (rho reads the first column of W only)."""
+    scaled fail W's alone."""
     h = periodic_history(32, 6, seed=2)
     ohf = build_ohf(h)
-    V, s, W, rho = ohf.V, ohf.singular_values, ohf.W, ohf.rho
+    V, s, W = ohf.V, ohf.singular_values, ohf.W
     scale = np.append(1.0, 1.0 + 1e-3 * np.linspace(-1.0, 1.0, 5))
-    for forged, failing in (((_scaled(V, 1e-3), s, W, rho), "V columns orthonormal"),
-                            ((V, s, W * scale, rho), "W rows orthonormal")):
+    for forged, failing in (((_scaled(V, 1e-3), s, W), "V columns orthonormal"),
+                            ((V, s, W * scale), "W rows orthonormal")):
         residuals = _residuals(*forged)
         assert residuals.pop(failing) > 1e-3
         assert max(residuals.values()) <= 1e-13, residuals

@@ -138,10 +138,11 @@ def test_positive_scale(case, mode, alpha):
     assert _gap(scaled, alpha * states, alpha * data) <= TOL
 
 
-def test_closed_form_at_n_8192(tmp_path):
-    """One period of an exactly periodic history, n = 8192, m = 32: both modes
-    replay the snapshots themselves, which lie in the frame's span."""
-    history = periodic_history(8192, 32, seed=4)
+def test_closed_form_at_n_65536(tmp_path):
+    """One period of an exactly periodic history, n = 65536, m = 32: both
+    modes replay the snapshots themselves, which lie in the frame's span,
+    before and after a save/load round trip."""
+    history = periodic_history(65536, 32, seed=4)
     path = tmp_path / "m.bin"
     for mode in ("monomial", "least_squares"):
         model = fit(history, FitOptions(mode=mode))[0]

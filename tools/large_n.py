@@ -6,7 +6,9 @@ Builds ``periodic_history(n, m, seed=5)`` once, then, ``--runs`` times in
 one process, times a monomial ``fit``, ``write_model`` of the fitted
 model to a temporary file, ``read_model`` of that file and the raw
 ``np.linalg.svd`` of the same history (thin, with vectors), and prints
-the median and range of each and of fit plus save plus load. Separate
+the median and range of each and of fit plus save plus load. One untimed
+run of the same calls comes first, so that no timed run pays the first
+BLAS call's set-up. Separate
 runs, after the timed ones, give the ``tracemalloc`` peaks of one
 ``write_model`` and one ``read_model``, so that tracing does not slow the
 timed calls. The BLAS thread count is whatever the environment sets.
@@ -68,12 +70,14 @@ def main(argv=None) -> int:
                               "np.linalg.svd")}
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "model.bin"
-        for _ in range(args.runs):
+        for run in range(args.runs + 1):
             fit_s, (model, _) = _timed(lambda: fit(history, opts))
             write_s, _ = _timed(lambda: write_model(model, path))
             del model
             read_s, _ = _timed(lambda: read_model(path))
             svd_s, _ = _timed(lambda: np.linalg.svd(history.data, full_matrices=False))
+            if run == 0:  # the warm-up
+                continue
             for name, value in (("fit", fit_s), ("write_model", write_s),
                                 ("read_model", read_s), ("fit+write+read", fit_s + write_s + read_s),
                                 ("np.linalg.svd", svd_s)):
