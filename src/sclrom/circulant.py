@@ -5,9 +5,10 @@ powers of the m x m cyclic permutation matrix C_m; it is stored as a plain
 array (one column of a fitted model's coefficients) and never becomes the
 circulant matrix sum_j c_j C_m^j: a fitted frame's replay operator takes
 the coefficients as they are (:func:`sclrom.ohf.checked_factorization`).
-The compression X -> Vhat* X Vhat carries the shift factor of an
-orthonormal history factor onto C_m, which is what
-:func:`check_commuting_diagram` verifies degree by degree.
+The shift factor U of an orthonormal history factor is a cyclic operator,
+held as the frame Vhat and its m x m data (:mod:`sclrom.cyclic`): the
+compression X -> Vhat* X Vhat takes U^k to G M^k, which
+:func:`check_commuting_diagram` compares with C_m^k degree by degree.
 """
 from __future__ import annotations
 
@@ -15,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import shift_factors
+from .cyclic import CyclicPair, cyclic_shift_matrix
 from .errors import DimensionMismatch
 from .ohf import OhfFactorization
-
-
-def cyclic_shift_matrix(m: int) -> np.ndarray:
-    """The m x m cyclic permutation matrix mapping e_j to e_{j+1 mod m}."""
-    if m < 1:
-        raise DimensionMismatch(f"order must be positive, got {m}")
-    return np.roll(np.eye(m, dtype=np.complex128), 1, axis=0)
 
 
 @dataclass
@@ -43,17 +37,18 @@ def check_commuting_diagram(
     """Verify that compression carries powers of the shift factor onto C_m.
 
     Per degree d: Vhat* U^d Vhat against C_m^d, and Vhat* p(U) Vhat against
-    p(C_m) for a seeded random polynomial p of degree d. U = 1 + E F*
-    (:func:`sclrom.cyclic.shift_factors`) acts on the n x m frame: O(n m) memory.
+    p(C_m) for a seeded random polynomial p of degree d, all m x m past
+    G = Vhat* Vhat: U Vhat = Vhat M with M = 1 + A G, so Vhat* U^k Vhat = G M^k.
     """
     if min(degrees, default=0) < 0:
         raise DimensionMismatch(f"degrees must be nonnegative, got {degrees}")
-    E, F = shift_factors(ohf.Vhat)
-    X, Cm = ohf.Vhat, cyclic_shift_matrix(ohf.m)
+    G = ohf.Vhat.conj().T @ ohf.Vhat
+    step = np.eye(ohf.m) + CyclicPair(ohf.Vhat, G).A @ G
+    X, Cm = G, cyclic_shift_matrix(ohf.m)
     gaps = []  # gaps[k] = Vhat* U^k Vhat - C_m^k
     for k in range(max(degrees, default=-1) + 1):
-        gaps.append(ohf.Vhat.conj().T @ X - np.linalg.matrix_power(Cm, k))
-        X = X + E @ (F.conj().T @ X)
+        gaps.append(X - np.linalg.matrix_power(Cm, k))
+        X = X @ step
     rng = np.random.default_rng(seed)
     per_degree: list[tuple[int, float]] = []
     for d in degrees:

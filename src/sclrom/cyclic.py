@@ -1,15 +1,18 @@
 """Cyclic step operator and span projector for orthogonal vector systems.
 
-For an orthogonal system v_1..v_m in C^n this module builds the operator
-that advances each v_j to v_{j+1} (wrapping v_m back to v_1) while fixing
-the orthogonal complement of span{v_1..v_m} pointwise, together with the
-orthogonal projector onto that span, and verifies the defining identities
-numerically: the cycle relations, idempotence, commutation, the degree-m
-minimal annihilating power, and unitarity for orthonormal systems.
+For an orthogonal system v_1..v_m in C^n the cyclic operator C advances
+each v_j to v_{j+1} (wrapping v_m back to v_1) and fixes the orthogonal
+complement of the span pointwise; P projects orthogonally onto the span.
+Both are the identity plus rank-m terms, so a :class:`CyclicPair` is the
+system's columns and their m x m Gram matrix, and every defining identity
+(cycle relations, idempotence, commutation, the degree-m minimal
+annihilating power, unitarity for orthonormal systems) is checked in
+O(n m^2 + m^4) without an n x n matrix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,12 +66,40 @@ def _check_columns(shape: tuple[int, int], norms: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class CyclicPair:
-    """Cyclic operator C and span projector P for one vector system."""
+    """Cyclic operator C = 1 + cols A cols* and span projector
+    P = cols D^-1 cols* of an orthogonal system, held as its (n, m)
+    ``columns`` cols and their Gram matrix ``gram`` G = cols* cols, with
+    D = diag(G), S the cyclic permutation e_j -> e_{j+1} and
+    A = (S - 1) D^-1. A dense C or P is formed only by a caller that asks
+    for one.
+    """
 
-    C: np.ndarray
-    P: np.ndarray
-    m: int
-    n: int
+    columns: np.ndarray
+    gram: np.ndarray
+
+    @property
+    def A(self) -> np.ndarray:
+        m = self.gram.shape[0]
+        return (cyclic_shift_matrix(m) - np.eye(m)) / self.gram.diagonal().real
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        """The triangular R* R = G; NotOrthogonal if the columns are dependent."""
+        try:
+            return np.linalg.cholesky(self.gram).conj().T
+        except np.linalg.LinAlgError:
+            raise NotOrthogonal(
+                "columns are linearly dependent: Gram matrix not positive definite"
+            ) from None
+
+    def norm(self, M: np.ndarray) -> float:
+        """||cols M cols*||_F, which is ||R M R*||_F."""
+        return float(np.linalg.norm(self.R @ M @ self.R.conj().T))
+
+    def unitarity_residual(self) -> float:
+        """||C* C - 1||_F, with C* C - 1 = cols (A + A* + A* G A) cols*."""
+        A, Ah = self.A, self.A.conj().T
+        return self.norm(A + Ah + Ah @ self.gram @ A)
 
 
 @dataclass
@@ -83,10 +114,10 @@ class OrthReport:
 class IdentityReport:
     """Residuals of the defining identities of a cyclic pair.
 
-    ``unitarity_residual`` is None when the system is not orthonormal;
-    ``min_power_gap`` is the smallest deviation of C^k from the identity
-    over 1 <= k < m and must stay *above* tolerance for the annihilating
-    power to have minimal degree m.
+    ``unitarity_residual`` is None when the pair's columns are not
+    orthonormal; ``min_power_gap`` is the smallest deviation of C^k from
+    the identity over 1 <= k < m and must stay *above* tolerance for the
+    annihilating power to have minimal degree m.
     """
 
     cycle_residual: float
@@ -96,6 +127,13 @@ class IdentityReport:
     unitarity_residual: float | None
     min_power_gap: float
     passed: bool
+
+
+def cyclic_shift_matrix(m: int) -> np.ndarray:
+    """The m x m cyclic permutation matrix mapping e_j to e_{j+1 mod m}."""
+    if m < 1:
+        raise DimensionMismatch(f"order must be positive, got {m}")
+    return np.roll(np.eye(m, dtype=np.complex128), 1, axis=0)
 
 
 def check_orthogonal_system(vs: VectorSystem, tol: float = DEFAULT_TOL) -> OrthReport:
@@ -120,17 +158,8 @@ def _gram_orthogonality(gram: np.ndarray, norms: np.ndarray, tol: float) -> Orth
     return OrthReport(is_orthogonal, is_orthonormal, max_cross, min_norm)
 
 
-def shift_factors(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E = roll(cols, -1) - cols and F = cols diag(1/||v_j||^2): the cyclic
-    operator of the columns is C = 1 + E F* and their span projector P = cols F*.
-    """
-    E = np.roll(cols, -1, axis=1) - cols
-    F = cols / np.sum(np.abs(cols) ** 2, axis=0)
-    return E, F
-
-
 def cyclic_operator(vs: VectorSystem, tol: float = DEFAULT_TOL) -> CyclicPair:
-    """Build the cyclic advance operator C and projector P of the system.
+    """The cyclic advance operator C and projector P of the system.
 
     C maps v_j to v_{j+1} for j < m, maps v_m to v_1, and acts as the
     identity on the orthogonal complement of the span:
@@ -139,61 +168,58 @@ def cyclic_operator(vs: VectorSystem, tol: float = DEFAULT_TOL) -> CyclicPair:
 
     Raises NotOrthogonal when the input is not an orthogonal system.
     """
-    report = check_orthogonal_system(vs, tol)
+    cols = vs.columns
+    gram = cols.conj().T @ cols
+    report = _gram_orthogonality(gram, np.linalg.norm(cols, axis=0), tol)
     if not report.is_orthogonal:
         raise NotOrthogonal(f"max relative cross product {report.max_cross:.3e} exceeds tol {tol:.3e}")
-    E, F = shift_factors(vs.columns)
-    C = np.eye(vs.n, dtype=np.complex128) + E @ F.conj().T
-    return CyclicPair(C=C, P=vs.columns @ F.conj().T, m=vs.m, n=vs.n)
+    return CyclicPair(columns=cols, gram=gram)
 
 
 def verify_cyclic_identities(
     pair: CyclicPair, vs: VectorSystem, tol: float | None = None
 ) -> IdentityReport:
-    """Check every defining identity of a cyclic pair against its system.
+    """Check every defining identity of a cyclic pair against a system.
 
-    Residuals (Frobenius norm for matrices, Euclidean for vectors):
-    the cycle relations C v_j = v_{j+1 mod m}; P v_j = v_j together with
-    P^2 = P = P*; the commutator CP - PC; C^m - 1; and, for orthonormal
-    systems only, C*C - 1. Matrix powers are formed by repeated
-    multiplication so the check stays independent of any spectral code.
+    Residuals (Frobenius norm for matrices, Euclidean for vectors): the
+    cycle relations C v_j = v_{j+1 mod m}; P v_j = v_j and P^2 = P (P = P*
+    as D is real); the commutator CP - PC; C^m - 1; and, when the pair's
+    columns are orthonormal, C*C - 1. C and P meet the system in two n x m
+    products; every other identity is an m x m M in cols M cols*. The
+    powers C^k - 1 = cols A_k cols* are walked by repeated multiplication,
+    A_{k+1} = A + (1 + A G) A_k, so the check uses no spectral code.
 
-    When ``tol`` is None it defaults to 1e-10 * max(1, ||C||_F).
+    When ``tol`` is None it defaults to 1e-10 * max(1, ||C||_F), with
+    ||C||_F^2 = n + 2 Re tr(A G) + ||R A R*||_F^2.
     """
-    C, P = pair.C, pair.P
-    cols = vs.columns
+    cols, G, vcols = pair.columns, pair.gram, vs.columns
+    if cols.shape != vcols.shape:
+        raise DimensionMismatch(f"pair built for (n, m) = {cols.shape} but system has {vcols.shape}")
     n, m = cols.shape
-    if pair.n != n or pair.m != m:
-        raise DimensionMismatch(
-            f"pair built for (n={pair.n}, m={pair.m}) but system has (n={n}, m={m})"
-        )
+    A, d_inv = pair.A, np.diag(1.0 / G.diagonal().real)
+    AG = A @ G
     if tol is None:
-        tol = 1e-10 * max(1.0, float(np.linalg.norm(C)))
+        tol = 1e-10 * max(1.0, float(np.sqrt(n + 2.0 * np.trace(AG).real + pair.norm(A) ** 2)))
 
-    advanced = np.roll(cols, -1, axis=1)
-    cycle_residual = float(np.max(np.linalg.norm(C @ cols - advanced, axis=0)))
-
-    eye = np.eye(n, dtype=np.complex128)
+    H = cols.conj().T @ vcols
+    cycle_gap = cols @ (A @ H) + vcols - np.roll(vcols, -1, axis=1)
+    cycle_residual = float(np.max(np.linalg.norm(cycle_gap, axis=0)))
     projection_residual = max(
-        float(np.max(np.linalg.norm(P @ cols - cols, axis=0))),
-        float(np.linalg.norm(P @ P - P)),
-        float(np.linalg.norm(P - P.conj().T)),
+        float(np.max(np.linalg.norm(cols @ (d_inv @ H) - vcols, axis=0))),
+        pair.norm(d_inv @ G @ d_inv - d_inv),
     )
-    commute_residual = float(np.linalg.norm(C @ P - P @ C))
+    commute_residual = pair.norm(AG @ d_inv - d_inv @ G @ A)
 
-    # walk the powers C, C^2, ..., C^m by repeated multiplication
-    gaps = []
-    power = C.copy()
+    # walk the powers C - 1, ..., C^m - 1 by repeated multiplication
+    gaps, power = [], A
     for _ in range(m - 1):
-        gaps.append(float(np.linalg.norm(power - eye)))
-        power = power @ C
-    minpoly_residual = float(np.linalg.norm(power - eye))
+        gaps.append(pair.norm(power))
+        power = A + power + AG @ power
+    minpoly_residual = pair.norm(power)
     min_power_gap = min(gaps) if gaps else float("inf")
 
-    orth = check_orthogonal_system(vs, tol)
-    unitarity_residual = None
-    if orth.is_orthonormal:
-        unitarity_residual = float(np.linalg.norm(C.conj().T @ C - eye))
+    orth = _gram_orthogonality(G, np.sqrt(G.diagonal().real), tol)
+    unitarity_residual = pair.unitarity_residual() if orth.is_orthonormal else None
 
     residuals = [cycle_residual, projection_residual, commute_residual, minpoly_residual]
     if unitarity_residual is not None:

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclic import _check_columns, _gram_orthogonality, shift_factors
+from .cyclic import CyclicPair, _check_columns, _gram_orthogonality, cyclic_shift_matrix
 from .errors import (
     ConfigInvalid,
     DegenerateHistory,
@@ -234,25 +234,6 @@ def complement_basis(V: np.ndarray) -> np.ndarray:
     return U
 
 
-def _unitarity_residual(G: np.ndarray, R: np.ndarray) -> float:
-    """||U* U - 1||_F for the shift factor U = 1 + E F* of frame columns
-    Vhat with Gram matrix G = Vhat* Vhat = R* R, in O(m^3).
-
-    [E F] = Vhat B with B = [S - 1, D^-1], S the cyclic shift and
-    D = diag(G), and U* U - 1 = Z M Z* with Z = [E F] and
-    M = [[0, 1], [1, E* E]]. Vhat = Q R with orthonormal Q, so the norm is
-    ||(R B) M (R B)*||_F with E* E = (R (S - 1))* (R (S - 1)). The
-    cancellation happens inside an m x m product of O(1) entries.
-    """
-    m = G.shape[0]
-    RE = np.roll(R, -1, axis=1) - R
-    RB = np.hstack([RE, R / G.diagonal().real])
-    M = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-    M[:m, m:] = M[m:, :m] = np.eye(m)
-    M[m:, m:] = RE.conj().T @ RE
-    return float(np.linalg.norm(RB @ M @ RB.conj().T))
-
-
 def _gate_residuals(v_gram: np.ndarray, s: np.ndarray, W: np.ndarray) -> dict[str, float]:
     """The m x m residuals of :func:`checked_factorization`, by name, from
     the Gram matrix ``v_gram`` = V* V, s and W:
@@ -410,9 +391,11 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     k_residual   = max_j ||K kappa vhat_j - v_j|| / ||v_j||
     unitary_residual = ||U* U - 1||_F
 
-    Each residual is evaluated through the frames in O(n m^2), with no
-    n x n matrix formed. Raises NotOrthogonal when the Vhat columns are
-    linearly dependent, so that U* U - 1 has no Cholesky form.
+    U = 1 + Vhat A Vhat* is the cyclic operator of the Vhat columns
+    (:class:`sclrom.cyclic.CyclicPair`): with G = Vhat* Vhat = R* R, the
+    gap U Vhat - Vhat S = Vhat (1 + A G - S) has the column norms of
+    R (1 + A G - S). No n x n matrix is formed. Raises NotOrthogonal when
+    the Vhat columns are linearly dependent (G has no Cholesky factor).
     """
     if ohf.n != history.n or ohf.m != history.m:
         raise DimensionMismatch(
@@ -423,20 +406,12 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     # T v_1 - rho vhat_1 = (vhat_1* v_1 - rho) vhat_1
     t_gap = np.vdot(vhat1, data[:, 0]) - ohf.rho
     t_residual = float(np.linalg.norm(t_gap * vhat1))
-    # U Vhat - roll(Vhat) = Vhat + E F* Vhat - roll(Vhat) = E (F* Vhat - 1)
-    E, F = shift_factors(Vhat)
-    shift_gap = E @ (F.conj().T @ Vhat - np.eye(ohf.m))
+    pair = CyclicPair(Vhat, Vhat.conj().T @ Vhat)
+    shift_gap = pair.R @ (np.eye(ohf.m) + pair.A @ pair.gram - cyclic_shift_matrix(ohf.m))
     shift_residual = float(np.max(np.linalg.norm(shift_gap, axis=0)))
     recon = ohf.kappa * (V @ (V.conj().T @ Vhat))
     col_norms = np.linalg.norm(data, axis=0)
     k_residual = float(np.max(np.linalg.norm(recon - data, axis=0) / col_norms))
-    G = Vhat.conj().T @ Vhat
-    try:  # R* R = G, for the thin QR factor of Vhat
-        R = np.linalg.cholesky(G).conj().T
-    except np.linalg.LinAlgError:
-        raise NotOrthogonal(
-            "Vhat columns are linearly dependent: Gram matrix not positive definite"
-        ) from None
-    unitary_residual = _unitarity_residual(G, R)
+    unitary_residual = pair.unitarity_residual()
     passed = max(t_residual, shift_residual, k_residual, unitary_residual) <= tol
     return OhfReport(t_residual, shift_residual, k_residual, unitary_residual, passed)

@@ -10,7 +10,13 @@ paper's algebra through them.
 """
 import numpy as np
 
-from sclrom import DimensionMismatch, SnapshotHistory, cyclic_shift_matrix
+from sclrom import (
+    DimensionMismatch,
+    IdentityReport,
+    SnapshotHistory,
+    check_orthogonal_system,
+    cyclic_shift_matrix,
+)
 
 
 def circulant(c):
@@ -70,6 +76,56 @@ def shift_operator(cols):
         for j in range(m)
     )
     return advance + np.eye(n) - orthogonal_projector(cols)
+
+
+def dense_pair(pair):
+    """Dense n x n C = 1 + cols A cols* and P = cols D^-1 cols* of a cyclic
+    pair, formed from its columns and the m x m A and D of its Gram matrix."""
+    cols, gram = pair.columns, pair.gram
+    C = np.eye(cols.shape[0]) + cols @ pair.A @ cols.conj().T
+    P = (cols / gram.diagonal().real) @ cols.conj().T
+    return C, P
+
+
+def dense_identity_report(pair, vs, tol=None):
+    """verify_cyclic_identities through dense n x n C and P built from the
+    defining sums over the pair's columns, with every identity an n x n
+    product and the powers of C multiplied out."""
+    C, P = shift_operator(pair.columns), orthogonal_projector(pair.columns)
+    cols = vs.columns
+    n, m = cols.shape
+    if tol is None:
+        tol = 1e-10 * max(1.0, float(np.linalg.norm(C)))
+
+    advanced = np.roll(cols, -1, axis=1)
+    cycle_residual = float(np.max(np.linalg.norm(C @ cols - advanced, axis=0)))
+
+    eye = np.eye(n, dtype=np.complex128)
+    projection_residual = max(
+        float(np.max(np.linalg.norm(P @ cols - cols, axis=0))),
+        float(np.linalg.norm(P @ P - P)),
+        float(np.linalg.norm(P - P.conj().T)),
+    )
+    commute_residual = float(np.linalg.norm(C @ P - P @ C))
+
+    gaps = []
+    power = C.copy()
+    for _ in range(m - 1):
+        gaps.append(float(np.linalg.norm(power - eye)))
+        power = power @ C
+    minpoly_residual = float(np.linalg.norm(power - eye))
+    min_power_gap = min(gaps) if gaps else float("inf")
+
+    unitarity_residual = None
+    if check_orthogonal_system(vs, tol).is_orthonormal:
+        unitarity_residual = float(np.linalg.norm(C.conj().T @ C - eye))
+
+    residuals = [cycle_residual, projection_residual, commute_residual, minpoly_residual]
+    if unitarity_residual is not None:
+        residuals.append(unitarity_residual)
+    passed = all(r <= tol for r in residuals) and min_power_gap > tol
+    return IdentityReport(cycle_residual, projection_residual, commute_residual,
+                          minpoly_residual, unitarity_residual, min_power_gap, passed)
 
 
 def dense_factors(V, Vhat):

@@ -12,10 +12,11 @@ REMOVED = {
              "BadMagic"],
     circulant: ["ControlTuple", "MANIFOLD_TAGS", "circulant_to_matrix", "project_span",
                 "CirculantElement", "monomial_element", "compress", "lift", "circulant_matrix"],
-    cyclic: ["orthogonal_projector"],
+    cyclic: ["orthogonal_projector", "shift_factors"],
     model: ["transition_matrix", "detect_period", "PeriodReport"],
     model.SclRomModel: ["to_control_tuple", "element"],
-    ohf: ["SvdTriple", "_shift_parts", "_vhat_products", "replay_operator", "frame_residuals"],
+    ohf: ["SvdTriple", "_shift_parts", "_vhat_products", "replay_operator", "frame_residuals",
+          "_unitarity_residual"],
     ohf.SnapshotHistory: ["column", "dt_meta"],
     persistence: ["_decode_array"],
     persistence._BinaryColumns: ["_fail", "_non_finite"],
@@ -37,3 +38,5 @@ def test_removed_names_stay_removed():
     assert {"t_values", "kappa", "Vhat", "R"}.isdisjoint(
         inspect.signature(ohf.OhfFactorization).parameters)
     assert list(inspect.signature(persistence.read_snapshots).parameters) == ["path"]
+    # a cyclic pair is its columns and their Gram matrix; C and P are never held
+    assert list(inspect.signature(cyclic.CyclicPair).parameters) == ["columns", "gram"]

@@ -1,6 +1,7 @@
 """Tests for the cyclic operator / span projector construction."""
 import numpy as np
 import pytest
+from dense_oracle import dense_identity_report, dense_pair
 
 from sclrom import (
     DimensionMismatch,
@@ -72,18 +73,18 @@ class TestCheckOrthogonalSystem:
 
 class TestProjector:
     def test_coordinate_projection(self):
-        P = cyclic_operator(basis_system([0, 1], 4)).P
+        _, P = dense_pair(cyclic_operator(basis_system([0, 1], 4)))
         np.testing.assert_allclose(P, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15)
 
     def test_scaling_cancels(self):
         vs = system([1, 0, 0, 0], [0, 2, 0, 0])
         np.testing.assert_allclose(
-            cyclic_operator(vs).P, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15
+            dense_pair(cyclic_operator(vs))[1], np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-15
         )
 
     def test_rank_one_formula(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        P = cyclic_operator(system(v)).P
+        _, P = dense_pair(cyclic_operator(system(v)))
         np.testing.assert_allclose(P, np.full((2, 2), 0.5), atol=1e-15)
 
     def test_non_orthogonal_rejected(self):
@@ -94,7 +95,7 @@ class TestProjector:
     @pytest.mark.parametrize("seed", range(5))
     def test_projector_identities(self, seed):
         cols = random_orthonormal_columns(10, 4, seed)
-        P = cyclic_operator(VectorSystem(cols)).P
+        _, P = dense_pair(cyclic_operator(VectorSystem(cols)))
         eye = np.eye(10)
         assert np.linalg.norm(P @ P - P) <= 1e-12
         assert np.linalg.norm(P - P.conj().T) <= 1e-12
@@ -104,12 +105,12 @@ class TestProjector:
 
 class TestCyclicOperator:
     def test_single_vector_gives_identity(self):
-        pair = cyclic_operator(system([3.0, 0.0]))
-        np.testing.assert_allclose(pair.C, np.eye(2), atol=1e-15)
+        C, _ = dense_pair(cyclic_operator(system([3.0, 0.0])))
+        np.testing.assert_allclose(C, np.eye(2), atol=1e-15)
 
     def test_two_vector_closed_form(self):
         vs = system([1, 0, 0, 0], [0, 2, 0, 0])
-        pair = cyclic_operator(vs)
+        C, _ = dense_pair(cyclic_operator(vs))
         expected = np.array(
             [
                 [0.0, 0.5, 0.0, 0.0],
@@ -118,15 +119,15 @@ class TestCyclicOperator:
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-        np.testing.assert_allclose(pair.C, expected, atol=1e-15)
+        np.testing.assert_allclose(C, expected, atol=1e-15)
         v1, v2 = vs.columns.T
-        np.testing.assert_allclose(pair.C @ v1, v2, atol=1e-15)
-        np.testing.assert_allclose(pair.C @ v2, v1, atol=1e-15)
-        np.testing.assert_allclose(pair.C @ pair.C, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(C @ v1, v2, atol=1e-15)
+        np.testing.assert_allclose(C @ v2, v1, atol=1e-15)
+        np.testing.assert_allclose(C @ C, np.eye(4), atol=1e-15)
 
     def test_standard_basis_reduces_to_permutation(self):
-        pair = cyclic_operator(basis_system([0, 1, 2], 3))
-        np.testing.assert_allclose(pair.C, cyclic_shift_matrix(3), atol=1e-15)
+        C, _ = dense_pair(cyclic_operator(basis_system([0, 1, 2], 3)))
+        np.testing.assert_allclose(C, cyclic_shift_matrix(3), atol=1e-15)
 
 
 class TestVerifyCyclicIdentities:
@@ -153,10 +154,11 @@ class TestVerifyCyclicIdentities:
         pair = cyclic_operator(vs)
         report = verify_cyclic_identities(pair, vs, tol=1e-10)
         assert report.passed
+        C, _ = dense_pair(pair)
         eye = np.eye(12)
-        assert np.linalg.norm(np.linalg.matrix_power(pair.C, 5) - eye) <= 1e-12
+        assert np.linalg.norm(np.linalg.matrix_power(C, 5) - eye) <= 1e-12
         for k in range(1, 5):
-            assert np.linalg.norm(np.linalg.matrix_power(pair.C, k) - eye) > 0.1
+            assert np.linalg.norm(np.linalg.matrix_power(C, k) - eye) > 0.1
 
     def test_dimension_mismatch_rejected(self):
         vs = basis_system([0, 1], 4)
@@ -164,6 +166,18 @@ class TestVerifyCyclicIdentities:
         other = basis_system([0, 1, 2], 4)
         with pytest.raises(DimensionMismatch):
             verify_cyclic_identities(pair, other)
+
+    def test_another_system_of_the_same_shape_fails(self):
+        """C and P meet the vectors of the system they are verified against,
+        not the pair's own columns."""
+        pair = cyclic_operator(VectorSystem(random_orthonormal_columns(12, 4, seed=1)))
+        other = VectorSystem(random_orthonormal_columns(12, 4, seed=2))
+        report = verify_cyclic_identities(pair, other)
+        dense = dense_identity_report(pair, other)
+        assert not report.passed
+        assert report.cycle_residual == pytest.approx(dense.cycle_residual, rel=1e-12)
+        assert report.projection_residual == pytest.approx(dense.projection_residual, rel=1e-12)
+        assert report.cycle_residual > 1.0 and report.projection_residual > 0.5
 
     def test_single_vector_gap_is_infinite(self):
         vs = system([1.0, 0.0])
@@ -177,8 +191,8 @@ class TestVerifyCyclicIdentities:
         m = int(rng.integers(2, 7))
         n = int(rng.integers(m + 1, 16))
         vs = VectorSystem(random_orthonormal_columns(n, m, rng))
-        pair = cyclic_operator(vs)
-        eigs = np.linalg.eigvals(pair.C)
+        C, _ = dense_pair(cyclic_operator(vs))
+        eigs = np.linalg.eigvals(C)
         assert np.max(np.abs(eigs**m - 1.0)) <= 1e-9
 
     def test_default_tolerance_scales_with_operator(self):

@@ -1,11 +1,14 @@
 """The thin rank-m operator paths against dense n x n oracles, and their cost."""
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from dense_oracle import (
     dense_diagram_residuals,
+    dense_identity_report,
     dense_load_residuals,
+    dense_pair,
     dense_rho,
     dense_predict,
     dense_verify_residuals,
@@ -15,14 +18,19 @@ from hypothesis import strategies as st
 
 from sclrom import (
     FitOptions,
+    IdentityReport,
     SnapshotHistory,
+    VectorSystem,
     build_ohf,
     check_commuting_diagram,
+    cyclic_operator,
     fit,
     periodic_history,
     predict,
+    random_orthonormal_columns,
     read_model,
     replay,
+    verify_cyclic_identities,
     verify_mimetic,
     verify_ohf,
     write_model,
@@ -43,6 +51,17 @@ def histories(draw):
 
     data = gaussian(n, m) if rank == m else gaussian(n, rank) @ gaussian(rank, m)
     return SnapshotHistory(data), rank < m
+
+
+@st.composite
+def orthogonal_systems(draw):
+    """Seeded orthonormal systems with n <= 64, or their columns scaled by
+    1 + delta * linspace(-1, 1, m)."""
+    n = draw(st.integers(1, 64))
+    m = draw(st.integers(1, n))
+    cols = random_orthonormal_columns(n, m, draw(st.integers(0, 2**32 - 1)))
+    delta = draw(st.just(0.0) | st.floats(1e-9, 0.5))
+    return VectorSystem(_scaled(cols, delta))
 
 
 def _scaled(A, delta, reverse=False):
@@ -143,6 +162,19 @@ def test_diagram_residuals_match_dense(case, delta, seed):
         _assert_matches_dense(thin, dense_diagram_residuals(ohf, degrees, seed=seed))
 
 
+@settings(max_examples=60, deadline=None)
+@given(orthogonal_systems(), st.sampled_from([None, 1e-10]))
+def test_identity_residuals_match_dense(vs, tol):
+    """Every IdentityReport field against dense n x n C and P, default tol
+    or explicit; inf (m = 1) and None compare equal."""
+    pair = cyclic_operator(vs)
+    thin, dense = verify_cyclic_identities(pair, vs, tol), dense_identity_report(pair, vs, tol)
+    bound = 1e-12 * max(1.0, float(np.linalg.norm(dense_pair(pair)[0])))
+    for field in fields(IdentityReport):
+        value, reference = getattr(thin, field.name), getattr(dense, field.name)
+        assert value == reference or abs(value - reference) <= bound, (field.name, value, reference)
+
+
 def test_skewed_frame_fails_the_diagram_check():
     ohf = build_ohf(periodic_history(32, 6, seed=2))
     ohf.Vhat = ohf.Vhat * (1.0 + 1e-3 * (-1.0) ** np.arange(6))
@@ -151,12 +183,23 @@ def test_skewed_frame_fails_the_diagram_check():
     assert report.max_residual > 1e-4
 
 
-def test_diagram_check_memory_stays_thin():
+def _cyclic_identities(ohf, history):
+    vs = VectorSystem(ohf.Vhat)
+    return verify_cyclic_identities(cyclic_operator(vs), vs, tol=1e-10)
+
+
+@pytest.mark.parametrize("check", [
+    lambda ohf, history: check_commuting_diagram(ohf, [0, 1, 16], tol=1e-10),
+    lambda ohf, history: verify_ohf(ohf, history),
+    _cyclic_identities,
+], ids=["check_commuting_diagram", "verify_ohf", "verify_cyclic_identities"])
+def test_operator_checks_memory_stays_thin(check):
     """n = 2048, m = 8: one dense n x n complex matrix alone would be 64 MiB."""
-    ohf = build_ohf(periodic_history(2048, 8, seed=3))
+    history = periodic_history(2048, 8, seed=3)
+    ohf = build_ohf(history)
     tracemalloc.start()
     try:
-        report = check_commuting_diagram(ohf, [0, 1, 16], tol=1e-10)
+        report = check(ohf, history)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
