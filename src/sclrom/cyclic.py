@@ -7,7 +7,11 @@ Both are the identity plus rank-m terms, so a :class:`CyclicPair` is the
 system's columns and their m x m Gram matrix, and every defining identity
 (cycle relations, idempotence, commutation, the degree-m minimal
 annihilating power, unitarity for orthonormal systems) is checked in
-O(n m^2 + m^4) without an n x n matrix.
+O(n m^2 + m^4) without an n x n matrix. C acts on the columns as the m x m
+step M = 1 + A G (C cols = cols M); the shift factor of an orthonormal
+history factor is the pair of its frame, checked in :mod:`sclrom.ohf`
+against C_m = :func:`cyclic_shift_matrix`, the generator of the circulants
+Circ(m).
 """
 from __future__ import annotations
 
@@ -41,14 +45,6 @@ class VectorSystem:
         _check_columns(cols.shape, np.linalg.norm(cols, axis=0))
         self.columns = cols
 
-    @property
-    def n(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.columns.shape[1]
-
 
 def _check_columns(shape: tuple[int, int], norms: np.ndarray) -> None:
     """The checks of :class:`VectorSystem` on an (n, m) column matrix whose
@@ -77,10 +73,15 @@ class CyclicPair:
     columns: np.ndarray
     gram: np.ndarray
 
-    @property
+    @cached_property
     def A(self) -> np.ndarray:
         m = self.gram.shape[0]
         return (cyclic_shift_matrix(m) - np.eye(m)) / self.gram.diagonal().real
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        """M = 1 + A G, the matrix of C on the columns: C cols = cols M."""
+        return np.eye(self.gram.shape[0]) + self.A @ self.gram
 
     @cached_property
     def R(self) -> np.ndarray:

@@ -13,7 +13,12 @@ Vhat columns cyclically, so that
 
 Every one of these operators has rank m (U is the identity plus a rank-m
 term), so they are held through the n x m frames and never formed as
-n x n matrices.
+n x n matrices. U is the cyclic operator of the Vhat columns
+(:class:`sclrom.cyclic.CyclicPair`), and compressing its powers through
+the frame must give the powers of C_m, the generator of the circulants
+Circ(m) that represent C[Z/m]: :func:`verify_ohf` checks the identities
+above and :func:`check_commuting_diagram` that factoring, each m x m
+past the Gram matrix Vhat* Vhat.
 
 Since V* Vhat = diag(s/s_1) W and circ(e_1) is the identity, the replay
 operator of every step is R = (rho/kappa) V diag(s) W: a model is V and
@@ -155,7 +160,7 @@ class OhfFactorization:
         row count, and the rows below would add only signed zeros. So
         bit-identical V, s and W give a bit-identical Vhat. Neither fitting
         nor loading reads it: the checks of :func:`verify_ohf` and
-        :func:`sclrom.check_commuting_diagram` do.
+        :func:`check_commuting_diagram` do.
         """
         V, s, W = self.V, self.singular_values, self.W
         m = V.shape[1]
@@ -173,6 +178,13 @@ class OhfReport:
     shift_residual: float
     k_residual: float
     unitary_residual: float
+    passed: bool
+
+
+@dataclass
+class DiagramReport:
+    max_residual: float
+    per_degree: list[tuple[int, float]]
     passed: bool
 
 
@@ -392,10 +404,10 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     unitary_residual = ||U* U - 1||_F
 
     U = 1 + Vhat A Vhat* is the cyclic operator of the Vhat columns
-    (:class:`sclrom.cyclic.CyclicPair`): with G = Vhat* Vhat = R* R, the
-    gap U Vhat - Vhat S = Vhat (1 + A G - S) has the column norms of
-    R (1 + A G - S). No n x n matrix is formed. Raises NotOrthogonal when
-    the Vhat columns are linearly dependent (G has no Cholesky factor).
+    (:class:`sclrom.cyclic.CyclicPair`): with G = Vhat* Vhat = R* R and
+    U Vhat = Vhat M, the gap U Vhat - Vhat S = Vhat (M - S) has the column
+    norms of R (M - S). No n x n matrix is formed. Raises NotOrthogonal
+    when the Vhat columns are linearly dependent (G has no Cholesky factor).
     """
     if ohf.n != history.n or ohf.m != history.m:
         raise DimensionMismatch(
@@ -407,7 +419,7 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     t_gap = np.vdot(vhat1, data[:, 0]) - ohf.rho
     t_residual = float(np.linalg.norm(t_gap * vhat1))
     pair = CyclicPair(Vhat, Vhat.conj().T @ Vhat)
-    shift_gap = pair.R @ (np.eye(ohf.m) + pair.A @ pair.gram - cyclic_shift_matrix(ohf.m))
+    shift_gap = pair.R @ (pair.step - cyclic_shift_matrix(ohf.m))
     shift_residual = float(np.max(np.linalg.norm(shift_gap, axis=0)))
     recon = ohf.kappa * (V @ (V.conj().T @ Vhat))
     col_norms = np.linalg.norm(data, axis=0)
@@ -415,3 +427,35 @@ def verify_ohf(ohf: OhfFactorization, history: SnapshotHistory, tol: float = 1e-
     unitary_residual = pair.unitarity_residual()
     passed = max(t_residual, shift_residual, k_residual, unitary_residual) <= tol
     return OhfReport(t_residual, shift_residual, k_residual, unitary_residual, passed)
+
+
+def check_commuting_diagram(
+    ohf: OhfFactorization,
+    degrees: list[int],
+    tol: float = 1e-10,
+    seed: int = 0,
+) -> DiagramReport:
+    """Verify that compression carries powers of the shift factor onto C_m.
+
+    Per degree d: Vhat* U^d Vhat against C_m^d, and Vhat* p(U) Vhat against
+    p(C_m) for a seeded random polynomial p of degree d, all m x m past
+    G = Vhat* Vhat: U Vhat = Vhat M, so Vhat* U^k Vhat = G M^k.
+    """
+    if min(degrees, default=0) < 0:
+        raise DimensionMismatch(f"degrees must be nonnegative, got {degrees}")
+    Vhat = ohf.Vhat
+    pair = CyclicPair(Vhat, Vhat.conj().T @ Vhat)
+    X, Cm = pair.gram, cyclic_shift_matrix(ohf.m)
+    gaps = []  # gaps[k] = Vhat* U^k Vhat - C_m^k
+    for k in range(max(degrees, default=-1) + 1):
+        gaps.append(X - np.linalg.matrix_power(Cm, k))
+        X = X @ pair.step
+    rng = np.random.default_rng(seed)
+    per_degree: list[tuple[int, float]] = []
+    for d in degrees:
+        a = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        # by linearity, Vhat* p(U) Vhat - p(C_m) = sum_k a_k gaps[k]
+        r_poly = float(np.linalg.norm(np.tensordot(a, gaps[: d + 1], axes=1)))
+        per_degree.append((d, max(float(np.linalg.norm(gaps[d])), r_poly)))
+    max_residual = max((r for _, r in per_degree), default=0.0)
+    return DiagramReport(max_residual=max_residual, per_degree=per_degree, passed=max_residual <= tol)

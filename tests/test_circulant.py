@@ -29,6 +29,10 @@ class TestCyclicShiftMatrix:
     def test_order_one(self):
         np.testing.assert_array_equal(cyclic_shift_matrix(1), [[1.0]])
 
+    def test_order_zero_rejected(self):
+        with pytest.raises(DimensionMismatch, match="order must be positive, got 0"):
+            cyclic_shift_matrix(0)
+
     def test_order_two_is_swap(self):
         np.testing.assert_array_equal(cyclic_shift_matrix(2), [[0, 1], [1, 0]])
 

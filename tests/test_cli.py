@@ -347,11 +347,14 @@ class TestErrorPaths:
          "need 0 <= --t0 < --t1, got --t0 5 and --t1 3"),
         ("export-plot", ["export-plot", "{absent}", "--components", "x", "--out", "{out}"],
          "bad --components 'x'"),
+        ("export-plot", ["export-plot", "{absent}", "--components", "0,-1", "--out", "{out}"],
+         "bad --components '0,-1'"),
         ("export-plot", ["export-plot", "{h}", "--components", "0,16", "--out", "{out}"],
          "component 16 out of range for n=16"),
         ("export-plot", ["export-plot", "{h}", "--out", "{dir}"], "cannot write {dir}: "),
     ], ids=["verify-eps", "predict-window", "export-plot-components",
-            "export-plot-component-range", "export-plot-unwritable"])
+            "export-plot-negative-component", "export-plot-component-range",
+            "export-plot-unwritable"])
     def test_bad_option_is_named_before_a_file_is_opened(self, capsys, tmp_path, command, argv,
                                                          message):
         """A bad option is named even when the file it would apply to is absent;

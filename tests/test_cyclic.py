@@ -64,6 +64,10 @@ class TestCheckOrthogonalSystem:
         with pytest.raises(DimensionMismatch):
             VectorSystem(np.ones((2, 3), dtype=complex))
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(DimensionMismatch, match="ndim=1"):
+            VectorSystem(np.ones(3, dtype=complex))
+
     def test_single_vector_has_zero_cross(self):
         report = check_orthogonal_system(system([3.0, 4.0]))
         assert report.is_orthogonal

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sclrom import (
+    ConfigInvalid,
     DegenerateHistory,
+    DimensionMismatch,
     FitOptions,
     InsufficientData,
     SclRomError,
@@ -75,6 +77,10 @@ class TestFitMonomial:
         h = periodic_history(64, 8, seed=5)
         with pytest.raises(InsufficientData):
             fit(h, FitOptions(period=9))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigInvalid, match="unknown mode 'bogus'"):
+            FitOptions(mode="bogus")
 
 
 class TestFitLeastSquares:
@@ -266,6 +272,11 @@ class TestVerifyMimetic:
         assert worst_step == 0 and worst > 0.1
         assert all(r <= 1e-10 for k, r in report.per_step if k > 0)
 
+    def test_state_dimension_mismatch_rejected(self):
+        model, _ = fit(periodic_history(64, 8, seed=1))
+        with pytest.raises(DimensionMismatch, match="state dimension 64 but history has 32"):
+            verify_mimetic(model, periodic_history(32, 8, seed=1), 1e-10)
+
     def test_failing_threshold(self):
         pair = almost_periodic_history(32, 4, 1e-2, 4, seed=1)
         model, _ = fit(pair.clean)
@@ -301,17 +312,22 @@ class TestVerifyMimetic:
         assert [k for k, _ in report.per_step] == list(range(steps + 3))
         assert np.array([r for _, r in report.per_step]).tobytes() == np.array(direct).tobytes()
 
-    @pytest.mark.parametrize("columns", [5, 16, 20, 600])
-    def test_every_column_is_verified(self, tmp_path, columns):
-        """A history longer than the model's period of 8 is checked on every
-        column, step k against phase k mod 8 as replay wraps it, in memory
-        and streamed from a file: columns 8 and on are scaled and shifted,
-        so verification fails, and each residual is the gap that replay
-        gives."""
-        h = periodic_history(64, 8, seed=1)
+    @pytest.mark.parametrize("period, n, columns", [
+        *(pytest.param(8, 64, columns, id=str(columns)) for columns in (5, 16, 20, 600)),
+        # the last lap ends inside the first of the period's two pinned blocks
+        pytest.param(512, 1024, 600, id="period512-600"),
+    ])
+    def test_every_column_is_verified(self, tmp_path, period, n, columns):
+        """A history longer than the model's period is checked on every
+        column, step k against phase k mod period as replay wraps it, in
+        memory and streamed from a file: the columns past the period are
+        scaled and shifted, so verification fails, and each residual is the
+        gap that replay gives. The fitted history is exactly periodic, so
+        the model's period is the frame's."""
+        h = periodic_history(n, period, seed=1)
         model, _ = fit(h)
-        data = h.data[:, np.arange(columns) % 8]
-        data[:, 8:] = 3.0 * data[:, 8:] + 0.5
+        data = h.data[:, np.arange(columns) % period]
+        data[:, period:] = 3.0 * data[:, period:] + 0.5
         states = replay(model, 0, columns)
         gaps = [np.linalg.norm(states[:, k] - data[:, k]) for k in range(columns)]
         path = tmp_path / "h.bin"
@@ -322,7 +338,7 @@ class TestVerifyMimetic:
         for report in reports:
             assert [k for k, _ in report.per_step] == list(range(columns))
             assert np.array([r for _, r in report.per_step]).tobytes() == np.array(gaps).tobytes()
-            assert report.passed == (columns <= 8)
+            assert report.passed == (columns <= period)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("scale, overflows", [(1e154, False), (1.5e154, True), (1e155, True)],

@@ -45,6 +45,15 @@ class TestSnapshotHistory:
         assert "non-finite" in str(exc.value)
         assert "(row 4, column 1)" in str(exc.value)
 
+    @pytest.mark.parametrize("data, message", [
+        (np.ones(4), "snapshot matrix must be 2-D, got ndim=1"),
+        (np.ones((4, 0)), "snapshot history needs at least one column"),
+    ], ids=["1-d", "no-columns"])
+    def test_wrong_shape_rejected(self, data, message):
+        with pytest.raises(DimensionMismatch) as exc:
+            SnapshotHistory(data)
+        assert str(exc.value) == message
+
 
 class TestThinSvd:
     def test_orthonormal_columns(self):
@@ -498,6 +507,15 @@ class TestBuildOhf:
     def test_zero_history_degenerate(self):
         with pytest.raises(DegenerateHistory):
             build_ohf(SnapshotHistory(np.zeros((8, 2), dtype=complex)))
+
+    @pytest.mark.parametrize("data, error, message", [
+        (np.zeros((8, 2)), DegenerateHistory, "history is numerically zero"),
+        (np.eye(4, 3), DimensionTooSmall, "need n >= 2m, got n=4, m=3"),
+    ], ids=["zero", "full-rank-too-tall"])
+    def test_truncation_keeps_the_refusals(self, data, error, message):
+        with pytest.raises(error) as exc:
+            build_ohf(SnapshotHistory(data), truncate=True)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("part", ["complex", "real"])
     @pytest.mark.parametrize("scale", [1e155, 1e300])

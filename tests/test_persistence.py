@@ -723,6 +723,40 @@ class TestModelFormat:
         error, _ = _refusal(lambda: read_model(path))
         assert str(error) == "expected a blank line after 3 manifest lines, found b'extra: junk\\n'"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob.replace(b"\nm: 4\n", b"\nn: 4\n", 1),
+         "manifest line 2 must be 'm: ...'"),
+        (lambda blob: blob.partition(b"\n\n")[0], "missing manifest separator"),
+        (lambda blob: blob.replace(b" v3\n", b" v\xff\n", 1), "manifest is not valid UTF-8"),
+    ], ids=["n-for-m", "no-separator", "version-not-utf8"])
+    def test_malformed_manifest_names_the_fault(self, fitted, tmp_path, edit, message):
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        blob = path.read_bytes()
+        edited = edit(blob)
+        assert edited != blob
+        path.write_bytes(edited)
+        with pytest.raises(InvariantViolation) as exc:
+            read_model(path)
+        assert str(exc.value) == message
+
+    def test_non_real_s_rejected(self, fitted, tmp_path):
+        fitted.ohf.singular_values = fitted.ohf.singular_values + 1e-3j
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        with pytest.raises(InvariantViolation) as exc:
+            read_model(path)
+        assert str(exc.value) == "s holds non-real values"
+
+    def test_frame_without_room_for_its_complement_rejected(self, fitted, tmp_path):
+        fitted.ohf.V = fitted.ohf.V[:6]
+        path = tmp_path / "m.bin"
+        write_model(fitted, path)
+        with pytest.raises(InvariantViolation) as exc:
+            read_model(path)
+        assert str(exc.value) == ("stored frames are inconsistent: "
+                                  "complement of an m=4 frame needs n >= 8, got n=6")
+
     def test_unsupported_version_is_named_before_the_line_count(self, fitted, tmp_path):
         """Version 2 had seven manifest lines (n, T, rho and the array list
         besides m and epsilon_achieved); it is refused for its version, at
