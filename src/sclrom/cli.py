@@ -213,11 +213,13 @@ def _cmd_verify(args) -> int:
         lines.append(_BANNER)
         lines.append("Verification passed..." if report.passed else "Verification failed...")
     lines.append(
-        f"max{{||K U^k T x0 - xk|| | 1<=k<=m}} = {report.max_residual:.4e} {comparator} eps"
+        f"max{{||K U^k T x0 - xk|| | 0<=k<{report.steps}}} = {report.max_residual:.4e} "
+        f"{comparator} eps"
     )
     if args.log_style == "paper":
         lines.append(_BANNER)
     lines.append(f"For m = {report.m}")
+    lines.append(f"For p = {model.period}")
     lines.append(f"For n = {report.n}")
     lines.append(f"For eps = {report.eps:.4e}")
     if args.log_style == "paper":

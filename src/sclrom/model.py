@@ -1,19 +1,21 @@
 """Fit, evaluate, and verify the switched closed-loop reduced-order model.
 
 The fitted model stores the orthonormal history factor plus one circulant
-coefficient vector per step; step t's transition matrix is the lift of
-that circulant through the frame, and predictions chain it between the
-input and output projectors:
+coefficient vector per phase of its period p; step t's transition matrix
+is the lift of phase t mod p's circulant through the frame, and
+predictions chain it between the input and output projectors:
 
-    x_t = K ( Vhat circ(c_{t mod T}) Vhat* ) (rho vhat_1) = V B c_{t mod T}
+    x_t = K ( Vhat circ(c_{t mod p}) Vhat* ) (rho vhat_1) = V B c_{t mod p}
 
 with R = V B = (rho/kappa) V diag(s) W the replay operator, held as V and
 the factorization's m x m matrix B, so one period of states is the rank-m
-product of V, B and the m x T coefficient matrix.
+product of V, B and the m x p coefficient matrix.
 
 Two coefficient modes exist: the closed-form monomial (kappa/rho) z^t,
-which reproduces exactly periodic training data to rounding, and a
-least-squares solve through the retained SVD factors.
+which depends only on t mod m and so has period m, and reproduces exactly
+periodic training data to rounding; and a least-squares solve through the
+retained SVD factors, one coefficient vector per phase of the frame's
+period.
 """
 from __future__ import annotations
 
@@ -38,8 +40,9 @@ class FitOptions:
     rank_tol : relative singular-value threshold for degeneracy, in [0, 1).
     truncate_rank : reduce the frame to the numerical rank instead of
         raising on degenerate snapshots.
-    period : number of leading snapshots used to build the frame; defaults
-        to the full history (frame size = step count).
+    period : the frame's period p, the number of leading snapshots used
+        to build the frame; defaults to the full history. A least-squares
+        model has one coefficient vector per phase t mod p.
     """
 
     mode: str = MODE_MONOMIAL
@@ -60,10 +63,10 @@ class FitOptions:
 
 @dataclass(eq=False)
 class SclRomModel:
-    """Fitted reduced model: frame + per-step circulant coefficients."""
+    """Fitted reduced model: frame + one circulant coefficient vector per phase."""
 
     ohf: OhfFactorization
-    coeffs: np.ndarray  # (m, T) column-major, column t holds the step-t element
+    coeffs: np.ndarray  # (m, period) column-major, column k holds phase k's element
     epsilon_achieved: float
 
     @property
@@ -76,6 +79,8 @@ class SclRomModel:
 
     @property
     def period(self) -> int:
+        """Step t replays phase t mod period: m for a monomial model, the
+        frame's period for a least-squares one."""
         return self.coeffs.shape[1]
 
 
@@ -94,6 +99,7 @@ class MimeticReport:
     m: int
     n: int
     eps: float
+    steps: int  # the history columns checked, k = 0 .. steps - 1
 
 
 # Steps are computed in column blocks of _BLOCK steps; the last block of a
@@ -127,9 +133,12 @@ class _HeldColumns:
     The same reading interface as a binary snapshot file streamed by
     :mod:`sclrom.persistence`: ``read(count)`` returns the next ``count``
     columns as an (n, count) array, which a file reader may overwrite at
-    its next read, and ``drain()`` checks what was not read (nothing, for
-    an array).
+    its next read, ``drain()`` checks what was not read (nothing, for
+    an array), and ``rewind()`` starts again from the first column, which
+    only a reader whose ``rereadable`` is true can do.
     """
+
+    rereadable = True
 
     def __init__(self, data: np.ndarray):
         self.data = data
@@ -144,11 +153,40 @@ class _HeldColumns:
     def drain(self) -> None:
         pass
 
+    def rewind(self) -> None:
+        self._at = 0
+
 
 def _columns(history):
     """Column reader of a SnapshotHistory, or ``history`` itself when it is
     already one (the columns of an open snapshot file)."""
     return _HeldColumns(history.data) if isinstance(history, SnapshotHistory) else history
+
+
+def _step_blocks(steps: int, period: int):
+    """Iterator over (start, stop) of the blocks in which ``steps`` steps of
+    a model of period ``period`` are replayed, in order: the pinned blocks
+    of the period, lap after lap, the last lap cut at ``steps``, so that
+    each block's states are one block product; for a period shorter than
+    one block, the pinned blocks of the steps themselves, each gathered
+    from the period's one product."""
+    if period < _BLOCK:
+        return _block_bounds(steps)
+    return ((lap + start, min(lap + stop, steps)) for lap in range(0, steps, period)
+            for start, stop in _block_bounds(period) if lap + start < steps)
+
+
+def _blocks(columns, bounds, head=None):
+    """Iterator over (start, stop, snapshots) for each column block
+    (start, stop) of ``bounds``, in order: the columns that lie in
+    ``head``, the leading columns already read, from it (a block is cut at
+    its end), then the rest read one block at a time."""
+    held = 0 if head is None else head.shape[1]
+    for start, stop in bounds:
+        if start < held < stop:
+            yield start, held, head[:, start:]
+            start = held
+        yield start, stop, head[:, start:stop] if stop <= held else columns.read(stop - start)
 
 
 def _block_states(model: SclRomModel, start: int, stop: int) -> np.ndarray:
@@ -170,17 +208,17 @@ def _replayed_columns(model: SclRomModel, t0: int, t1: int):
     if t0 < 0 or t1 < t0:
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0}, t1={t1}")
     _check_entries("n * (t1 - t0)", model.n * (t1 - t0))
-    T = model.period
+    p = model.period
 
     def runs():
         start = stop = 0
         states = None
         t = t0
         while t < t1:
-            phase = t % T
+            phase = t % p
             if not start <= phase < stop:
                 states = None  # free the last block before the next is made
-                start, stop = _block_of(T, phase)
+                start, stop = _block_of(p, phase)
                 states = _block_states(model, start, stop)
                 states.flags.writeable = False
             count = min(stop - phase, t1 - t)
@@ -206,32 +244,36 @@ def _joined(n: int, steps: int, blocks) -> np.ndarray:
 def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     """Model states for steps t0 <= t < t1, one per column, shape (n, t1 - t0).
 
-    Step t's state is V B c_{t mod T}. The period is computed in pinned
-    column blocks of 256 steps (the last block of a period takes the
-    remainder, up to 511 steps; a shorter period is one block): block
-    [a, b) is the product ``(coeffs[:, a:b].T @ B.T) @ V.T``, a (b - a, n)
-    array with one state per contiguous row. A replay computes only the
-    blocks that hold its steps, so a state's bits come from one product of
-    one fixed shape and do not depend on the window: ``replay``,
-    :func:`predict`, fit residuals, verification and the command-line
-    front end agree bitwise, and the loader rebuilds B from bit-identical
-    inputs, so they also agree after a save/load round trip. A window that
-    lies in one block is returned as a writable column-major view of that
-    block's fresh states, with no second copy; any other window is copied
-    block by block into its own array, in the window plus one block of
-    memory.
+    Step t's state is V B c_{t mod p} for the model's period p. The period
+    is computed in pinned column blocks of 256 steps (the last block of a
+    period takes the remainder, up to 511 steps; a shorter period is one
+    block): block [a, b) is the product
+    ``(coeffs[:, a:b].T @ B.T) @ V.T``, a (b - a, n) array with one state
+    per contiguous row. A replay computes only the blocks that hold its
+    steps, so a state's bits come from one product of one fixed shape and
+    do not depend on the window: ``replay``, :func:`predict`, fit
+    residuals, verification and the command-line front end agree bitwise,
+    and the loader rebuilds B from bit-identical inputs, so they also agree
+    after a save/load round trip. A window that lies in one block is
+    returned as a writable column-major view of that block's fresh states,
+    with no second copy; a window that wraps a period shorter than one
+    block is gathered from the period's one product in one copy, and any
+    other window is copied block by block into its own array, in the
+    window plus one block of memory.
     """
     runs = _replayed_columns(model, t0, t1)  # checks the window
-    T = model.period
-    phase = t0 % T
-    start, stop = _block_of(T, phase)
+    p = model.period
+    phase = t0 % p
+    start, stop = _block_of(p, phase)
     if t0 < t1 and phase + (t1 - t0) <= stop:
         return _block_states(model, start, stop)[phase - start : phase - start + t1 - t0].T
+    if p < _BLOCK:  # the period's one product, gathered into the window
+        return _block_states(model, 0, p)[np.arange(phase, phase + t1 - t0) % p].T
     return _joined(model.n, t1 - t0, lambda: runs)
 
 
 def predict(model: SclRomModel, t: int) -> np.ndarray:
-    """Model state at step t: K H_{t mod T} (rho vhat_1), evaluated as V B c_{t mod T}.
+    """Model state at step t: K H_{t mod p} (rho vhat_1), evaluated as V B c_{t mod p}.
 
     rho vhat_1 equals T v_1 by the factorization identities; the replay
     operator R = V B folds the derived scalar rho together with K and the
@@ -239,7 +281,7 @@ def predict(model: SclRomModel, t: int) -> np.ndarray:
     owned copy of one column of :func:`replay`, so it is bitwise equal to
     the same step of any replay window, before and after a save/load round
     trip. Each call computes the pinned block of 256 to 511 steps that
-    holds t mod T (the whole period when it is shorter), in n times the
+    holds t mod p (the whole period when it is shorter), in n times the
     block's width of memory; use :func:`replay` for many steps. A negative
     step raises ValueError.
     """
@@ -270,27 +312,85 @@ def _gap_norms(states: np.ndarray, data: np.ndarray) -> list[float]:
         return np.sqrt(squares).tolist()
 
 
+def _residuals(model: SclRomModel, blocks) -> list[float]:
+    """||predict(model, t) - x_t||_2 for every step t of ``blocks``, the
+    (start, stop, snapshots) of the blocks of :func:`_step_blocks` (see
+    :func:`_blocks`): the states of each block are one :func:`replay`
+    window, fresh, overwritten with their gaps."""
+    residuals: list[float] = []
+    for start, stop, block in blocks:
+        residuals += _gap_norms(replay(model, start, stop), block)
+    return residuals
+
+
+def _solve(ohf: OhfFactorization, data: np.ndarray) -> np.ndarray:
+    """The least-squares coefficients min_c ||rho (K Vhat) c - x||_2 of every
+    column x of ``data``: with K Vhat = V diag(s_j/s_1) W, the product
+    W* diag(kappa / (rho s)) (V* data) of the stored SVD factors."""
+    inv_scale = (ohf.kappa / (ohf.rho * ohf.singular_values))[:, None]
+    return ohf.W.conj().T @ (inv_scale * (ohf.V.conj().T @ data))
+
+
+def _solved(ohf: OhfFactorization, coeffs: np.ndarray, blocks):
+    """``blocks`` (see :func:`_blocks`), each block's least-squares
+    coefficients stored in its columns of ``coeffs`` before it is passed
+    on."""
+    for start, stop, block in blocks:
+        coeffs[:, start:stop] = _solve(ohf, block)
+        yield start, stop, block
+
+
+def _class_means(blocks, n: int, p: int, steps: int) -> np.ndarray:
+    """The column-major (n, p) means of the snapshots of ``blocks`` (see
+    :func:`_blocks`) over each residue class t mod p of their ``steps``
+    steps. Each class sum adds its columns in step order, one run of at
+    most p consecutive steps at a time."""
+    sums = np.zeros((p, n), dtype=np.complex128)
+    for start, stop, block in blocks:
+        rows = block.T
+        t = start
+        while t < stop:
+            phase = t % p
+            count = min(p - phase, stop - t)
+            sums[phase : phase + count] += rows[t - start : t - start + count]
+            t += count
+    counts = steps // p + (np.arange(p) < steps % p)
+    return (sums / counts[:, None]).T
+
+
 def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport]:
-    """Fit a reduced model to a snapshot history.
+    """Fit a reduced model to a snapshot history of T steps.
 
     Builds the orthonormal history factor from the leading ``opts.period``
-    snapshots (all of them by default), then computes one circulant
-    coefficient vector per step t = 0..T-1 targeting snapshot v_{t+1}:
+    snapshots p (all of them by default), then computes the coefficients
+    of the model's period:
 
-    * monomial mode stores (kappa/rho) on the power t mod m — exact for
-      periodic data;
-    * least_squares mode solves min_c || rho (K Vhat) c - v_{t+1} ||_2
-      for every step at once through the retained SVD factors, as the
-      product W* diag(kappa / (rho s)) (V* data).
+    * monomial mode stores the m distinct columns (kappa/rho) e_k, the
+      powers z^k of the element (kappa/rho) z^t, which depends only on
+      t mod m, so the model's period is m; exact for periodic data;
+    * least_squares mode solves min_c || rho (K Vhat) c - x ||_2 through
+      the retained SVD factors, as the product
+      W* diag(kappa / (rho s)) (V* x). With p = T it solves each step's
+      snapshot; with p < T it solves once, on the means of the snapshots
+      over each residue class t mod p, which is the class mean of the
+      per-step solutions, giving m x p coefficients.
 
-    The snapshots are taken in the pinned column blocks of :func:`replay`:
+    The training residuals are ||predict(model, t) - x_t||_2 over all T
+    steps, wrapped at the period as :func:`replay` wraps it. The
+    snapshots are taken in the pinned column blocks of :func:`replay`:
     the blocks that hold the frame's columns first, then one block at a
-    time, whose coefficients, replayed states and training residuals are
-    computed before the next block is read. Every product is bitwise equal
-    to its whole-period form. ``history`` is a SnapshotHistory, or the
+    time, whose coefficients (at p = T), replayed states and training
+    residuals are computed before the next block is read. Every product is
+    bitwise equal to its whole-period form. A least-squares fit with p < T
+    knows its coefficients only after the last snapshot, so it reads the
+    history twice: once for the class means, then again for the training
+    residuals, which are the per-step residuals of :func:`verify_mimetic`,
+    computed by the same routine. ``history`` is a SnapshotHistory, or the
     columns of an open snapshot file, which the command-line front end
-    streams this way in O(n (period + 512)) memory besides the m x T
-    coefficients, which are column-major like V and W.
+    streams this way in O(n (p + 512)) memory besides the m x p
+    coefficients, which are column-major like V and W; columns that can be
+    read only once (a binary file on a pipe) raise ConfigInvalid for a
+    least-squares fit with p < T, before any is read.
 
     Returns the model and a report; a missed epsilon target is flagged in
     the report rather than raised.
@@ -299,38 +399,40 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
         opts = FitOptions()
     columns = _columns(history)
     T = columns.m
-    m_sys = opts.period if opts.period is not None else T
-    if m_sys < 1:
-        raise InsufficientData(f"period must be positive, got {m_sys}")
-    if m_sys > T:
-        raise InsufficientData(f"period {m_sys} exceeds the {T} available snapshots")
+    p = opts.period if opts.period is not None else T
+    if p < 1:
+        raise InsufficientData(f"period must be positive, got {p}")
+    if p > T:
+        raise InsufficientData(f"period {p} exceeds the {T} available snapshots")
+    folded = opts.mode == MODE_LEAST_SQUARES and p < T
+    if folded and not columns.rereadable:
+        raise ConfigInvalid(
+            f"a least-squares fit with period {p} below the {T} snapshots reads them "
+            "twice, and this input can be read only once; write it to a file first"
+        )
     # the frame is built first, from the blocks that hold its columns, read
     # in one read; the reader (or the history) has checked them finite
-    held = _block_of(T, m_sys - 1)[1]
-    head = columns.read(held)
-    ohf = build_ohf(_checked_history(head[:, :m_sys]), rank_tol=opts.rank_tol,
+    head = columns.read(_block_of(T, p - 1)[1])
+    ohf = build_ohf(_checked_history(head[:, :p]), rank_tol=opts.rank_tol,
                     truncate=opts.truncate_rank)
     m = ohf.m
 
     if opts.mode == MODE_MONOMIAL:
-        coeffs = np.zeros((m, T), dtype=np.complex128, order="F")
-        t = np.arange(T)
-        coeffs[t % m, t] = ohf.kappa / ohf.rho
+        coeffs = np.zeros((m, m), dtype=np.complex128, order="F")
+        np.fill_diagonal(coeffs, ohf.kappa / ohf.rho)
+    elif folded:
+        means = _class_means(_blocks(columns, _block_bounds(T), head), columns.n, p, T)
+        coeffs = np.asfortranarray(_solve(ohf, means))
+        columns.rewind()
+        head = None
     else:
-        # min_c ||rho * CH c - v_{t+1}|| with CH = V diag(s_j/s_1) W, solved
-        # through the pseudo-inverse assembled from the stored SVD factors
         coeffs = np.empty((m, T), dtype=np.complex128, order="F")
-        V_star, W_star = ohf.V.conj().T, ohf.W.conj().T
-        inv_scale = (ohf.kappa / (ohf.rho * ohf.singular_values))[:, None]
 
     model = SclRomModel(ohf=ohf, coeffs=coeffs, epsilon_achieved=0.0)
-    per_step: list[float] = []
-    for start, stop in _block_bounds(T):
-        # each block past the first ones is read over them
-        block = head[:, start:stop] if stop <= held else columns.read(stop - start)
-        if opts.mode != MODE_MONOMIAL:
-            coeffs[:, start:stop] = W_star @ (inv_scale * (V_star @ block))
-        per_step += _gap_norms(_block_states(model, start, stop).T, block)
+    blocks = _blocks(columns, _step_blocks(T, model.period), head)
+    if opts.mode == MODE_LEAST_SQUARES and not folded:
+        blocks = _solved(ohf, coeffs, blocks)  # a block's coefficients before its states
+    per_step = _residuals(model, blocks)
     model.epsilon_achieved = max(per_step)
     report = FitReport(
         target_met=model.epsilon_achieved <= opts.epsilon,
@@ -351,13 +453,15 @@ def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
 
     max_residual = max over every column k of the history of
     ||predict(model, k) - v_{k+1}||_2, the quantity printed by the
-    verification log of the command-line front end; past the period T,
-    step k replays phase k mod T, as :func:`replay` does. The states come
-    from the pinned blocks of :func:`replay`, one block of states and
-    snapshots at a time, bitwise equal to ``predict``; an overflowing
-    residual reads inf and fails. ``history`` is a SnapshotHistory or the
-    columns of an open snapshot file, as for :func:`fit`. A negative or
-    NaN eps raises ConfigInvalid.
+    verification log of the command-line front end; step k replays phase
+    k mod p of the model's period p, as :func:`replay` does. The states
+    come from the pinned blocks of the period, lap after lap, one block of
+    states and snapshots at a time, bitwise equal to ``predict``; a period
+    shorter than one block is computed once per pinned block of the history
+    and copied into it, so a wrapped history costs per step what one as
+    long as the period does. An overflowing residual reads inf and fails.
+    ``history`` is a SnapshotHistory or the columns of an open snapshot
+    file, as for :func:`fit`. A negative or NaN eps raises ConfigInvalid.
     """
     _check_eps(eps)
     columns = _columns(history)
@@ -365,21 +469,14 @@ def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
         raise DimensionMismatch(
             f"model has state dimension {model.n} but history has {columns.n}"
         )
-    residuals: list[float] = []
-    for lap in range(0, columns.m, model.period):
-        for start, stop in _block_bounds(model.period):
-            count = min(stop, columns.m - lap) - start
-            if count <= 0:
-                break
-            residuals += _gap_norms(_block_states(model, start, stop)[:count].T,
-                                    columns.read(count))
-    per_step = list(enumerate(residuals))
+    residuals = _residuals(model, _blocks(columns, _step_blocks(columns.m, model.period)))
     max_residual = max(residuals, default=0.0)
     return MimeticReport(
         max_residual=max_residual,
-        per_step=per_step,
+        per_step=list(enumerate(residuals)),
         passed=max_residual <= eps,
         m=model.m,
         n=model.n,
         eps=eps,
+        steps=columns.m,
     )

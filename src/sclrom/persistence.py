@@ -52,10 +52,11 @@ Model files (version 3): a three-line UTF-8 manifest (the header
 ``SCLROM-MODEL v3``, ``m:`` and ``epsilon_achieved:``), a blank line,
 then four snapshot-encoded binary blocks: the thin SVD V diag(s) W of
 the frame's history, V (n x m), s (m x 1, real) and W (m x m), and the
-coefficients (m x T), column-major like the blocks, so a complex array
-is written from its own memory and each is loaded by one read of the
-snapshot reader, whose buffer becomes the array; the file may be a
-pipe, and its manifest is read in bounded lines (:func:`_read_manifest`).
+coefficients (m x p, one column per phase of the model's period),
+column-major like the blocks, so a complex array is written from its own
+memory and each is loaded by one read of the snapshot reader, whose
+buffer becomes the array; the file may be a pipe, and its manifest is
+read in bounded lines (:func:`_read_manifest`).
 Each block's header is checked against m before its payload is read; n
 and T are read from the headers of V and of the coefficients. The arrays
 then pass :func:`sclrom.ohf.checked_factorization`, fitting's m x m gate
@@ -301,7 +302,8 @@ class _BinaryColumns:
     the end of the input. Either raises at the first fault it meets, in
     file order: a short read, or the first non-finite entry, named by its
     row and its column in the whole history, which is the first in column
-    order.
+    order. ``rewind()`` seeks back to the first column, so the block can be
+    read again; only a regular file is ``rereadable``.
     """
 
     def __init__(self, fh, head: bytes, path, offset: int):
@@ -315,6 +317,7 @@ class _BinaryColumns:
         if n * m > _MAX_ENTRIES:
             raise DimensionMismatch(f"header declares {n}x{m}, beyond the size of one array")
         self.n, self.m = n, m
+        self.rereadable = self._regular
         self._fh, self._path, self._real, self._expected = fh, path, real, expected
         self._at = self._bytes = 0  # columns and payload bytes read
         # the reused (columns, n) buffers: complex, and float for a real payload
@@ -346,6 +349,13 @@ class _BinaryColumns:
         _check_finite(rows.T, self._at)
         self._at += count
         return rows.T
+
+    def rewind(self) -> None:
+        try:
+            self._fh.seek(self.end - self._expected)
+        except OSError as exc:
+            raise IoFailure(f"cannot read {self._path}: {exc}") from exc
+        self._at = self._bytes = 0
 
     def drain(self) -> None:
         while self._at < self.m:
@@ -455,10 +465,11 @@ def _read_csv_file(fh, head: bytes) -> SnapshotHistory:
 
 @contextmanager
 def _snapshot_columns(path):
-    """The columns of a snapshot file, for one pass in order, in the form
-    that :func:`sclrom.fit` and :func:`sclrom.verify_mimetic` take them: a
-    binary file streamed in blocks (:class:`_BinaryColumns`), a CSV file
-    read whole.
+    """The columns of a snapshot file, read in order, in the form that
+    :func:`sclrom.fit` and :func:`sclrom.verify_mimetic` take them: a
+    binary file streamed in blocks (:class:`_BinaryColumns`), which a
+    regular file can stream again after ``rewind()``, or a CSV file read
+    whole.
 
     When the body completes, the columns it did not read are read and
     checked, so a file is accepted only when all of it is sound. The first
@@ -595,7 +606,7 @@ def read_model(path) -> SclRomModel:
 
     Each array is loaded by one read of the snapshot reader, with no copy,
     and the file may be a pipe. m comes from the manifest, n from the
-    header of V and the period T from that of the coefficients. Raises
+    header of V and the period p from that of the coefficients. Raises
     VersionUnsupported for unknown format versions, earlier ones included,
     and InvariantViolation when an array's header disagrees with m, an
     array or epsilon_achieved holds non-finite numbers, s holds a non-real

@@ -172,7 +172,7 @@ def dense_diagram_residuals(ohf, degrees, seed=0):
 
 
 def transition_matrix(model, t):
-    """Step-t transition matrix Vhat circ(c_{t mod T}) Vhat*, dense n x n; rank <= m."""
+    """Step-t transition matrix Vhat circ(c_{t mod p}) Vhat*, dense n x n; rank <= m."""
     Vhat = model.ohf.Vhat
     return Vhat @ circulant(model.coeffs[:, t % model.period]) @ Vhat.conj().T
 
@@ -261,25 +261,32 @@ def dense_wave_1d(cfg, return_velocity=False):
     return history
 
 
-def one_shot_coefficients(ohf, data, mode):
-    """The m x T coefficients of a fit with factorization ``ohf``, from the
-    whole-period formulas: (kappa/rho) on the power t mod m, or the
-    least-squares product W* diag(kappa / (rho s)) (V* data) over the
-    column-major history at once."""
+def one_shot_coefficients(ohf, data, mode, period):
+    """The coefficients of a fit with factorization ``ohf`` and frame
+    period ``period``, from the whole-history formulas: the m powers
+    (kappa/rho) e_k of the monomial (kappa/rho) z^t, or the least-squares
+    product W* diag(kappa / (rho s)) (V* x) at once, over the column-major
+    history when the period is its length and otherwise over the means of
+    the steps of each residue class t mod period, summed one step at a time
+    in step order."""
     m, T = ohf.m, data.shape[1]
     if mode == "monomial":
-        coeffs = np.zeros((m, T), dtype=np.complex128)
-        t = np.arange(T)
-        coeffs[t % m, t] = ohf.kappa / ohf.rho
-        return coeffs
+        return np.diag(np.full(m, ohf.kappa / ohf.rho))
+    if period < T:
+        sums = np.zeros((data.shape[0], period), dtype=np.complex128)
+        for t in range(T):
+            sums[:, t % period] += data[:, t]
+        data = sums / np.bincount(np.arange(T) % period)
     inv_scale = ohf.kappa / (ohf.rho * ohf.singular_values)
     return ohf.W.conj().T @ (inv_scale[:, None] * (ohf.V.conj().T @ np.asfortranarray(data)))
 
 
-def one_shot_states(coeffs, ohf):
-    """One period of states as the single product (coeffs.T @ B.T) @ V.T of
-    the replay operator R = V B: a (T, n) array, one state per row."""
-    return (coeffs.T @ ohf.B.T) @ ohf.V.T
+def one_shot_states(coeffs, ohf, steps):
+    """The states of steps 0 <= t < steps, one per row of a (steps, n)
+    array: row t is row t mod p of the period's single product
+    (coeffs.T @ B.T) @ V.T of the replay operator R = V B, for the p
+    columns of coeffs."""
+    return ((coeffs.T @ ohf.B.T) @ ohf.V.T)[np.arange(steps) % coeffs.shape[1]]
 
 
 def one_shot_residuals(states, data):

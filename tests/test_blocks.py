@@ -3,9 +3,11 @@ products, and commands whose memory does not grow with the history.
 
 Fit, verification, replay and the command-line front end compute the
 period in blocks of 256 steps (the last one takes the remainder, up to
-511; a shorter period is one block). Each blocked product must equal the
-whole-period formula of ``tests/dense_oracle.py`` bit for bit, on the
-in-memory API and on binary files streamed from the command line.
+511; a shorter period is one block), and a history longer than the period
+in blocks of its own, which replay phase t mod p. Each blocked product
+must equal the whole-history formula of ``tests/dense_oracle.py`` bit for
+bit, on the in-memory API and on binary files streamed from the command
+line.
 """
 import contextlib
 import io
@@ -59,8 +61,8 @@ def test_blocked_fit_equals_the_one_shot_oracle(tmp_path_factory, period, extra,
     n = 2 * period + extra
     history = almost_periodic_history(n, period, 1e-3, steps, seed).perturbed
     model, report = fit(history, FitOptions(mode=mode, period=period))
-    coeffs = one_shot_coefficients(model.ohf, history.data, mode)
-    states = one_shot_states(coeffs, model.ohf)
+    coeffs = one_shot_coefficients(model.ohf, history.data, mode, period)
+    states = one_shot_states(coeffs, model.ohf, steps)
     residuals = one_shot_residuals(states, history.data)
     assert model.coeffs.tobytes() == coeffs.tobytes()
     assert replay(model, 0, steps).T.tobytes() == states.tobytes()
@@ -101,8 +103,8 @@ def test_predict_equals_every_column_of_a_streamed_file(tmp_path_factory, period
 
 def test_commands_stream_a_binary_history(tmp_path):
     """n = 256, period 8, 16384 steps: a 64 MiB history. Each command peaks
-    at an eighth of it or less; the m x T coefficients are 2 MiB of that.
-    Holding the history or one period of states would take 64 MiB."""
+    at an eighth of it or less; the m x p coefficients are 1 KiB of that.
+    Holding the history or all of its states would take 64 MiB."""
     n, period, steps = 256, 8, 16384
     h, m, p = tmp_path / "h.bin", tmp_path / "m.bin", tmp_path / "p.bin"
     commands = {

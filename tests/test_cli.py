@@ -11,6 +11,7 @@ import sclrom
 from sclrom import (
     FitOptions,
     SnapshotHistory,
+    almost_periodic_history,
     fit,
     periodic_history,
     predict,
@@ -42,11 +43,12 @@ class TestPipeline:
         code, out, _ = run(capsys, "verify", m, h)
         assert code == 0
         lines = out.splitlines()
-        assert lines[0].startswith("max{||K U^k T x0 - xk|| | 1<=k<=m} = ")
+        assert lines[0].startswith("max{||K U^k T x0 - xk|| | 0<=k<8} = ")
         assert lines[0].endswith("<= eps")
         assert lines[1] == "For m = 8"
-        assert lines[2] == "For n = 64"
-        assert lines[3].startswith("For eps = ")
+        assert lines[2] == "For p = 8"
+        assert lines[3] == "For n = 64"
+        assert lines[4].startswith("For eps = ")
         residual = float(lines[0].split(" = ")[1].split()[0])
         assert residual <= 1e-10
 
@@ -104,8 +106,9 @@ class TestPipeline:
         np.testing.assert_allclose(predictions.data, training.data, atol=1e-10)
 
     def test_predict_window_past_the_period_is_bitwise(self, capsys, tmp_path):
-        """Steps 3 .. 3T wrap past the period T = 12 of a least-squares model; every
-        column read back equals predict on the loaded model bitwise."""
+        """Steps 3 .. 37 wrap nine times past the period 4 of a least-squares model
+        fitted on 12 steps; every column read back equals predict on the loaded
+        model bitwise."""
         h, m, p = (str(tmp_path / name) for name in ("h.bin", "m.bin", "p.bin"))
         run(capsys, "simulate", "almost-periodic", "--n", "32", "--T", "4", "--eps-pert",
             "1e-3", "--horizon", "12", "--seed", "2", "--out", h)
@@ -114,7 +117,7 @@ class TestPipeline:
         assert code == 0
         written = read_snapshots(p).data
         model = read_model(m)
-        assert model.period == 12 and written.shape == (32, 34)
+        assert model.period == 4 and written.shape == (32, 34)
         for j, t in enumerate(range(3, 37)):
             assert written[:, j].tobytes() == predict(model, t).tobytes(), t
 
@@ -183,7 +186,7 @@ class TestLogStyleBanner:
         assert lines[2] == banner
         assert lines[3] == "Verification passed..."
         assert lines[5] == banner
-        assert lines[9] == banner
+        assert lines[10] == banner
 
     def test_simulate_banner(self, capsys, tmp_path):
         w = str(tmp_path / "w.bin")
@@ -462,6 +465,30 @@ class TestChildProcess:
         assert done.returncode == 0, done.stderr
         assert m.read_bytes() == from_file.read_bytes()
 
+    def test_folded_least_squares_fit_refuses_a_binary_pipe(self, tmp_path):
+        """A least-squares fit with a period below the column count reads the
+        columns twice, so a binary history on a pipe is refused, naming the
+        rule, before anything is written. The same history from a file, a
+        CSV history on a pipe (which is read whole), and a fit with the
+        period equal to the column count are accepted."""
+        h, csv, m = tmp_path / "h.bin", tmp_path / "h.csv", tmp_path / "m.bin"
+        history = almost_periodic_history(64, 4, 1e-3, 30, seed=3).perturbed
+        write_snapshots(history, h)
+        write_snapshots(history, csv, format="csv")
+        folded = ["--mode", "lsq", "--period", "4", "--out", str(m)]
+        done = run_child("fit", "/dev/stdin", *folded, stdin=h.read_bytes())
+        assert done.returncode == 2
+        assert done.stderr.decode() == (
+            "sclrom fit: a least-squares fit with period 4 below the 30 snapshots reads "
+            "them twice, and this input can be read only once; write it to a file first\n")
+        assert not m.exists()
+        for argv, stdin in ((["fit", str(h), *folded], None),
+                            (["fit", "/dev/stdin", *folded], csv.read_bytes()),
+                            (["fit", "/dev/stdin", "--mode", "lsq", "--out", str(m)],
+                             h.read_bytes())):
+            done = run_child(*argv, stdin=stdin)
+            assert done.returncode == 0, done.stderr
+
     @pytest.mark.parametrize("argv", [
         ["verify", "{m}", "{h}"],
         ["simulate", "periodic", "--n", "16", "--T", "4", "--seed", "1", "--out", "{o}"],
@@ -488,12 +515,13 @@ class TestChildProcess:
 
     def test_fit_reads_snapshots_from_a_fifo(self, tmp_path):
         """simulate writes a named pipe that fit reads as it is written; the
-        model equals the one fitted from a regular file."""
+        model equals the one fitted from a regular file. A monomial fit reads
+        its columns once, whatever its period."""
         fifo, h = tmp_path / "h.fifo", tmp_path / "h.bin"
         os.mkfifo(fifo)
         simulate = ["simulate", "almost-periodic", "--n", "64", "--T", "4", "--eps-pert",
                     "1e-3", "--horizon", "1000", "--seed", "3", "--out"]
-        fit_options = ["--mode", "lsq", "--period", "4", "--out"]
+        fit_options = ["--mode", "monomial", "--period", "4", "--out"]
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sclrom.__file__))}
         reader = subprocess.Popen([sys.executable, "-m", "sclrom.cli", "fit", str(fifo),
                                    *fit_options, str(tmp_path / "fifo-m.bin")], env=env,

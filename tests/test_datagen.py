@@ -13,6 +13,7 @@ from sclrom import (
     DimensionTooSmall,
     GaussianBump,
     InsufficientData,
+    NumericalFailure,
     SclRomError,
     SineMode,
     SnapshotHistory,
@@ -148,6 +149,12 @@ class TestWaveSimulator:
     def test_output_shape(self):
         h = simulate_wave_1d(WaveConfig())
         assert h.data.shape == (100, 41)
+
+    def test_non_finite_mode_angle_is_numerical_failure(self, monkeypatch):
+        arctan2 = np.arctan2
+        monkeypatch.setattr(np, "arctan2", lambda *args: np.nan * arctan2(*args))
+        with pytest.raises(NumericalFailure, match="non-finite mode angle"):
+            simulate_wave_1d(WaveConfig())
 
     def test_grid_beyond_float_range_raises_library_error(self):
         # c**2 underflows and 1/dx**2 overflows: the config is rejected

@@ -56,6 +56,14 @@ class TestSnapshotHistory:
 
 
 class TestThinSvd:
+    def test_non_convergence_is_numerical_failure(self, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", diverging)
+        with pytest.raises(NumericalFailure, match="SVD did not converge"):
+            thin_svd(SnapshotHistory(np.eye(4, 2, dtype=complex)))
+
     def test_orthonormal_columns(self):
         data = np.zeros((4, 2), dtype=complex)
         data[0, 0] = 1.0

@@ -217,6 +217,68 @@ class TestBinaryFormat:
             write_snapshots(h, bad)
         assert str(bad) in str(exc.value)
 
+    def test_failing_header_read_is_io_failure(self, tmp_path, monkeypatch):
+        """An OSError from the read of a snapshot file's header, after it was
+        opened, is reported as IoFailure naming the file."""
+        path = tmp_path / "h.bin"
+        write_snapshots(periodic_history(8, 2, seed=0), path)
+        monkeypatch.setattr(persistence, "open",
+                            lambda *args: _FailingReads(open(*args)), raising=False)
+        with pytest.raises(IoFailure, match=f"cannot read {re.escape(str(path))}: .*Input/output error"):
+            read_snapshots(path)
+
+    def test_failing_payload_read_is_io_failure(self, tmp_path):
+        """An OSError in the middle of a streamed payload is IoFailure too."""
+        path = tmp_path / "h.bin"
+        write_snapshots(periodic_history(8, 2, seed=0), path)
+        with open(path, "rb") as fh:
+            head = fh.read(32)
+            columns = persistence._BinaryColumns(_FailingReads(fh), head, path, 0)
+            with pytest.raises(IoFailure, match=f"cannot read {re.escape(str(path))}: .*Input/output error"):
+                columns.read(1)
+            with pytest.raises(IoFailure, match=f"cannot read {re.escape(str(path))}: .*Input/output error"):
+                columns.drain()
+
+    def test_failing_end_of_pipe_check_is_io_failure(self, tmp_path):
+        """drain reads a pipe past the block to check that nothing follows;
+        an OSError from that read is IoFailure."""
+        blob = _header(2, 1) + np.zeros(2, dtype="<c16").tobytes()
+        read_fd, thread = _feed_pipe(blob)
+        with open(read_fd, "rb") as fh:
+            columns = persistence._BinaryColumns(
+                _FailingReads(fh, payload=True), fh.read(32), "pipe", 0)
+            with pytest.raises(IoFailure, match="cannot read pipe: .*Input/output error"):
+                columns.drain()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class _FailingReads:
+    """An open binary file whose reads raise OSError(EIO); with ``payload``
+    its ``readinto`` calls, which read a payload, still go through, and
+    only ``read`` fails."""
+
+    def __init__(self, fh, payload=False):
+        self._fh, self._payload = fh, payload
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def _fail(self):
+        raise OSError(5, "Input/output error")
+
+    def read(self, size=-1):
+        return self._fail()
+
+    def readinto(self, buffer):
+        return self._fh.readinto(buffer) if self._payload else self._fail()
+
 
 def _peak_bytes(fn):
     """tracemalloc peak of one call, in bytes."""
@@ -491,9 +553,10 @@ class TestStreamedColumns:
 
     @pytest.mark.parametrize("format", ["binary", "csv"])
     def test_each_entry_is_checked_finite_once(self, tmp_path, monkeypatch, format):
-        """A read hands each entry to np.isfinite once, and so does a fit
-        streamed from a binary file; a fit of a history in memory, whose
-        entries were checked when it was made, hands it rho alone."""
+        """A read hands each entry to np.isfinite once, and so does each of
+        the two passes of a period-4 least-squares fit streamed from a binary
+        file; a fit of a history in memory, whose entries were checked when it
+        was made, hands it rho alone."""
         data, _ = self._history(tmp_path, columns=300)
         path = tmp_path / "h.txt"
         write_snapshots(SnapshotHistory(data), path, format=format)
@@ -514,7 +577,7 @@ class TestStreamedColumns:
             checked.clear()
             with persistence._snapshot_columns(path) as columns:
                 fit(columns, FitOptions(mode="least_squares", period=4))
-            assert sum(checked) == data.size + 1
+            assert sum(checked) == 2 * data.size + 1
 
 
 class TestModelFormat:

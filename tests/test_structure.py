@@ -7,8 +7,9 @@ times the frame's own snapshots, so
 
 - monomial replay returns the stored first-period snapshots,
   x_t = v_{(t mod m) + 1};
-- least-squares replay returns V V* data, the projection of the data onto
-  the span of the frame's snapshots;
+- least-squares replay returns the projection V V* xbar_{t mod m} onto the
+  span of the frame's snapshots of the mean xbar_k of the snapshots of the
+  steps t = k mod m (of the snapshot itself when T = m);
 - with rank truncation, both hold for the rank-r core history
   V_r diag(s_1..s_r) in place of the snapshots.
 
@@ -69,9 +70,11 @@ def _fit(data, mode, m, truncated):
 def _closed_form(model, data, m, mode, truncated):
     """The states the closed form gives for every column of data."""
     if mode == "least_squares":
-        # the span of the frame's snapshots, from an SVD of the test's own
+        # the span of the frame's snapshots, from an SVD of the test's own,
+        # applied to the mean of each residue class mod m
         span = np.linalg.svd(data[:, :m], full_matrices=False)[0][:, : model.m]
-        return span @ (span.conj().T @ data)
+        means = np.stack([data[:, k::m].mean(axis=1) for k in range(m)], axis=1)
+        return (span @ (span.conj().T @ means))[:, np.arange(data.shape[1]) % m]
     # first-period snapshots, or the core history the truncated fit factors
     ohf = model.ohf
     core = ohf.V * ohf.singular_values if truncated else data[:, :m]

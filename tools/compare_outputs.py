@@ -13,15 +13,17 @@ stdout agree. For each command it reports whether the exit code, stdout,
 stderr and output file match. Each child also reads every file it
 keeps with its own checkout's ``sclrom`` and saves what it read beside
 the file: the history of a snapshot or prediction file; for a model
-file, the frames V and Vhat, the coefficients and the replayed period.
-So a file format that differs between the checkouts is still compared
-through what each side reads from its own files. For a differing file
-that both sides could read, the report adds the largest difference of
-those arrays relative to the largest entry of PARENT's; for a model
-file, also that of its replayed period alone. Trailing singular
-directions are set by rounding alone, so two valid models of the same
-history may differ far more in their arrays than in the states they
-replay.
+file, the frames V and Vhat, the coefficients and the states it replays
+over the steps of the history it was fitted on. So a file format that
+differs between the checkouts is still compared through what each side
+reads from its own files, and two models of different periods through
+the states they replay. For a differing file that both sides could read,
+the report adds the largest difference of the arrays of the same shape
+on both sides relative to the largest entry of PARENT's, names the
+arrays whose shapes differ, and for a model file adds that of its
+replayed states alone. Trailing singular directions are set by rounding
+alone, so two valid models of the same history may differ far more in
+their arrays than in the states they replay.
 
 Exits 0 when every command matches, 1 otherwise. Nothing under
 ``perfbench/`` is changed; all files go to a temporary directory that is
@@ -55,11 +57,12 @@ def _load_workloads(checkout: Path):
     return module.WORKLOADS
 
 
-def _save_read(path: str) -> None:
+def _save_read(path: str, history: str | None) -> None:
     """Save beside ``path`` (as ``path + ".npz"``) the arrays that this
     checkout's sclrom reads from it: ``data`` for a snapshot file; V,
-    Vhat, the coefficients and ``replayed`` (the states of one period)
-    for a model file. Nothing is saved for a file it cannot read."""
+    Vhat, the coefficients and ``replayed``, the states of the steps of
+    ``history``, the snapshot file it was fitted on, for a model file.
+    Nothing is saved for a file it cannot read."""
     import numpy as np
     from sclrom.errors import SclRomError
     from sclrom.model import replay
@@ -69,7 +72,7 @@ def _save_read(path: str) -> None:
         if path.endswith("model.bin"):
             model = read_model(path)
             arrays = {"V": model.ohf.V, "Vhat": model.ohf.Vhat, "coeffs": model.coeffs,
-                      "replayed": replay(model, 0, model.period)}
+                      "replayed": replay(model, 0, read_snapshots(history).m)}
         else:
             arrays = {"data": read_snapshots(path).data}
     except SclRomError:
@@ -99,7 +102,7 @@ def _child(args) -> int:
                 if cmd.writes is not None and os.path.exists(cmd.writes):
                     kept = keep / f"{name}-{seed}-{index}-{Path(cmd.writes).name}"
                     shutil.copyfile(cmd.writes, kept)
-                    _save_read(str(kept))
+                    _save_read(str(kept), cmd.reads[0] if cmd.reads else None)
                 results.append({
                     "label": f"{name} seed {seed} {cmd.name}",
                     "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(),
@@ -151,11 +154,12 @@ def _relative_difference(a_path: str, b_path: str) -> str:
     a, b = _read(a_path), _read(b_path)
     if a is None or b is None or a.keys() != b.keys():
         return "unreadable"
-    if any(a[name].shape != b[name].shape for name in a):
-        return "shapes differ"
-    text = f"max relative difference {_max_relative((a[name], b[name]) for name in a):.3e}"
-    if "replayed" in a:
-        text += f", replayed period {_max_relative([(a['replayed'], b['replayed'])]):.3e}"
+    same = [name for name in a if a[name].shape == b[name].shape]
+    text = f"max relative difference {_max_relative((a[name], b[name]) for name in same):.3e}"
+    if len(same) < len(a):
+        text += f" ({', '.join(name for name in a if name not in same)} shapes differ)"
+    if "replayed" in same:
+        text += f", replayed {_max_relative([(a['replayed'], b['replayed'])]):.3e}"
     return text
 
 
