@@ -213,7 +213,7 @@ def _cmd_verify(args) -> int:
         lines.append(_BANNER)
         lines.append("Verification passed..." if report.passed else "Verification failed...")
     lines.append(
-        f"max{{||K U^k T x0 - xk|| | 0<=k<{report.steps}}} = {report.max_residual:.4e} "
+        f"max{{||K U^k T x0 - xk|| | 0<=k<{len(report.per_step)}}} = {report.max_residual:.4e} "
         f"{comparator} eps"
     )
     if args.log_style == "paper":

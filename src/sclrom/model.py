@@ -99,7 +99,6 @@ class MimeticReport:
     m: int
     n: int
     eps: float
-    steps: int  # the history columns checked, k = 0 .. steps - 1
 
 
 # Steps are computed in column blocks of _BLOCK steps; the last block of a
@@ -256,10 +255,10 @@ def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     and the loader rebuilds B from bit-identical inputs, so they also agree
     after a save/load round trip. A window that lies in one block is
     returned as a writable column-major view of that block's fresh states,
-    with no second copy; a window that wraps a period shorter than one
-    block is gathered from the period's one product in one copy, and any
-    other window is copied block by block into its own array, in the
-    window plus one block of memory.
+    with no second copy; any other window is copied run by run into its
+    own array, in the window plus one block of memory, and a window that
+    wraps a period shorter than one block computes the period's one
+    product once.
     """
     runs = _replayed_columns(model, t0, t1)  # checks the window
     p = model.period
@@ -267,8 +266,6 @@ def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     start, stop = _block_of(p, phase)
     if t0 < t1 and phase + (t1 - t0) <= stop:
         return _block_states(model, start, stop)[phase - start : phase - start + t1 - t0].T
-    if p < _BLOCK:  # the period's one product, gathered into the window
-        return _block_states(model, 0, p)[np.arange(phase, phase + t1 - t0) % p].T
     return _joined(model.n, t1 - t0, lambda: runs)
 
 
@@ -478,5 +475,4 @@ def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
         m=model.m,
         n=model.n,
         eps=eps,
-        steps=columns.m,
     )

@@ -553,10 +553,11 @@ class TestStreamedColumns:
 
     @pytest.mark.parametrize("format", ["binary", "csv"])
     def test_each_entry_is_checked_finite_once(self, tmp_path, monkeypatch, format):
-        """A read hands each entry to np.isfinite once, and so does each of
-        the two passes of a period-4 least-squares fit streamed from a binary
-        file; a fit of a history in memory, whose entries were checked when it
-        was made, hands it rho alone."""
+        """A read hands each entry to np.isfinite once, and so does a
+        one-pass (monomial) fit streamed from a binary file and each of the
+        two passes of a period-4 least-squares fit; a fit of a history in
+        memory, whose entries were checked when it was made, hands it rho
+        alone."""
         data, _ = self._history(tmp_path, columns=300)
         path = tmp_path / "h.txt"
         write_snapshots(SnapshotHistory(data), path, format=format)
@@ -574,10 +575,12 @@ class TestStreamedColumns:
         fit(history, FitOptions(mode="least_squares", period=4))
         assert checked == [1]
         if format == "binary":
-            checked.clear()
-            with persistence._snapshot_columns(path) as columns:
-                fit(columns, FitOptions(mode="least_squares", period=4))
-            assert sum(checked) == 2 * data.size + 1
+            for opts, passes in [(FitOptions(mode="monomial", period=4), 1),
+                                 (FitOptions(mode="least_squares", period=4), 2)]:
+                checked.clear()
+                with persistence._snapshot_columns(path) as columns:
+                    fit(columns, opts)
+                assert sum(checked) == passes * data.size + 1, opts
 
 
 class TestModelFormat:
