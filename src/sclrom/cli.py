@@ -218,10 +218,10 @@ def _cmd_verify(args) -> int:
     )
     if args.log_style == "paper":
         lines.append(_BANNER)
-    lines.append(f"For m = {report.m}")
+    lines.append(f"For m = {model.m}")
     lines.append(f"For p = {model.period}")
-    lines.append(f"For n = {report.n}")
-    lines.append(f"For eps = {report.eps:.4e}")
+    lines.append(f"For n = {model.n}")
+    lines.append(f"For eps = {args.eps:.4e}")
     if args.log_style == "paper":
         lines.append(_BANNER)
     print("\n".join(lines))

@@ -216,14 +216,15 @@ class WaveConfig:
     w0: SineMode | GaussianBump = SineMode(1)
 
     def __post_init__(self):
-        for name in ("L", "c", "dt"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:  # False for NaN too
-                raise ConfigInvalid(f"{name} must be positive and finite, got {value}")
+        # the counts first: the command line derives its default dt from nt
         if self.nx < 3:
             raise ConfigInvalid(f"need at least 3 interior grid points, got {self.nx}")
         if self.nt < 1:
             raise ConfigInvalid(f"need at least 1 time step, got {self.nt}")
+        for name in ("L", "c", "dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:  # False for NaN too
+                raise ConfigInvalid(f"{name} must be positive and finite, got {value}")
         _check_entries("nx * (nt + 1)", self.nx * (self.nt + 1))
         with np.errstate(all="ignore"):  # the stencil scales must be positive finite floats
             inv_dx2 = 1.0 / np.float64(self.dx) ** 2

@@ -96,9 +96,6 @@ class MimeticReport:
     max_residual: float
     per_step: list[tuple[int, float]]
     passed: bool
-    m: int
-    n: int
-    eps: float
 
 
 # Steps are computed in column blocks of _BLOCK steps; the last block of a
@@ -328,20 +325,13 @@ def _solve(ohf: OhfFactorization, data: np.ndarray) -> np.ndarray:
     return ohf.W.conj().T @ (inv_scale * (ohf.V.conj().T @ data))
 
 
-def _solved(ohf: OhfFactorization, coeffs: np.ndarray, blocks):
-    """``blocks`` (see :func:`_blocks`), each block's least-squares
-    coefficients stored in its columns of ``coeffs`` before it is passed
-    on."""
-    for start, stop, block in blocks:
-        coeffs[:, start:stop] = _solve(ohf, block)
-        yield start, stop, block
-
-
 def _class_means(blocks, n: int, p: int, steps: int) -> np.ndarray:
     """The column-major (n, p) means of the snapshots of ``blocks`` (see
     :func:`_blocks`) over each residue class t mod p of their ``steps``
-    steps. Each class sum adds its columns in step order, one run of at
-    most p consecutive steps at a time."""
+    steps, which a least-squares fit of period p solves. Each class sum adds
+    its columns in step order, one run of at most p consecutive steps at a
+    time. At p = steps each class is one snapshot, its own mean, so
+    :func:`fit` solves the snapshots themselves instead."""
     sums = np.zeros((p, n), dtype=np.complex128)
     for start, stop, block in blocks:
         rows = block.T
@@ -367,27 +357,28 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
       t mod m, so the model's period is m; exact for periodic data;
     * least_squares mode solves min_c || rho (K Vhat) c - x ||_2 through
       the retained SVD factors, as the product
-      W* diag(kappa / (rho s)) (V* x). With p = T it solves each step's
-      snapshot; with p < T it solves once, on the means of the snapshots
-      over each residue class t mod p, which is the class mean of the
-      per-step solutions, giving m x p coefficients.
+      W* diag(kappa / (rho s)) (V* x), once, on the means of the
+      snapshots over each residue class t mod p, which is the class mean
+      of the per-step solutions, giving m x p coefficients. At p = T each
+      class is one snapshot, so the snapshots themselves are solved.
 
     The training residuals are ||predict(model, t) - x_t||_2 over all T
-    steps, wrapped at the period as :func:`replay` wraps it. The
-    snapshots are taken in the pinned column blocks of :func:`replay`:
-    the blocks that hold the frame's columns first, then one block at a
-    time, whose coefficients (at p = T), replayed states and training
+    steps, wrapped at the period as :func:`replay` wraps it; they are the
+    per-step residuals of :func:`verify_mimetic`, computed by the same
+    routine. The snapshots are taken in the pinned column blocks of
+    :func:`replay`: the blocks that hold the frame's columns first, in one
+    read, then one block at a time, whose replayed states and training
     residuals are computed before the next block is read. Every product is
-    bitwise equal to its whole-period form. A least-squares fit with p < T
-    knows its coefficients only after the last snapshot, so it reads the
-    history twice: once for the class means, then again for the training
-    residuals, which are the per-step residuals of :func:`verify_mimetic`,
-    computed by the same routine. ``history`` is a SnapshotHistory, or the
-    columns of an open snapshot file, which the command-line front end
-    streams this way in O(n (p + 512)) memory besides the m x p
-    coefficients, which are column-major like V and W; columns that can be
-    read only once (a binary file on a pipe) raise ConfigInvalid for a
-    least-squares fit with p < T, before any is read.
+    bitwise equal to its whole-period form. A least-squares fit of a
+    history that runs past the frame's blocks knows its coefficients only
+    after the last snapshot, so it reads the history twice: once for the
+    class means, then again for the training residuals; every other fit
+    reads it once. ``history`` is a SnapshotHistory, or the columns of an
+    open snapshot file, which the command-line front end streams this way
+    in O(n (p + 512)) memory besides the m x p coefficients, which are
+    column-major like V and W; columns that can be read only once (a
+    binary file on a pipe) raise ConfigInvalid for a fit that would read
+    them twice, before any is read.
 
     Returns the model and a report; a missed epsilon target is flagged in
     the report rather than raised.
@@ -401,34 +392,35 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
         raise InsufficientData(f"period must be positive, got {p}")
     if p > T:
         raise InsufficientData(f"period {p} exceeds the {T} available snapshots")
-    folded = opts.mode == MODE_LEAST_SQUARES and p < T
-    if folded and not columns.rereadable:
+    # the frame's blocks: past them, the coefficients are known only after
+    # the last column, so a least-squares fit reads the history twice
+    held = _block_of(T, p - 1)[1]
+    if opts.mode == MODE_LEAST_SQUARES and held < T and not columns.rereadable:
         raise ConfigInvalid(
-            f"a least-squares fit with period {p} below the {T} snapshots reads them "
-            "twice, and this input can be read only once; write it to a file first"
+            f"a least-squares fit with period {p} reads the {T} snapshots twice, as they "
+            f"run past the frame's blocks ({held} columns), and this input can be read "
+            "only once; write it to a file first"
         )
     # the frame is built first, from the blocks that hold its columns, read
     # in one read; the reader (or the history) has checked them finite
-    head = columns.read(_block_of(T, p - 1)[1])
+    head = columns.read(held)
     ohf = build_ohf(_checked_history(head[:, :p]), rank_tol=opts.rank_tol,
                     truncate=opts.truncate_rank)
-    m = ohf.m
 
     if opts.mode == MODE_MONOMIAL:
-        coeffs = np.zeros((m, m), dtype=np.complex128, order="F")
+        coeffs = np.zeros((ohf.m, ohf.m), dtype=np.complex128, order="F")
         np.fill_diagonal(coeffs, ohf.kappa / ohf.rho)
-    elif folded:
-        means = _class_means(_blocks(columns, _block_bounds(T), head), columns.n, p, T)
-        coeffs = np.asfortranarray(_solve(ohf, means))
-        columns.rewind()
-        head = None
     else:
-        coeffs = np.empty((m, T), dtype=np.complex128, order="F")
+        # at p = T each residue class is one snapshot, its own mean
+        means = head if p == T else _class_means(
+            _blocks(columns, _block_bounds(T), head), columns.n, p, T)
+        coeffs = np.asfortranarray(_solve(ohf, means))
+        if held < T:
+            columns.rewind()
+            head = None
 
     model = SclRomModel(ohf=ohf, coeffs=coeffs, epsilon_achieved=0.0)
     blocks = _blocks(columns, _step_blocks(T, model.period), head)
-    if opts.mode == MODE_LEAST_SQUARES and not folded:
-        blocks = _solved(ohf, coeffs, blocks)  # a block's coefficients before its states
     per_step = _residuals(model, blocks)
     model.epsilon_achieved = max(per_step)
     report = FitReport(
@@ -472,7 +464,4 @@ def verify_mimetic(model: SclRomModel, history, eps: float) -> MimeticReport:
         max_residual=max_residual,
         per_step=list(enumerate(residuals)),
         passed=max_residual <= eps,
-        m=model.m,
-        n=model.n,
-        eps=eps,
     )

@@ -355,9 +355,13 @@ class TestErrorPaths:
         ("export-plot", ["export-plot", "{h}", "--components", "0,16", "--out", "{out}"],
          "component 16 out of range for n=16"),
         ("export-plot", ["export-plot", "{h}", "--out", "{dir}"], "cannot write {dir}: "),
+        ("simulate", ["simulate", "wave", "--nt", "-5", "--out", "{out}"],
+         "need at least 1 time step, got -5"),
+        ("simulate", ["simulate", "wave", "--nx", "2", "--nt", "-3", "--out", "{out}"],
+         "need at least 3 interior grid points, got 2"),
     ], ids=["verify-eps", "predict-window", "export-plot-components",
             "export-plot-negative-component", "export-plot-component-range",
-            "export-plot-unwritable"])
+            "export-plot-unwritable", "wave-nt", "wave-nx"])
     def test_bad_option_is_named_before_a_file_is_opened(self, capsys, tmp_path, command, argv,
                                                          message):
         """A bad option is named even when the file it would apply to is absent;
@@ -466,28 +470,38 @@ class TestChildProcess:
         assert m.read_bytes() == from_file.read_bytes()
 
     def test_folded_least_squares_fit_refuses_a_binary_pipe(self, tmp_path):
-        """A least-squares fit with a period below the column count reads the
-        columns twice, so a binary history on a pipe is refused, naming the
-        rule, before anything is written. The same history from a file, a
-        CSV history on a pipe (which is read whole), and a fit with the
-        period equal to the column count are accepted."""
+        """A least-squares fit of a history that runs past the frame's blocks
+        knows its coefficients only after the last column, so it reads the
+        columns twice, and such a binary history on a pipe is refused,
+        naming the rule, before anything is written. The same history from a
+        file and as CSV on a pipe (which is read whole) is accepted. A piped
+        history that the frame's blocks hold is read once and accepted, with
+        the period equal to the column count or below it; the latter's model
+        equals the one fitted from the file byte for byte."""
         h, csv, m = tmp_path / "h.bin", tmp_path / "h.csv", tmp_path / "m.bin"
-        history = almost_periodic_history(64, 4, 1e-3, 30, seed=3).perturbed
+        history = almost_periodic_history(64, 4, 1e-3, 600, seed=3).perturbed
         write_snapshots(history, h)
         write_snapshots(history, csv, format="csv")
         folded = ["--mode", "lsq", "--period", "4", "--out", str(m)]
         done = run_child("fit", "/dev/stdin", *folded, stdin=h.read_bytes())
         assert done.returncode == 2
         assert done.stderr.decode() == (
-            "sclrom fit: a least-squares fit with period 4 below the 30 snapshots reads "
-            "them twice, and this input can be read only once; write it to a file first\n")
+            "sclrom fit: a least-squares fit with period 4 reads the 600 snapshots twice, "
+            "as they run past the frame's blocks (256 columns), and this input can be "
+            "read only once; write it to a file first\n")
         assert not m.exists()
         for argv, stdin in ((["fit", str(h), *folded], None),
-                            (["fit", "/dev/stdin", *folded], csv.read_bytes()),
-                            (["fit", "/dev/stdin", "--mode", "lsq", "--out", str(m)],
-                             h.read_bytes())):
+                            (["fit", "/dev/stdin", *folded], csv.read_bytes())):
             done = run_child(*argv, stdin=stdin)
             assert done.returncode == 0, done.stderr
+        short, from_file = tmp_path / "short.bin", tmp_path / "f.bin"
+        write_snapshots(almost_periodic_history(64, 4, 1e-3, 30, seed=3).perturbed, short)
+        for argv in (["--mode", "lsq", "--out", str(m)], folded):
+            done = run_child("fit", "/dev/stdin", *argv, stdin=short.read_bytes())
+            assert done.returncode == 0, done.stderr
+        done = run_child("fit", str(short), *folded[:-1], str(from_file))
+        assert done.returncode == 0, done.stderr
+        assert m.read_bytes() == from_file.read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["verify", "{m}", "{h}"],

@@ -256,8 +256,8 @@ class TestVerifyMimetic:
         report = verify_mimetic(model, h, 1e-10)
         assert report.passed
         assert report.max_residual <= 1e-10
-        assert report.m == 8
-        assert report.n == 64
+        assert model.m == 8
+        assert model.n == 64
         assert len(report.per_step) == 8
 
     def test_residual_matches_predict(self):

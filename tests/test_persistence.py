@@ -554,10 +554,11 @@ class TestStreamedColumns:
     @pytest.mark.parametrize("format", ["binary", "csv"])
     def test_each_entry_is_checked_finite_once(self, tmp_path, monkeypatch, format):
         """A read hands each entry to np.isfinite once, and so does a
-        one-pass (monomial) fit streamed from a binary file and each of the
-        two passes of a period-4 least-squares fit; a fit of a history in
-        memory, whose entries were checked when it was made, hands it rho
-        alone."""
+        one-pass fit streamed from a binary file: a monomial fit, and a
+        period-4 least-squares fit of a history that the frame's blocks
+        hold; a least-squares fit of a longer history reads it twice, and
+        checks each entry in each pass. A fit of a history in memory, whose
+        entries were checked when it was made, hands it rho alone."""
         data, _ = self._history(tmp_path, columns=300)
         path = tmp_path / "h.txt"
         write_snapshots(SnapshotHistory(data), path, format=format)
@@ -575,12 +576,14 @@ class TestStreamedColumns:
         fit(history, FitOptions(mode="least_squares", period=4))
         assert checked == [1]
         if format == "binary":
-            for opts, passes in [(FitOptions(mode="monomial", period=4), 1),
-                                 (FitOptions(mode="least_squares", period=4), 2)]:
+            long_data, long_path = self._history(tmp_path, columns=600)
+            for mode, read, size, passes in [("monomial", path, data.size, 1),
+                                             ("least_squares", path, data.size, 1),
+                                             ("least_squares", long_path, long_data.size, 2)]:
                 checked.clear()
-                with persistence._snapshot_columns(path) as columns:
-                    fit(columns, opts)
-                assert sum(checked) == passes * data.size + 1, opts
+                with persistence._snapshot_columns(read) as columns:
+                    fit(columns, FitOptions(mode=mode, period=4))
+                assert sum(checked) == passes * size + 1, (mode, size)
 
 
 class TestModelFormat:
