@@ -129,13 +129,14 @@ def _banner_block(title: str) -> str:
     return f"{_BANNER}\n{title}\n{_BANNER}"
 
 
-def _write_history(path, n: int, steps: int, blocks, format: str) -> None:
-    """Write the column blocks that the callable ``blocks`` yields: a
-    binary file block by block, a CSV file (one line per state row) whole."""
+def _write_history(path, n: int, steps: int, dtype, blocks, format: str) -> None:
+    """Write the column blocks of ``dtype`` that the callable ``blocks``
+    yields: a binary file block by block, a CSV file (one line per state
+    row) whole."""
     if format == "binary":
-        _write_columns(path, n, steps, blocks)
+        _write_columns(path, n, steps, dtype, blocks())
     else:
-        write_snapshots(SnapshotHistory(_joined(n, steps, blocks)), path, format="csv")
+        write_snapshots(SnapshotHistory(_joined(n, steps, dtype, blocks)), path, format="csv")
 
 
 def _wave_history(args) -> SnapshotHistory:
@@ -173,8 +174,8 @@ def _cmd_simulate(args) -> int:
             )
             steps = args.horizon
             if args.clean_out:
-                _write_history(args.clean_out, n, steps, clean, args.format)
-        _write_history(args.out, n, steps, blocks, args.format)
+                _write_history(args.clean_out, n, steps, np.complex128, clean, args.format)
+        _write_history(args.out, n, steps, np.complex128, blocks, args.format)
     print(f"simulate: wrote {args.out} (n = {n}, m = {steps})")
     return 0
 
@@ -233,7 +234,7 @@ def _cmd_predict(args) -> int:
         raise ConfigInvalid(f"need 0 <= --t0 < --t1, got --t0 {args.t0} and --t1 {args.t1}")
     model = read_model(args.model)
     steps = args.t1 - args.t0
-    _write_history(args.out, model.n, steps,
+    _write_history(args.out, model.n, steps, model._dtype,
                    lambda: _replayed_columns(model, args.t0, args.t1), args.format)
     print(f"predict: wrote {args.out} (n = {model.n}, steps = {steps})")
     return 0

@@ -78,7 +78,7 @@ def periodic_history(n: int, period: int, seed: int, horizon: int | None = None)
     keeps every seed safely nondegenerate. The history is column-major.
     """
     horizon, blocks = _periodic_columns(n, period, seed, horizon)
-    return SnapshotHistory(model._joined(n, horizon, blocks))
+    return SnapshotHistory(model._joined(n, horizon, np.complex128, blocks))
 
 
 @dataclass(eq=False)
@@ -151,7 +151,7 @@ def almost_periodic_history(
     differ from these; ``clean`` is unchanged.
     """
     blocks, _ = _almost_periodic_columns(n, period, eps_pert, horizon, seed)
-    clean = SnapshotHistory(model._joined(n, horizon, blocks))
+    clean = SnapshotHistory(model._joined(n, horizon, np.complex128, blocks))
     if eps_pert == 0.0:
         return AlmostPeriodicPair(perturbed=SnapshotHistory(np.copy(clean.data)), clean=clean)
     noise = np.empty((horizon, 2 * n))
@@ -271,8 +271,9 @@ def simulate_wave_1d(cfg: WaveConfig, return_velocity: bool = False):
     takes all nt+1 steps back, so a run costs O(nx nt log nx) time and
     O(nx nt) memory.
 
-    Returns a SnapshotHistory of nt+1 displacement snapshots (state
-    dimension nx); with ``return_velocity`` also the matching velocity
+    Returns a real (float64) SnapshotHistory of nt+1 displacement snapshots
+    (state dimension nx), the transpose of the last DST's output with no
+    copy; with ``return_velocity`` also the matching velocity
     array, needed for discrete-energy checks.
     """
     nx, nt = cfg.nx, cfg.nt

@@ -83,6 +83,12 @@ class SclRomModel:
         frame's period for a least-squares one."""
         return self.coeffs.shape[1]
 
+    @property
+    def _dtype(self) -> np.dtype:
+        """The dtype of the states: float64 when V, B and the coefficients
+        are all real, complex128 otherwise."""
+        return np.result_type(self.ohf.V, self.ohf.B, self.coeffs)
+
 
 @dataclass
 class FitReport:
@@ -224,12 +230,12 @@ def _replayed_columns(model: SclRomModel, t0: int, t1: int):
     return runs()
 
 
-def _joined(n: int, steps: int, blocks) -> np.ndarray:
-    """The column-major (n, steps) array of the column blocks that the
-    callable ``blocks`` yields; it is called before the array is made, so
-    that it may check its window first."""
+def _joined(n: int, steps: int, dtype, blocks) -> np.ndarray:
+    """The column-major (n, steps) array of ``dtype`` of the column blocks
+    that the callable ``blocks`` yields; it is called before the array is
+    made, so that it may check its window first."""
     chunks = blocks()
-    rows = np.empty((steps, n), dtype=np.complex128)
+    rows = np.empty((steps, n), dtype=dtype)
     at = 0
     for block in chunks:
         rows[at : at + block.shape[1]] = block.T
@@ -263,7 +269,7 @@ def replay(model: SclRomModel, t0: int, t1: int) -> np.ndarray:
     start, stop = _block_of(p, phase)
     if t0 < t1 and phase + (t1 - t0) <= stop:
         return _block_states(model, start, stop)[phase - start : phase - start + t1 - t0].T
-    return _joined(model.n, t1 - t0, lambda: runs)
+    return _joined(model.n, t1 - t0, model._dtype, lambda: runs)
 
 
 def predict(model: SclRomModel, t: int) -> np.ndarray:
@@ -287,22 +293,23 @@ def _gap_norms(states: np.ndarray, data: np.ndarray) -> list[float]:
 
     ``states`` is the transpose of a fresh C-ordered (steps, n) array, such
     as the states of a block; it is overwritten with the gaps, so a
-    column-major ``data`` is subtracted in place row for row.
-    ``np.linalg.norm`` of a complex row x is
-    ``sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))``: one BLAS ``ddot``
-    per part, on a stride-2 view. The batched ``matmul`` of each (1, n) row
-    view by its (n, 1) transpose hands every row to that same ``ddot`` on
-    the same view, so two calls replace one ``norm`` per step and each
-    value stays bitwise equal to ``norm(predict(model, t) - data[:, t])``.
-    Runs under ``np.errstate(over="ignore")``: an overflowing residual
-    reads inf.
+    column-major ``data`` is subtracted in place row for row. Real states
+    and complex data (a real model against a complex history) take the
+    wider dtype: their gaps are a new array. ``np.linalg.norm`` of a row x
+    is ``sqrt(x.dot(x))`` when x is real, and
+    ``sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))`` when it is complex:
+    one BLAS ``ddot`` per part, on a stride-2 view. The batched ``matmul``
+    of each (1, n) row view by its (n, 1) transpose hands every row to
+    that same ``ddot`` on the same view, so one call per part replaces
+    one ``norm`` per step and each value stays bitwise equal to
+    ``norm(predict(model, t) - data[:, t])``. Runs under
+    ``np.errstate(over="ignore")``: an overflowing residual reads inf.
     """
     with np.errstate(over="ignore"):
-        gaps = states.T
-        np.subtract(gaps, data.T, out=gaps)
-        re, im = gaps.real, gaps.imag
-        squares = np.matmul(re[:, None, :], re[:, :, None])[:, 0, 0]
-        squares += np.matmul(im[:, None, :], im[:, :, None])[:, 0, 0]
+        in_place = np.can_cast(data.dtype, states.dtype)
+        gaps = np.subtract(states.T, data.T, out=states.T if in_place else None)
+        parts = (gaps.real, gaps.imag) if np.iscomplexobj(gaps) else (gaps,)
+        squares = sum(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0] for x in parts)
         return np.sqrt(squares).tolist()
 
 
@@ -325,14 +332,15 @@ def _solve(ohf: OhfFactorization, data: np.ndarray) -> np.ndarray:
     return ohf.W.conj().T @ (inv_scale * (ohf.V.conj().T @ data))
 
 
-def _class_means(blocks, n: int, p: int, steps: int) -> np.ndarray:
-    """The column-major (n, p) means of the snapshots of ``blocks`` (see
-    :func:`_blocks`) over each residue class t mod p of their ``steps``
-    steps, which a least-squares fit of period p solves. Each class sum adds
-    its columns in step order, one run of at most p consecutive steps at a
-    time. At p = steps each class is one snapshot, its own mean, so
-    :func:`fit` solves the snapshots themselves instead."""
-    sums = np.zeros((p, n), dtype=np.complex128)
+def _class_means(blocks, n: int, p: int, steps: int, dtype) -> np.ndarray:
+    """The column-major (n, p) means, of the snapshots' ``dtype``, of the
+    snapshots of ``blocks`` (see :func:`_blocks`) over each residue class
+    t mod p of their ``steps`` steps, which a least-squares fit of period p
+    solves. Each class sum adds its columns in step order, one run of at
+    most p consecutive steps at a time. At p = steps each class is one
+    snapshot, its own mean, so :func:`fit` solves the snapshots themselves
+    instead."""
+    sums = np.zeros((p, n), dtype=dtype)
     for start, stop, block in blocks:
         rows = block.T
         t = start
@@ -354,7 +362,8 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
 
     * monomial mode stores the m distinct columns (kappa/rho) e_k, the
       powers z^k of the element (kappa/rho) z^t, which depends only on
-      t mod m, so the model's period is m; exact for periodic data;
+      t mod m, so the model's period is m; exact for periodic data. They
+      are float64 for every history, as kappa/rho is real;
     * least_squares mode solves min_c || rho (K Vhat) c - x ||_2 through
       the retained SVD factors, as the product
       W* diag(kappa / (rho s)) (V* x), once, on the means of the
@@ -378,7 +387,8 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
     in O(n (p + 512)) memory besides the m x p coefficients, which are
     column-major like V and W; columns that can be read only once (a
     binary file on a pipe) raise ConfigInvalid for a fit that would read
-    them twice, before any is read.
+    them twice, before any is read. Every array of the model takes the
+    history's dtype: a real history gives a float64 model.
 
     Returns the model and a report; a missed epsilon target is flagged in
     the report rather than raised.
@@ -408,12 +418,12 @@ def fit(history, opts: FitOptions | None = None) -> tuple[SclRomModel, FitReport
                     truncate=opts.truncate_rank)
 
     if opts.mode == MODE_MONOMIAL:
-        coeffs = np.zeros((ohf.m, ohf.m), dtype=np.complex128, order="F")
-        np.fill_diagonal(coeffs, ohf.kappa / ohf.rho)
+        coeffs = np.zeros((ohf.m, ohf.m), order="F")
+        np.fill_diagonal(coeffs, (ohf.kappa / ohf.rho).real)
     else:
         # at p = T each residue class is one snapshot, its own mean
         means = head if p == T else _class_means(
-            _blocks(columns, _block_bounds(T), head), columns.n, p, T)
+            _blocks(columns, _block_bounds(T), head), columns.n, p, T, head.dtype)
         coeffs = np.asfortranarray(_solve(ohf, means))
         if held < T:
             columns.rewind()

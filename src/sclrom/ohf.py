@@ -76,19 +76,27 @@ def _check_finite(data: np.ndarray, first_column: int = 0) -> None:
 class SnapshotHistory:
     """State snapshots of a discrete-time system, one per column.
 
-    ``data`` is a column-major complex128 array, the layout of the column
-    matrix [v_1 .. v_m] and of binary files; any other array is copied into
-    it once, so every product sees one layout, whatever the source. Zero
-    columns are accepted at construction (a simulator may legitimately
-    produce them); operations that require nonzero snapshots reject them
-    when reached. NaN and infinite entries are rejected at construction,
-    the first in column order named.
+    ``data`` is a column-major array, the layout of the column matrix
+    [v_1 .. v_m] and of binary files: float64 for a real history, complex128
+    otherwise, and every array made from it keeps that dtype. A real array
+    is kept as float64, and a complex one whose imaginary parts are all
+    +0.0 (the only float whose bits are all zero, so -0.0 stays complex)
+    becomes float64; any other layout or dtype is copied once, so every
+    product sees one layout, whatever the source. Zero columns are
+    accepted at construction (a simulator may legitimately produce them);
+    operations that require nonzero snapshots reject them when reached.
+    NaN and infinite entries are rejected at construction, the first in
+    column order named.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128, order="F")
+        data = np.asarray(self.data)
+        if np.iscomplexobj(data) and not np.asarray(data, np.complex128).imag.view(np.uint64).any():
+            data = data.real
+        data = np.asarray(data, dtype=np.complex128 if np.iscomplexobj(data) else np.float64,
+                          order="F")
         if data.ndim != 2:
             raise DimensionMismatch(f"snapshot matrix must be 2-D, got ndim={data.ndim}")
         if data.shape[1] < 1:
@@ -106,8 +114,8 @@ class SnapshotHistory:
 
 
 def _checked_history(data: np.ndarray) -> SnapshotHistory:
-    """The history of column-major complex128 ``data`` whose every entry a
-    reader has checked, made without scanning them again."""
+    """The history of column-major float64 or complex128 ``data`` whose
+    every entry a reader has checked, made without scanning them again."""
     history = object.__new__(SnapshotHistory)
     history.data = data
     return history
@@ -127,19 +135,23 @@ class OhfFactorization:
     :func:`checked_factorization` derives from them; V, W and B are
     column-major, fitted or loaded. kappa = s_1 and the frame ``Vhat`` are
     derived on demand, so no stored value can disagree with the spectrum;
-    until Vhat is asked for, V is the one n x m array held.
+    until Vhat is asked for, V is the one n x m array held. V, W, B and
+    Vhat are float64 for a real history and complex128 for a complex one
+    (W and B are float64 after truncation, where W is the identity); rho
+    and kappa are real numbers held in V's dtype, a Python float or
+    complex.
     """
 
     V: np.ndarray
     singular_values: np.ndarray
     W: np.ndarray
-    rho: complex
+    rho: float | complex
     B: np.ndarray
     residuals: dict[str, float]
 
     @property
-    def kappa(self) -> complex:
-        return complex(self.singular_values[0])
+    def kappa(self) -> float | complex:
+        return self.V.dtype.type(self.singular_values[0]).item()
 
     @property
     def n(self) -> int:
@@ -208,25 +220,22 @@ def thin_svd(
     """Thin SVD (V, S, W) with V diag(S) W = data (numpy's W, not conjugated);
     pinned phases make repeated runs produce identical factors.
 
-    A history whose imaginary part is all zero (either sign) takes LAPACK's
-    real SVD, in about 60% of the complex one's time; its factors are
-    pinned while real (each column times +-1, exactly) and become complex
-    in the one column-major copy made of each factor. With ``rank_tol``,
-    only the r leading directions with s_j > rank_tol * s_1 are kept, and
-    the copies hold those alone (r = 0 for a zero history).
+    The factors take the history's dtype: a real (float64) history takes
+    LAPACK's real SVD, in about 60% of the complex one's time, and its
+    factors are pinned by a sign per column (each column times +-1,
+    exactly). With ``rank_tol``, only the r leading directions with
+    s_j > rank_tol * s_1 are kept, and the column-major copy made of each
+    factor holds those alone (r = 0 for a zero history).
     """
-    data = history.data
-    real = not data.imag.any()
     try:
-        V, S, W = np.linalg.svd(data.real if real else data, full_matrices=False)
+        V, S, W = np.linalg.svd(history.data, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     if rank_tol is not None:
         rank = int(np.count_nonzero(S > rank_tol * S[0])) if S[0] > 0.0 else 0
         V, S, W = V[:, :rank], S[:rank], W[:rank]
     pin_column_phases(V, W)
-    return (np.asarray(V, dtype=np.complex128, order="F"), S,
-            np.asarray(W, dtype=np.complex128, order="F"))
+    return np.asfortranarray(V), S, np.asfortranarray(W)
 
 
 def complement_basis(V: np.ndarray) -> np.ndarray:
@@ -241,7 +250,7 @@ def complement_basis(V: np.ndarray) -> np.ndarray:
     n, m = V.shape
     if n < 2 * m:
         raise DimensionTooSmall(f"complement of an m={m} frame needs n >= {2 * m}, got n={n}")
-    U = np.zeros((n, m), dtype=np.complex128)
+    U = np.zeros((n, m), dtype=V.dtype)
     U[: 2 * m] = np.linalg.qr(V[: 2 * m], mode="complete")[0][:, m:]
     return U
 
@@ -314,13 +323,12 @@ def checked_factorization(V: np.ndarray, s: np.ndarray, W: np.ndarray) -> OhfFac
         for name, residual in residuals.items():
             if not residual <= _ORTHOGONALITY_TOL * max(1.0, float(m)):
                 raise InvariantViolation(f"{name}: residual {residual:.3e}")
-        rho = complex(np.dot(s**2, np.abs(W[:, 0]) ** 2) / s[0])
+        rho = np.dot(s**2, np.abs(W[:, 0]) ** 2) / s[0]
         if not np.isfinite(rho):
-            raise NumericalFailure(
-                f"rho = sum_j s_j^2 |W_j1|^2 / s_1 = {rho.real:.6e} is not finite"
-            )
+            raise NumericalFailure(f"rho = sum_j s_j^2 |W_j1|^2 / s_1 = {rho:.6e} is not finite")
         B = (s * (rho / s[0]))[:, None] * W
-    return OhfFactorization(V=V, singular_values=s, W=W, rho=rho, B=B, residuals=residuals)
+    return OhfFactorization(V=V, singular_values=s, W=W, rho=V.dtype.type(rho).item(), B=B,
+                            residuals=residuals)
 
 
 def build_ohf(
@@ -376,7 +384,7 @@ def build_ohf(
             )
         if rank == 0:
             raise DegenerateHistory("history is numerically zero", rank=0)
-        W = np.eye(rank, dtype=np.complex128, order="F")
+        W = np.eye(rank, order="F")
         first_col = V[:, 0] * s[0]  # first column of the rank-r core history
         m = rank
     else:

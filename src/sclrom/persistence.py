@@ -6,17 +6,19 @@ payloads; n and m are at least 1), then the matrix entries in
 column-major order, each entry two IEEE-754 binary64 little-endian values
 (real then imaginary; real-flagged files store only the real part).
 Histories and model arrays are column-major in memory too, so a file and
-its arrays hold the entries in one order. A binary block is read in
-column blocks straight into one reused buffer and checked finite as it
-is read (:class:`_BinaryColumns`), raising at the first fault met in
-file order: :func:`read_snapshots` reads every column at once, fitting
-and verification from the command line one block at a time
-(:func:`_snapshot_columns`). On a regular file the declared size is
-checked against the file size before any payload is read; a pipe is
-checked for a short read and for trailing bytes instead. Writing streams
-the header, its real flag decided first (:func:`_real_pass`), then the
-payload block by block (:func:`_block_buffers`); the output is never read
-back, so it may be a pipe.
+its arrays hold the entries in one order, and the real flag is their
+dtype: a real-flagged block is float64 in memory, any other complex128.
+A binary block is read in column blocks straight into one reused buffer
+of its dtype and checked finite as it is read (:class:`_BinaryColumns`),
+raising at the first fault met in file order: :func:`read_snapshots`
+reads every column at once, fitting and verification from the command
+line one block at a time (:func:`_snapshot_columns`). On a regular file
+the declared size is checked against the file size before any payload
+is read; a pipe is checked for a short read and for trailing bytes
+instead. Writing streams the header, flagged real exactly when the
+array's dtype is float64, then the payload block by block, each from its
+own memory when it is column-major (:func:`_block_buffers`); the output
+is never read back, so it may be a pipe.
 
 Every output file, binary, CSV, model or plot table, is written by
 :func:`_write_output`. A pipe, FIFO or device is written in order. A
@@ -42,21 +44,23 @@ ASCII digits, ``.eE+-``, commas, spaces and tabs, the whole file is
 converted by one ``np.loadtxt`` call: numpy's C reader converts each
 field with ``PyOS_string_to_double``, the correctly rounded routine
 behind ``float()``, accepts exactly the grammar's entries over that
-alphabet, and its float64 result is widened to a column-major complex
-history in one copy. A file with any other row, or one that numpy's
-reader rejects, is checked row by row against the grammar and converted
-by ``complex()``, so the grammar, the values and the errors are the same
-on both paths.
+alphabet, and its float64 result becomes a column-major float64 history
+in one copy. A file with any other row, or one that numpy's reader
+rejects, is checked row by row against the grammar and converted by
+``complex()``, so the grammar, the values and the errors are the same
+on both paths; :class:`sclrom.ohf.SnapshotHistory` makes its array
+float64 when every imaginary part is +0.0.
 
 Model files (version 3): a three-line UTF-8 manifest (the header
 ``SCLROM-MODEL v3``, ``m:`` and ``epsilon_achieved:``), a blank line,
 then four snapshot-encoded binary blocks: the thin SVD V diag(s) W of
 the frame's history, V (n x m), s (m x 1, real) and W (m x m), and the
 coefficients (m x p, one column per phase of the model's period),
-column-major like the blocks, so a complex array is written from its own
-memory and each is loaded by one read of the snapshot reader, whose
-buffer becomes the array; the file may be a pipe, and its manifest is
-read in bounded lines (:func:`_read_manifest`).
+column-major like the blocks, so each array is written from its own
+memory and loaded by one read of the snapshot reader, whose buffer
+becomes the array, float64 for a real-flagged block and complex128
+otherwise; the file may be a pipe, and its manifest is read in bounded
+lines (:func:`_read_manifest`).
 Each block's header is checked against m before its payload is read; n
 and T are read from the headers of V and of the coefficients. The arrays
 then pass :func:`sclrom.ohf.checked_factorization`, fitting's m x m gate
@@ -152,33 +156,6 @@ def parse_complex_entry(text: str, line: int, column: int) -> complex:
     return complex(text.strip().replace("i", "j"))
 
 
-def _payload_is_real(data: np.ndarray) -> bool:
-    """True when every imaginary part of ``data`` is +0.0, the only float
-    whose bits are all zero: one test of the bits, in any layout."""
-    return not data.imag.view(np.uint64).any()
-
-
-def _real_pass(blocks) -> tuple[bool, object]:
-    """(real, iterator over every block) for the column blocks that the
-    callable ``blocks`` yields. A first pass stops at the first block that
-    is not real, which is the first block of any complex payload; only a
-    real payload is iterated twice.
-    """
-    chunks = blocks()
-    first = next(chunks)
-    if not _payload_is_real(first):
-        return False, _prepended(first, chunks)
-    real = all(map(_payload_is_real, chunks))
-    return real, blocks()
-
-
-def _prepended(first, rest):
-    """``first``, then the blocks of ``rest``; none is held once yielded."""
-    yield first
-    del first
-    yield from rest
-
-
 def _untruncated(path, flags: int) -> int:
     """The opener of ``open(path, "wb")`` without ``O_TRUNC``: the same
     file, link or device, and the same mode 0o666 & ~umask for a new file."""
@@ -230,38 +207,34 @@ def _write_output(path, buffers, size: int | None = None) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _block_buffers(n: int, m: int, real: bool, chunks):
-    """The buffers of one binary block, the magic first: the header, then
-    the C-ordered buffer of each column block's transpose. That buffer is
-    the block's own when it is column-major and complex, as a history's
-    and a model's arrays are; any other block costs one copy, which
-    transposes it or keeps only its real part.
+def _block_buffers(n: int, m: int, dtype, chunks):
+    """The buffers of one binary block of ``dtype``, real-flagged exactly
+    when it is float64, the magic first: the header, then the C-ordered
+    buffer of each column block's transpose. That buffer is the block's
+    own when it is column-major, as a history's and a model's arrays are;
+    any other block costs one copy, which transposes it.
     """
     yield SNAPSHOT_MAGIC
-    yield struct.pack("<QQQ", n, m, 1 if real else 0)
+    yield struct.pack("<QQQ", n, m, 1 if dtype == np.float64 else 0)
     for block in chunks:
-        if real:
-            yield np.ascontiguousarray(block.real.T, dtype="<f8")
-        else:
-            yield np.ascontiguousarray(block.T, dtype="<c16")
+        yield np.ascontiguousarray(block.T, dtype=dtype)
         del block  # the next block is made without this one
 
 
 def _column_blocks(data: np.ndarray):
-    """A callable that yields the columns of ``data`` in the pinned blocks
-    of :func:`sclrom.replay`, as views."""
-    return lambda: (data[:, start:stop] for start, stop in _block_bounds(data.shape[1]))
+    """The columns of ``data`` in the pinned blocks of :func:`sclrom.replay`,
+    as views."""
+    return (data[:, start:stop] for start, stop in _block_bounds(data.shape[1]))
 
 
-def _write_columns(path, n: int, m: int, blocks) -> None:
-    """Write a binary snapshot file of n x m entries from the column
-    blocks that the callable ``blocks`` yields (see :func:`_real_pass`),
-    through :func:`_write_output`, which checks that a regular file has
-    room for the whole payload before its first byte is written.
+def _write_columns(path, n: int, m: int, dtype, chunks) -> None:
+    """Write a binary snapshot file of n x m entries of ``dtype`` from the
+    column blocks ``chunks`` (see :func:`_block_buffers`), through
+    :func:`_write_output`, which checks that a regular file has room for
+    the whole payload before its first byte is written.
     """
-    real, chunks = _real_pass(blocks)
-    size = _HEADER_BYTES + n * m * (8 if real else 16)
-    _write_output(path, _block_buffers(n, m, real, chunks), size)
+    size = _HEADER_BYTES + n * m * np.dtype(dtype).itemsize
+    _write_output(path, _block_buffers(n, m, dtype, chunks), size)
 
 
 def _parse_header(head: bytes, offset: int) -> tuple[int, int, bool]:
@@ -295,11 +268,11 @@ class _BinaryColumns:
 
     ``read(count)`` reads the next ``count`` columns straight from the file
     into one buffer that later reads reuse (it grows to the widest read),
-    and returns them as an (n, count) column-major view. A real payload is
-    read at most 256 columns at a time into a float buffer and widened.
-    Every entry read is checked to be finite. ``drain()``, for a block
-    that ends its input, reads and checks every column not read yet, then
-    the end of the input. Either raises at the first fault it meets, in
+    and returns them as an (n, count) column-major view, float64 for a
+    real-flagged block and complex128 otherwise, so a real payload is
+    never widened. Every entry read is checked to be finite. ``drain()``,
+    for a block that ends its input, reads and checks every column not
+    read yet, then the end of the input. Either raises at the first fault it meets, in
     file order: a short read, or the first non-finite entry, named by its
     row and its column in the whole history, which is the first in column
     order. ``rewind()`` seeks back to the first column, so the block can be
@@ -308,7 +281,8 @@ class _BinaryColumns:
 
     def __init__(self, fh, head: bytes, path, offset: int):
         n, m, real = _parse_header(head, offset)
-        expected = n * m * (8 if real else 16)
+        self._dtype = np.dtype("<f8" if real else "<c16")
+        expected = n * m * self._dtype.itemsize
         self.end = offset + _HEADER_BYTES + expected  # the byte after the block
         info = os.fstat(fh.fileno())
         self._regular = stat.S_ISREG(info.st_mode)
@@ -318,10 +292,9 @@ class _BinaryColumns:
             raise DimensionMismatch(f"header declares {n}x{m}, beyond the size of one array")
         self.n, self.m = n, m
         self.rereadable = self._regular
-        self._fh, self._path, self._real, self._expected = fh, path, real, expected
+        self._fh, self._path, self._expected = fh, path, expected
         self._at = self._bytes = 0  # columns and payload bytes read
-        # the reused (columns, n) buffers: complex, and float for a real payload
-        self._buffer = self._floats = None
+        self._buffer = None  # the reused (columns, n) buffer
 
     def _readinto(self, array: np.ndarray) -> None:
         try:
@@ -335,17 +308,9 @@ class _BinaryColumns:
     def read(self, count: int) -> np.ndarray:
         if self._buffer is None or len(self._buffer) < count:
             self._buffer = None  # free the smaller buffer first
-            self._buffer = np.empty((count, self.n), dtype=np.complex128)
+            self._buffer = np.empty((count, self.n), dtype=self._dtype)
         rows = self._buffer[:count]
-        if self._real:
-            if self._floats is None:
-                self._floats = np.empty((min(self.m, _BLOCK), self.n), dtype="<f8")
-            for start in range(0, count, len(self._floats)):
-                floats = self._floats[: min(len(self._floats), count - start)]
-                self._readinto(floats)
-                rows[start : start + len(floats)] = floats
-        else:
-            self._readinto(rows)
+        self._readinto(rows)
         _check_finite(rows.T, self._at)
         self._at += count
         return rows.T
@@ -380,7 +345,8 @@ def write_snapshots(history: SnapshotHistory, path, format: str = "binary") -> N
     if format not in ("binary", "csv"):
         raise ValueError(f"unknown format {format!r}")
     if format == "binary":
-        _write_columns(path, history.n, history.m, _column_blocks(history.data))
+        _write_columns(path, history.n, history.m, history.data.dtype,
+                       _column_blocks(history.data))
     else:
         _write_output(path, _csv_buffers(history))
 
@@ -391,8 +357,8 @@ def _csv_buffers(history: SnapshotHistory):
     data = history.data
     yield f"{history.n},{history.m}\n".encode()
     # a real payload has no imaginary part to print
-    if _payload_is_real(data):
-        for row in data.real:
+    if data.dtype == np.float64:
+        for row in data:
             yield _real_row_text(row).encode()
     else:
         for row in data:
@@ -430,7 +396,7 @@ def _read_csv_snapshots(text: str) -> SnapshotHistory:
             pass  # the grammar below names the bad field
         else:
             if real.shape == (n, m):
-                del lines, rows  # free the row strings before the widened copy
+                del lines, rows  # free the row strings before the column-major copy
                 return SnapshotHistory(real)
     data = np.empty((n, m), dtype=np.complex128)
     for i, (number, row) in enumerate(rows):
@@ -502,12 +468,13 @@ def _snapshot_columns(path):
 def read_snapshots(path) -> SnapshotHistory:
     """Read a snapshot file: binary if it starts with the magic bytes, else CSV.
 
-    Either loads as a column-major history. A binary payload is read into
-    the history in one copy, a real one widened to complex a block at a
-    time; a CSV file (one line per state row) whose rows are all real
-    decimals over ASCII is converted by one ``np.loadtxt`` call, any other
-    CSV file row by row through the entry grammar, and either array is then
-    made column-major and complex in one copy.
+    Either loads as a column-major history, float64 for a real one and
+    complex128 otherwise. A binary payload is read into the history in one
+    copy, in the dtype its real flag gives; a CSV file (one line per state
+    row) whose rows are all real decimals over ASCII is converted by one
+    ``np.loadtxt`` call into float64, any other CSV file row by row through
+    the entry grammar into complex128 (float64 when every imaginary part
+    is +0.0), and either array is then made column-major in one copy.
     """
     with _snapshot_columns(path) as columns:
         data = columns.read(columns.m)
@@ -531,7 +498,7 @@ def _model_buffers(model: SclRomModel):
     yield _MODEL_HEADER_PREFIX.encode()
     yield manifest[len(_MODEL_HEADER_PREFIX) :].encode("utf-8") + b"\n\n"
     for array in (ohf.V, ohf.singular_values[:, None], ohf.W, model.coeffs):
-        yield from _block_buffers(*array.shape, *_real_pass(_column_blocks(array)))
+        yield from _block_buffers(*array.shape, array.dtype, _column_blocks(array))
 
 
 def _manifest_value(lines: list[str], index: int, key: str) -> str:
@@ -609,8 +576,8 @@ def read_model(path) -> SclRomModel:
     header of V and the period p from that of the coefficients. Raises
     VersionUnsupported for unknown format versions, earlier ones included,
     and InvariantViolation when an array's header disagrees with m, an
-    array or epsilon_achieved holds non-finite numbers, s holds a non-real
-    entry, or the frame fails a check of
+    array or epsilon_achieved holds non-finite numbers, s is not a
+    real-flagged block, or the frame fails a check of
     :func:`sclrom.ohf.checked_factorization`; any other error of that gate
     (a non-finite rho, say) is reported as
     ``stored frames are inconsistent: ...``. The model is the fitted one
@@ -631,11 +598,11 @@ def read_model(path) -> SclRomModel:
         raise InvariantViolation("trailing bytes after payload arrays")
     if not np.isfinite(epsilon):
         raise InvariantViolation("epsilon_achieved holds non-finite values")
-    if s.imag.any():
+    if np.iscomplexobj(s):
         raise InvariantViolation("s holds non-real values")
 
     try:
-        ohf = checked_factorization(V, s[:, 0].real.copy(), W)
+        ohf = checked_factorization(V, s[:, 0].copy(), W)
     except InvariantViolation:
         raise
     except SclRomError as exc:

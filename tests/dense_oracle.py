@@ -255,7 +255,7 @@ def dense_wave_1d(cfg, return_velocity=False):
         w_hist[:, k] = y[:nx]
         u_hist[:, k] = y[nx:]
 
-    history = SnapshotHistory(w_hist.astype(np.complex128))
+    history = SnapshotHistory(w_hist)
     if return_velocity:
         return history, u_hist
     return history
@@ -264,16 +264,17 @@ def dense_wave_1d(cfg, return_velocity=False):
 def one_shot_coefficients(ohf, data, mode, period):
     """The coefficients of a fit with factorization ``ohf`` and frame
     period ``period``, from the whole-history formulas: the m powers
-    (kappa/rho) e_k of the monomial (kappa/rho) z^t, or the least-squares
+    (kappa/rho) e_k of the monomial (kappa/rho) z^t, real and so float64
+    for every history, or the least-squares
     product W* diag(kappa / (rho s)) (V* x) at once, over the column-major
     history when the period is its length and otherwise over the means of
     the steps of each residue class t mod period, summed one step at a time
     in step order."""
     m, T = ohf.m, data.shape[1]
     if mode == "monomial":
-        return np.diag(np.full(m, ohf.kappa / ohf.rho))
+        return np.diag(np.full(m, (ohf.kappa / ohf.rho).real))
     if period < T:
-        sums = np.zeros((data.shape[0], period), dtype=np.complex128)
+        sums = np.zeros((data.shape[0], period), dtype=data.dtype)
         for t in range(T):
             sums[:, t % period] += data[:, t]
         data = sums / np.bincount(np.arange(T) % period)

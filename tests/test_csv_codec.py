@@ -69,8 +69,18 @@ def oracle_entry_value(text: str, line: int, column: int) -> complex:
     return complex(float(match.group(1)), im_part)
 
 
+def oracle_realness(data: np.ndarray) -> np.ndarray:
+    """The real part of a complex array whose imaginary parts are all +0.0
+    (equal to zero with the sign bit clear), as a history holds it; any
+    other array as it is."""
+    if not (data.imag != 0.0).any() and not np.signbit(data.imag).any():
+        return data.real.copy()
+    return data
+
+
 def oracle_read(text: str) -> np.ndarray:
-    """Header, blank-line and count rules of the reader, then one field at a time."""
+    """Header, blank-line and count rules of the reader, then one field at a
+    time; float64 when every imaginary part read is +0.0."""
     lines = text.splitlines()
     header = lines[0].split(",")
     n, m = int(header[0]), int(header[1])
@@ -86,7 +96,7 @@ def oracle_read(text: str) -> np.ndarray:
     for i, (number, row) in enumerate(rows):
         for j, field in enumerate(row.split(",")):
             data[i, j] = oracle_entry_value(field, number, j + 1)
-    return data
+    return oracle_realness(data)
 
 
 def rows_matching_row_pattern(text: str) -> list[bool]:
@@ -163,7 +173,7 @@ def test_writer_bytes_and_reader_bits_match_oracle(tmp_path_factory, data):
     assert path.read_bytes() == text.encode("utf-8")
     assert [format_complex_entry(z) for z in data.ravel()] == [oracle_entry(z) for z in data.ravel()]
     back = read_snapshots(path).data
-    assert back.tobytes() == data.tobytes()
+    assert back.tobytes() == oracle_realness(data).tobytes()
     assert back.tobytes() == oracle_read(text).tobytes()
 
 

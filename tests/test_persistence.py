@@ -70,11 +70,12 @@ def _wave(tmp_path, monkeypatch, real):
 ], ids=["c-ordered-complex", "c-ordered-real", "real-csv", "complex-csv", "wave"])
 def test_history_is_column_major_complex_and_bitwise(tmp_path, monkeypatch, make, real):
     """Every source of a history, C-ordered or real as it may be, gives one
-    layout: a column-major complex128 array with the source's values."""
+    layout: a column-major array with the source's values, complex128 for a
+    complex source and float64 for a real one."""
     history, values = make(tmp_path, monkeypatch, real)
     assert values.shape == history.data.shape and values.dtype == (float if real else complex)
-    assert history.data.dtype == np.complex128 and history.data.flags.f_contiguous
-    assert history.data.tobytes(order="F") == values.astype(np.complex128).tobytes(order="F")
+    assert history.data.dtype == values.dtype and history.data.flags.f_contiguous
+    assert history.data.tobytes(order="F") == values.tobytes(order="F")
 
 
 class TestCsvFormat:
@@ -170,10 +171,11 @@ class TestBinaryFormat:
         data = rng.standard_normal((12, 5)).astype(np.complex128)
         path = tmp_path / "h.bin"
         write_snapshots(SnapshotHistory(data), path)
-        # real payloads are stored at 8 bytes per entry
+        # real payloads are stored at 8 bytes per entry, and read as float64
         assert path.stat().st_size == 32 + 12 * 5 * 8
         back = read_snapshots(path)
-        assert back.data.tobytes(order="C") == data.tobytes(order="C")
+        assert back.data.dtype == np.float64
+        assert back.data.tobytes(order="C") == data.real.tobytes(order="C")
 
     def test_truncated_payload_reports_byte_counts(self, tmp_path):
         h = periodic_history(16, 4, seed=1)
@@ -430,7 +432,7 @@ class TestStreamedBinaryCodec:
         write_snapshots(SnapshotHistory(np.ascontiguousarray(data)), reference)
         assert path.read_bytes() == reference.read_bytes()
         back = read_snapshots(path).data
-        assert back.tobytes(order="C") == data.tobytes(order="C")
+        assert back.tobytes(order="C") == (data.real if real else data).tobytes(order="C")
         assert back.flags.f_contiguous and back.flags.writeable
 
     def test_column_major_complex_history_is_written_without_a_copy(self, tmp_path):
@@ -451,8 +453,9 @@ def _layout(data, layout):
 
 
 class TestRealPayloadBits:
-    """A payload is real when every imaginary part is +0.0, the only float
-    whose bits are all zero; the flag decides whether a file stores them."""
+    """A history is real (float64) when every imaginary part is +0.0, the
+    only float whose bits are all zero; its dtype decides the file's flag,
+    and so whether a file stores the imaginary parts."""
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("imag, real", [
@@ -461,7 +464,9 @@ class TestRealPayloadBits:
     def test_one_imaginary_part_decides(self, layout, imag, real):
         data = np.arange(12.0).reshape(3, 4) + 0j
         data[2, 1] = complex(5.0, imag)
-        assert persistence._payload_is_real(_layout(data, layout)) is real
+        history = SnapshotHistory(_layout(data, layout))
+        assert history.data.dtype == (np.float64 if real else np.complex128)
+        assert history.data.tobytes(order="F") == (data.real if real else data).tobytes(order="F")
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     @pytest.mark.parametrize("column", [None, 3, 300, 599])
@@ -477,7 +482,7 @@ class TestRealPayloadBits:
         assert struct.unpack_from("<Q", blob, 24)[0] == (column is None)
         assert len(blob) == 32 + data.size * (8 if column is None else 16)
         back = read_snapshots(path).data
-        assert back.tobytes(order="F") == data.tobytes(order="F")
+        assert back.tobytes(order="F") == (data if column is not None else data.real).tobytes(order="F")
         assert np.signbit(back.imag).sum() == (column is not None)
 
 
@@ -720,8 +725,8 @@ class TestModelFormat:
     def test_loaded_arrays_are_column_major_like_the_fitted(self, tmp_path, history, real):
         """A complex model, and a rank-truncated wave model whose blocks
         carry the real flag, load bit for bit into writable column-major
-        arrays of their own, the layout that fitting gives V, W, B and the
-        coefficients."""
+        arrays of their own, the layout and dtype (float64 for the real
+        model) that fitting gives V, W, B and the coefficients."""
         model, _ = fit(history(), FitOptions(mode="least_squares", truncate_rank=True))
         path = tmp_path / "m.bin"
         write_model(model, path)
@@ -733,7 +738,8 @@ class TestModelFormat:
         pairs = [(model.ohf.V, loaded.ohf.V), (model.ohf.W, loaded.ohf.W),
                  (model.ohf.B, loaded.ohf.B), (model.coeffs, loaded.coeffs)]
         for fitted, back in pairs:
-            assert back.dtype == np.complex128 and back.shape == fitted.shape
+            assert back.dtype == fitted.dtype == (np.float64 if real else np.complex128)
+            assert back.shape == fitted.shape
             assert fitted.flags.f_contiguous and back.flags.f_contiguous
             assert back.flags.writeable
             assert back.tobytes(order="A") == fitted.tobytes(order="A")

@@ -4,7 +4,9 @@
 
 Runs every command of every workload in ``perfbench/workloads.py`` (one
 pass at each of seeds 1, 2 and 7; seed 7 gives the worst-conditioned wave
-frame seen) through ``sclrom.cli.run_cli``, once for
+frame seen), and the ``wave-csv`` commands once more with binary snapshot
+and prediction files (labelled ``wave-bin``: a real history then streams
+through real-flagged binary blocks), through ``sclrom.cli.run_cli``, once for
 each checkout, each in a child process that imports ``sclrom`` from that
 checkout's ``src`` with the BLAS thread count pinned to N (default 2, as
 the benchmark pins it). Both sides take their argv from CHANGE's workloads
@@ -20,8 +22,8 @@ reads from its own files, and two models of different periods through
 the states they replay. For a differing file that both sides could read,
 the report adds the largest difference of the arrays of the same shape
 on both sides relative to the largest entry of PARENT's, names the
-arrays whose shapes differ, and for a model file adds that of its
-replayed states alone. Trailing singular directions are set by rounding
+arrays whose shapes differ, and for a model file adds that of each
+array alone, its replayed states included. Trailing singular directions are set by rounding
 alone, so two valid models of the same history may differ far more in
 their arrays than in the states they replay.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -55,6 +58,30 @@ def _load_workloads(checkout: Path):
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module.WORKLOADS
+
+
+def _binary_files(cmd):
+    """``cmd`` with binary files for CSV ones: each ``.csv`` path ends in
+    ``.bin`` instead, and ``--format csv`` is dropped."""
+    def binary(path):
+        return path[: -len(".csv")] + ".bin" if path.endswith(".csv") else path
+
+    argv = [binary(arg) for arg in cmd.argv]
+    if "--format" in argv:
+        at = argv.index("--format")
+        del argv[at : at + 2]
+    return dataclasses.replace(cmd, argv=argv, reads=tuple(map(binary, cmd.reads)),
+                               writes=None if cmd.writes is None else binary(cmd.writes))
+
+
+def _runs(workloads) -> dict:
+    """Each workload's ``(workdir, seed) -> commands`` of one pass, by
+    label, and ``wave-bin``: the ``wave-csv`` pass with binary files."""
+    runs = {name: (lambda workdir, seed, w=workload: w.commands(workdir, seed, 0))
+            for name, workload in workloads.items()}
+    wave = runs["wave-csv"]
+    runs["wave-bin"] = lambda workdir, seed: [_binary_files(c) for c in wave(workdir, seed)]
+    return runs
 
 
 def _save_read(path: str, history: str | None) -> None:
@@ -86,11 +113,11 @@ def _child(args) -> int:
 
     workdir, keep = Path(args.workdir), Path(args.keep)
     results = []
-    for name, workload in _load_workloads(Path(args.workloads)).items():
+    for name, commands in _runs(_load_workloads(Path(args.workloads))).items():
         for seed in SEEDS:
             shutil.rmtree(workdir, ignore_errors=True)
             workdir.mkdir(parents=True)
-            for index, cmd in enumerate(workload.commands(str(workdir), seed, 0)):
+            for index, cmd in enumerate(commands(str(workdir), seed)):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     try:
@@ -158,8 +185,8 @@ def _relative_difference(a_path: str, b_path: str) -> str:
     text = f"max relative difference {_max_relative((a[name], b[name]) for name in same):.3e}"
     if len(same) < len(a):
         text += f" ({', '.join(name for name in a if name not in same)} shapes differ)"
-    if "replayed" in same:
-        text += f", replayed {_max_relative([(a['replayed'], b['replayed'])]):.3e}"
+    if len(same) > 1:  # a model file: each array, its replayed states included
+        text += "".join(f", {name} {_max_relative([(a[name], b[name])]):.3e}" for name in same)
     return text
 
 

@@ -2,16 +2,17 @@
 
     python tools/large_n.py [--n 65536] [--m 64] [--runs 3]
 
-Builds ``periodic_history(n, m, seed=5)`` once, then, ``--runs`` times in
-one process, times a monomial ``fit``, ``write_model`` of the fitted
-model to a temporary file, ``read_model`` of that file and the raw
+Builds ``periodic_history(n, m, seed=5)`` once, and its real part as a
+second, real (float64) history. For each history, ``--runs`` times in one
+process, it times a monomial ``fit``, ``write_model`` of the fitted model
+to a temporary file, ``read_model`` of that file and the raw
 ``np.linalg.svd`` of the same history (thin, with vectors), and prints
 the median and range of each and of fit plus save plus load. One untimed
 run of the same calls comes first, so that no timed run pays the first
-BLAS call's set-up. Separate
-runs, after the timed ones, give the ``tracemalloc`` peaks of one
-``write_model`` and one ``read_model``, so that tracing does not slow the
-timed calls. The BLAS thread count is whatever the environment sets.
+BLAS call's set-up. Separate runs, after the timed ones, give the
+``tracemalloc`` peaks of one ``write_model`` and one ``read_model``, so
+that tracing does not slow the timed calls. The BLAS thread count is
+whatever the environment sets.
 
 ``sclrom`` is imported from the ``src`` directory beside this file's
 ``tools`` directory, so a copy of this file placed in another checkout
@@ -31,7 +32,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from sclrom import FitOptions, fit, periodic_history, read_model, write_model  # noqa: E402
+from sclrom import (  # noqa: E402
+    FitOptions,
+    SnapshotHistory,
+    fit,
+    periodic_history,
+    read_model,
+    write_model,
+)
 
 
 def _timed(fn):
@@ -54,23 +62,15 @@ def _summary(name: str, values: list[float]) -> str:
             f"  (range {min(values):.3f}-{max(values):.3f}, {len(values)} runs)")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=65536)
-    parser.add_argument("--m", type=int, default=64)
-    parser.add_argument("--runs", type=int, default=3)
-    args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-
-    history = periodic_history(args.n, args.m, seed=5)
+def _measure(history: SnapshotHistory, label: str, runs: int) -> None:
+    """Time and trace fit, save and load of ``history``; print the summary."""
     opts = FitOptions(mode="monomial")
     times: dict[str, list[float]] = {
         name: [] for name in ("fit", "write_model", "read_model", "fit+write+read",
                               "np.linalg.svd")}
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "model.bin"
-        for run in range(args.runs + 1):
+        for run in range(runs + 1):
             fit_s, (model, _) = _timed(lambda: fit(history, opts))
             write_s, _ = _timed(lambda: write_model(model, path))
             del model
@@ -88,14 +88,27 @@ def main(argv=None) -> int:
         del model
         read_peak = _peak_mib(lambda: read_model(path))
 
-    print(f"periodic_history(n={args.n}, m={args.m}, seed=5), monomial fit, "
-          f"model file {size / 2**20:.1f} MiB")
+    print(f"{label} ({history.data.dtype}), monomial fit, model file {size / 2**20:.1f} MiB")
     for name, values in times.items():
         print(_summary(name, values))
     print(f"{'write_model peak':<22} {write_peak:.2f} MiB (tracemalloc, one call)")
     print(f"{'read_model peak':<22} {read_peak:.2f} MiB (tracemalloc, one call)")
-    return 0
 
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, default=65536)
+    parser.add_argument("--m", type=int, default=64)
+    parser.add_argument("--runs", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+
+    history = periodic_history(args.n, args.m, seed=5)
+    label = f"periodic_history(n={args.n}, m={args.m}, seed=5)"
+    _measure(history, label, args.runs)
+    _measure(SnapshotHistory(history.data.real), f"the real part of {label}", args.runs)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())
